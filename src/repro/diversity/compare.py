@@ -11,7 +11,7 @@ should reproduce in shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.apps.base import run_on_noc
 from repro.apps.beamforming import BeamformingApp
@@ -107,13 +107,6 @@ def run_workload(
     )
 
 
-# Local sentinel: the experiments package (where UNSET lives) imports
-# this module back through fig5_3, so the shared sentinel cannot be
-# imported at definition time.  Sentinel-valued kwargs are simply not
-# forwarded, which resolve_options treats identically to its own UNSET.
-_UNSET: Any = object()
-
-
 def compare_architectures(
     architectures: list[Architecture],
     forward_probability: float = 0.5,
@@ -123,9 +116,6 @@ def compare_architectures(
     repetitions: int = 3,
     seed: int = 0,
     max_rounds: int = 2000,
-    n_workers: Any = _UNSET,
-    runner: Any = _UNSET,
-    cache_dir: Any = _UNSET,
     options: "ExperimentOptions | None" = None,
 ) -> list[ArchitectureComparison]:
     """Run the same workload across architectures (Fig 5-3).
@@ -134,42 +124,29 @@ def compare_architectures(
     """
     # Deferred import: repro.experiments.common itself imports from the
     # diversity package via the experiment modules.
-    from repro.experiments.common import resolve_options
+    from repro.experiments.common import per_cell, resolve_options
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    legacy = {
-        name: value
-        for name, value in (
-            ("runner", runner),
-            ("n_workers", n_workers),
-            ("cache_dir", cache_dir),
-        )
-        if value is not _UNSET
-    }
-    opts = resolve_options(options, **legacy)
-    sweep = opts.make_runner()
+    sweep = resolve_options(options).make_runner()
     specs = [architecture.build() for architecture in architectures]
-    outcomes = iter(
-        sweep.run(
-            SimTask.call(
-                run_workload,
-                spec=spec,
-                forward_probability=forward_probability,
-                n_sensors=n_sensors,
-                n_frames=n_frames,
-                frame_interval=frame_interval,
-                seed=seed + rep,
-                max_rounds=max_rounds,
-                label=f"fig5_3 {spec.name} rep={rep}",
-            )
-            for spec in specs
-            for rep in range(repetitions)
+    outcomes = sweep.run(
+        SimTask.call(
+            run_workload,
+            spec=spec,
+            forward_probability=forward_probability,
+            n_sensors=n_sensors,
+            n_frames=n_frames,
+            frame_interval=frame_interval,
+            seed=seed + rep,
+            max_rounds=max_rounds,
+            label=f"fig5_3 {spec.name} rep={rep}",
         )
+        for spec in specs
+        for rep in range(repetitions)
     )
     rows = []
-    for spec in specs:
-        runs = [next(outcomes) for _ in range(repetitions)]
+    for spec, runs in per_cell(specs, outcomes, repetitions):
         n = len(runs)
         rows.append(
             ArchitectureComparison(

@@ -19,10 +19,8 @@ bit-identical for any worker count), ``runner`` (a pre-built, shared
 :class:`repro.runners.SweepRunner`), ``cache_dir`` (on-disk result
 memoization), ``db`` (a :class:`repro.service.ResultsDB` write-through
 record), and, on harnesses that support them, ``backend`` and
-``collect_metrics``.  The historical scalar keyword arguments
-(``n_workers=``, ``runner=``, ``cache_dir=``, ``collect_metrics=``,
-``backend=``) still work and mean exactly what they always did, but now
-emit ``DeprecationWarning`` (see ``docs/runners.md``).
+``collect_metrics``.  It is the only way to pass execution settings
+(see ``docs/runners.md``).
 
 Options are pure execution plumbing: they never enter task cache keys,
 and harnesses embed their historical per-repetition seed formulas in the

@@ -26,16 +26,15 @@ never alias in the cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
     backend_params,
     metrics_params,
+    per_cell,
     resolve_options,
     split_metrics,
     summarize_metrics,
@@ -212,11 +211,6 @@ def run(
     seed: int = 0,
     max_rounds: int = 96,
     coverage_target: float = 0.99,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    collect_metrics: Any = UNSET,
-    backend: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> ChaosReport:
     """Sweep the scenario grid and derive dynamic tolerance thresholds.
@@ -230,17 +224,7 @@ def run(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     for kind in kinds:
         scenario_for(kind, 0.0)  # validate axes before paying for the sweep
-    opts = resolve_options(
-        options,
-        supports=("collect_metrics", "backend"),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        collect_metrics=collect_metrics,
-        backend=backend,
-    )
-    collect_metrics = opts.collect_metrics
-    backend = opts.backend
+    opts = resolve_options(options, supports=("collect_metrics", "backend"))
     sweep = opts.make_runner()
     cells = [(kind, level) for kind in kinds for level in levels]
     tasks = [
@@ -253,17 +237,16 @@ def run(
             seed=seed + 104_729 * rep,
             max_rounds=max_rounds,
             label=f"chaos {kind} intensity={level} rep={rep}",
-            **metrics_params(collect_metrics),
-            **backend_params(backend),
+            **metrics_params(opts.collect_metrics),
+            **backend_params(opts.backend),
         )
         for kind, level in cells
         for rep in range(repetitions)
     ]
     outcomes = sweep.run(tasks)
     reduced: list[ChaosCell] = []
-    for index, (kind, level) in enumerate(cells):
-        chunk = outcomes[index * repetitions : (index + 1) * repetitions]
-        plain, run_metrics = split_metrics(chunk, collect_metrics)
+    for (kind, level), chunk in per_cell(cells, outcomes, repetitions):
+        plain, run_metrics = split_metrics(chunk, opts.collect_metrics)
         reduced.append(
             _aggregate_cell(kind, level, plain, run_metrics, max_rounds)
         )

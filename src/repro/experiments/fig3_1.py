@@ -10,18 +10,13 @@ asymptotic).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.theory import (
     deterministic_spread,
     expected_rounds_to_inform_all,
     simulate_rumor_spread,
 )
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, resolve_options
 from repro.runners import SimTask
 
 
@@ -48,18 +43,12 @@ def run(
     n: int = 1000,
     repetitions: int = 5,
     seed: int = 0,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> SpreadCurve:
     """Reproduce the Fig 3-1 curve for one population size."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
-    sweep = opts.make_runner()
+    sweep = resolve_options(options).make_runner()
     runs = sweep.run(
         SimTask.call(
             simulate_rumor_spread,
@@ -92,14 +81,9 @@ def run_scaling(
     sizes: tuple[int, ...] = (64, 256, 1000, 4096),
     repetitions: int = 3,
     seed: int = 0,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[SpreadCurve]:
     """The §3.1 asymptotic across population sizes."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     shared = opts.with_runner(opts.make_runner())
     return [run(n, repetitions, seed, options=shared) for n in sizes]

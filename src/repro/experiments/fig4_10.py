@@ -11,15 +11,14 @@ variance (jitter) grows; synchronization errors never prevent completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.apps.base import run_on_noc
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
+    per_cell,
     resolve_options,
 )
 from repro.faults import FaultConfig
@@ -93,24 +92,22 @@ def _sweep_axis(
     opts: ExperimentOptions,
 ) -> list[FailureImpactPoint]:
     sweep = opts.make_runner()
-    outcomes = iter(
-        sweep.run(
-            SimTask.call(
-                _run_impact_rep,
-                fault_config=config,
-                n_frames=n_frames,
-                granule=granule,
-                seed=seed + 31 * rep,
-                max_rounds=max_rounds,
-                label=f"fig4_10 {axis}={level} rep={rep}",
-            )
-            for level, config in configs
-            for rep in range(repetitions)
+    outcomes = sweep.run(
+        SimTask.call(
+            _run_impact_rep,
+            fault_config=config,
+            n_frames=n_frames,
+            granule=granule,
+            seed=seed + 31 * rep,
+            max_rounds=max_rounds,
+            label=f"fig4_10 {axis}={level} rep={rep}",
         )
+        for level, config in configs
+        for rep in range(repetitions)
     )
     return [
-        _aggregate(axis, level, [next(outcomes) for _ in range(repetitions)])
-        for level, _ in configs
+        _aggregate(axis, level, reps)
+        for (level, _), reps in per_cell(configs, outcomes, repetitions)
     ]
 
 
@@ -121,15 +118,10 @@ def run_overflow(
     repetitions: int = 3,
     seed: int = 0,
     max_rounds: int = 1500,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[FailureImpactPoint]:
     """The left panel: latency vs buffer-overflow drop probability."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     return _sweep_axis(
         "overflow",
         [(level, FaultConfig(p_overflow=level)) for level in levels],
@@ -149,15 +141,10 @@ def run_synchronization(
     repetitions: int = 3,
     seed: int = 0,
     max_rounds: int = 1500,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[FailureImpactPoint]:
     """The right panel: latency vs sigma_synchr (jitter, not failure)."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     return _sweep_axis(
         "synchronization",
         [(level, FaultConfig(sigma_synchr=level)) for level in levels],

@@ -11,7 +11,6 @@ optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -19,9 +18,9 @@ from repro.apps.fft2d import Fft2dApp
 from repro.apps.master_slave import MasterSlavePiApp
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
     metrics_params,
+    per_cell,
     resolve_options,
     split_metrics,
     summarize_metrics,
@@ -48,8 +47,8 @@ class CrashSweepPoint:
         latency_rounds: mean rounds over completed runs.
         energy_j: mean Eq. 3 energy over completed runs.
         metrics: aggregated per-round mean/CI time series of the cell's
-            repetitions when swept with ``collect_metrics=True``, else
-            ``None``.
+            repetitions when swept with
+            ``ExperimentOptions(collect_metrics=True)``, else ``None``.
     """
 
     application: str
@@ -137,10 +136,6 @@ def run(
     repetitions: int = 5,
     seed: int = 0,
     max_rounds: int = 400,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    collect_metrics: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[CrashSweepPoint]:
     """Sweep (p x crash count) for one application.
@@ -156,20 +151,12 @@ def run(
             f"{sorted(_RUNNERS)}"
         )
     run_one = _RUNNERS[application]
-    opts = resolve_options(
-        options,
-        supports=("collect_metrics",),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        collect_metrics=collect_metrics,
-    )
-    collect_metrics = opts.collect_metrics
+    opts = resolve_options(options, supports=("collect_metrics",))
     sweep = opts.make_runner()
     cells = [
         (p, n_dead) for p in probabilities for n_dead in dead_tile_counts
     ]
-    raw = sweep.run(
+    outcomes = sweep.run(
         SimTask.call(
             run_one,
             p=p,
@@ -177,22 +164,14 @@ def run(
             seed=seed + 977 * rep,
             max_rounds=max_rounds,
             label=f"fig4_4[{application}] p={p} dead={n_dead} rep={rep}",
-            **metrics_params(collect_metrics),
+            **metrics_params(opts.collect_metrics),
         )
         for p, n_dead in cells
         for rep in range(repetitions)
     )
-    plain, run_metrics = split_metrics(raw, collect_metrics)
-    outcomes = iter(plain)
-    metrics_iter = iter(run_metrics) if run_metrics is not None else None
     points = []
-    for p, n_dead in cells:
-        cell = [next(outcomes) for _ in range(repetitions)]
-        summary = None
-        if metrics_iter is not None:
-            summary = summarize_metrics(
-                [next(metrics_iter) for _ in range(repetitions)]
-            )
+    for (p, n_dead), reps in per_cell(cells, outcomes, repetitions):
+        cell, run_metrics = split_metrics(reps, opts.collect_metrics)
         finished = [o for o in cell if o[0]]
         pool = finished if finished else cell
         points.append(
@@ -203,7 +182,7 @@ def run(
                 completion_rate=len(finished) / len(cell),
                 latency_rounds=sum(o[1] for o in pool) / len(pool),
                 energy_j=sum(o[2] for o in pool) / len(pool),
-                metrics=summary,
+                metrics=summarize_metrics(run_metrics),
             )
         )
     return points

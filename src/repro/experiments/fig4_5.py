@@ -9,15 +9,14 @@ taking many more rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.apps.master_slave import MasterSlavePiApp
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
+    per_cell,
     resolve_options,
 )
 from repro.faults import FaultConfig, FaultInjector
@@ -79,39 +78,30 @@ def run(
     repetitions: int = 3,
     seed: int = 0,
     max_rounds: int = 2500,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[SurfacePoint]:
     """Sweep the two failure axes on the Master-Slave study."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
-    sweep = opts.make_runner()
+    sweep = resolve_options(options).make_runner()
     cells = [
         (n_dead, p_upset)
         for n_dead in dead_tile_counts
         for p_upset in upset_levels
     ]
-    outcomes = iter(
-        sweep.run(
-            SimTask.call(
-                _run_surface_rep,
-                n_dead=n_dead,
-                p_upset=p_upset,
-                forward_probability=forward_probability,
-                seed=seed + 7919 * rep,
-                max_rounds=max_rounds,
-                label=f"fig4_5 dead={n_dead} upset={p_upset} rep={rep}",
-            )
-            for n_dead, p_upset in cells
-            for rep in range(repetitions)
+    outcomes = sweep.run(
+        SimTask.call(
+            _run_surface_rep,
+            n_dead=n_dead,
+            p_upset=p_upset,
+            forward_probability=forward_probability,
+            seed=seed + 7919 * rep,
+            max_rounds=max_rounds,
+            label=f"fig4_5 dead={n_dead} upset={p_upset} rep={rep}",
         )
+        for n_dead, p_upset in cells
+        for rep in range(repetitions)
     )
     points = []
-    for n_dead, p_upset in cells:
-        cell = [next(outcomes) for _ in range(repetitions)]
+    for (n_dead, p_upset), cell in per_cell(cells, outcomes, repetitions):
         finished = [o for o in cell if o[0]]
         pool = finished if finished else cell
         points.append(

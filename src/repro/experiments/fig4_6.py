@@ -22,18 +22,13 @@ seeded NoC runs plus their average, like the figure's Run1/2/3/Avg bars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.apps.base import run_on_bus
 from repro.apps.master_slave import MasterSlavePiApp
 from repro.bus.simulator import BusModel, BusSimulator
 from repro.core.protocol import StochasticProtocol
 from repro.energy.model import TECH_025UM, TechnologyLibrary
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, resolve_options
 from repro.noc.engine import NocSimulator
 from repro.noc.link import LinkModel
 from repro.noc.topology import Mesh2D
@@ -114,18 +109,12 @@ def run(
     seed: int = 0,
     n_terms: int = 400,
     default_ttl: int = 10,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> BusComparison:
     """Run the workload on both substrates and assemble the comparison."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
-    sweep = opts.make_runner()
+    sweep = resolve_options(options).make_runner()
     noc_runs = sweep.run(
         SimTask.call(
             _run_noc_once,

@@ -10,13 +10,12 @@ p_upset ~ 0.7 — is the reproduction target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.apps.base import run_on_noc
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
+    per_cell,
     resolve_options,
 )
 from repro.faults import FaultConfig
@@ -107,16 +106,10 @@ def run_cell(
     repetitions: int = 2,
     seed: int = 0,
     max_rounds: int = 1200,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> LatencyCell:
     """Measure one cell of the latency surface."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
-    sweep = opts.make_runner()
+    sweep = resolve_options(options).make_runner()
     outcomes = sweep.run(
         _cell_tasks(
             forward_probability,
@@ -139,9 +132,6 @@ def run(
     repetitions: int = 2,
     seed: int = 0,
     max_rounds: int = 1200,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[LatencyCell]:
     """Sweep the (p x p_upset) grid.
@@ -149,10 +139,7 @@ def run(
     The whole grid — every cell's repetitions — is submitted as one task
     batch, so parallel workers stay busy across cell boundaries.
     """
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
-    sweep = opts.make_runner()
+    sweep = resolve_options(options).make_runner()
     cells = [(p, p_upset) for p in probabilities for p_upset in upset_levels]
     tasks = [
         task
@@ -161,8 +148,8 @@ def run(
             p, p_upset, n_frames, granule, repetitions, seed, max_rounds
         )
     ]
-    outcomes = iter(sweep.run(tasks))
+    outcomes = sweep.run(tasks)
     return [
-        _aggregate_cell(p, p_upset, [next(outcomes) for _ in range(repetitions)])
-        for p, p_upset in cells
+        _aggregate_cell(p, p_upset, reps)
+        for (p, p_upset), reps in per_cell(cells, outcomes, repetitions)
     ]

@@ -9,14 +9,13 @@ trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
+    per_cell,
     resolve_options,
 )
 from repro.mp3.parallel import ParallelMp3App
@@ -72,34 +71,25 @@ def run(
     repetitions: int = 2,
     seed: int = 0,
     max_rounds: int = 2500,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[EnergyPoint]:
     """Measure energy (and latency) across p, fault-free."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
-    sweep = opts.make_runner()
-    outcomes = iter(
-        sweep.run(
-            SimTask.call(
-                _run_energy_rep,
-                forward_probability=p,
-                n_frames=n_frames,
-                granule=granule,
-                seed=seed + 613 * rep,
-                max_rounds=max_rounds,
-                label=f"fig4_9 p={p} rep={rep}",
-            )
-            for p in probabilities
-            for rep in range(repetitions)
+    sweep = resolve_options(options).make_runner()
+    outcomes = sweep.run(
+        SimTask.call(
+            _run_energy_rep,
+            forward_probability=p,
+            n_frames=n_frames,
+            granule=granule,
+            seed=seed + 613 * rep,
+            max_rounds=max_rounds,
+            label=f"fig4_9 p={p} rep={rep}",
         )
+        for p in probabilities
+        for rep in range(repetitions)
     )
     points = []
-    for p in probabilities:
-        reps = [next(outcomes) for _ in range(repetitions)]
+    for p, reps in per_cell(probabilities, outcomes, repetitions):
         points.append(
             EnergyPoint(
                 forward_probability=p,

@@ -10,8 +10,6 @@ least efficient.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.diversity.architectures import (
     BusConnectedNocs,
     CentralRouter,
@@ -19,11 +17,7 @@ from repro.diversity.architectures import (
     HierarchicalNoc,
 )
 from repro.diversity.compare import ArchitectureComparison, compare_architectures
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions
 
 
 def run(
@@ -35,9 +29,6 @@ def run(
     include_central_router: bool = False,
     seed: int = 0,
     max_rounds: int = 4000,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[ArchitectureComparison]:
     """Run the Fig 5-3 comparison.
@@ -45,9 +36,6 @@ def run(
     The flat mesh is sized to match the clustered architectures' tile
     count (2 x cluster_side per side = 4 clusters' worth of tiles).
     """
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
     architectures = [
         FlatNoc(2 * cluster_side),
         HierarchicalNoc(cluster_side),
@@ -63,5 +51,5 @@ def run(
         repetitions=repetitions,
         seed=seed,
         max_rounds=max_rounds,
-        options=opts,
+        options=options,
     )

@@ -11,14 +11,12 @@ how much the grid's constrained connectivity costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.core.packet import BROADCAST
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
     backend_params,
     metrics_params,
@@ -61,8 +59,8 @@ class SpreadMeasurement:
         completion_rate: fraction of runs that saturated within budget.
         informed_curve: mean informed-tiles count per round.
         run_metrics: one :class:`repro.metrics.RunMetrics` per
-            repetition when measured with ``collect_metrics=True``, else
-            ``None``.
+            repetition when measured with
+            ``ExperimentOptions(collect_metrics=True)``, else ``None``.
         metrics: the aggregated mean/CI summary of ``run_metrics``
             (``None`` when uninstrumented).
     """
@@ -125,35 +123,21 @@ def measure_spread(
     seed: int = 0,
     max_rounds: int = 200,
     name: str | None = None,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    collect_metrics: Any = UNSET,
-    backend: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> SpreadMeasurement:
     """Broadcast from `origin` and measure rounds to full saturation.
 
-    With ``collect_metrics=True`` each repetition records a
-    :class:`repro.metrics.RunMetrics` time series; the measurement then
-    carries the per-repetition series (``run_metrics``) and their
-    mean/CI aggregate (``metrics``).  ``backend`` selects the engine
-    backend for every repetition (``"fast"`` for the vectorised engine;
-    results are bit-identical, only wall-clock changes).
+    With ``options=ExperimentOptions(collect_metrics=True)`` each
+    repetition records a :class:`repro.metrics.RunMetrics` time series;
+    the measurement then carries the per-repetition series
+    (``run_metrics``) and their mean/CI aggregate (``metrics``).  The
+    options' ``backend`` selects the engine backend for every repetition
+    (``"fast"`` for the vectorised engine; results are bit-identical,
+    only wall-clock changes).
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(
-        options,
-        supports=("collect_metrics", "backend"),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        collect_metrics=collect_metrics,
-        backend=backend,
-    )
-    collect_metrics = opts.collect_metrics
-    backend = opts.backend
+    opts = resolve_options(options, supports=("collect_metrics", "backend"))
     sweep = opts.make_runner()
     label = name or repr(topology)
     outcomes = sweep.run(
@@ -165,12 +149,12 @@ def measure_spread(
             seed=seed + rep,
             max_rounds=max_rounds,
             label=f"grid_spread {label} rep={rep}",
-            **metrics_params(collect_metrics),
-            **backend_params(backend),
+            **metrics_params(opts.collect_metrics),
+            **backend_params(opts.backend),
         )
         for rep in range(repetitions)
     )
-    outcomes, run_metrics = split_metrics(outcomes, collect_metrics)
+    outcomes, run_metrics = split_metrics(outcomes, opts.collect_metrics)
     n = topology.n_tiles
     saturation_rounds = []
     curves = []
@@ -205,24 +189,11 @@ def run(
     forward_probability: float = 0.5,
     repetitions: int = 5,
     seed: int = 0,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    collect_metrics: Any = UNSET,
-    backend: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[SpreadMeasurement]:
     """Compare mesh / torus / complete-graph saturation at n = side^2."""
     n = side * side
-    opts = resolve_options(
-        options,
-        supports=("collect_metrics", "backend"),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        collect_metrics=collect_metrics,
-        backend=backend,
-    )
+    opts = resolve_options(options, supports=("collect_metrics", "backend"))
     shared = opts.with_runner(opts.make_runner())
     return [
         measure_spread(

@@ -14,16 +14,11 @@ trade: communication energy down, latency up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.apps.master_slave import MasterSlavePiApp
 from repro.core.protocol import StochasticProtocol
 from repro.diversity.islands import Island, IslandPlan
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, resolve_options
 from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
 from repro.runners import SimTask
@@ -106,18 +101,12 @@ def run(
     n_terms: int = 400,
     seed: int = 0,
     max_rounds: int = 500,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> IslandComparison:
     """Measure the energy/latency trade of one island partition."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
-    sweep = opts.make_runner()
+    sweep = resolve_options(options).make_runner()
     outcomes = sweep.run(
         SimTask.call(
             _run_island_rep,
@@ -148,15 +137,10 @@ def run_voltage_sweep(
     voltages: tuple[float, ...] = (1.0, 0.8, 0.6, 0.5),
     repetitions: int = 3,
     seed: int = 0,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[IslandComparison]:
     """The island design space: deeper undervolting saves more, costs more."""
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
+    opts = resolve_options(options)
     shared = opts.with_runner(opts.make_runner())
     return [
         run(

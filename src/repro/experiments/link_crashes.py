@@ -12,15 +12,14 @@ slowly per failed element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.apps.master_slave import MasterSlavePiApp
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
+    per_cell,
     resolve_options,
 )
 from repro.faults import FaultConfig, FaultInjector
@@ -74,36 +73,27 @@ def run(
     n_terms: int = 300,
     seed: int = 0,
     max_rounds: int = 400,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[LinkCrashPoint]:
     """Sweep dead directed links on the 5x5 Master-Slave study."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(
-        options, runner=runner, n_workers=n_workers, cache_dir=cache_dir
-    )
-    sweep = opts.make_runner()
-    results = iter(
-        sweep.run(
-            SimTask.call(
-                _run_link_crash_rep,
-                n_dead_links=n_dead,
-                forward_probability=forward_probability,
-                n_terms=n_terms,
-                seed=seed + 4999 * rep,
-                max_rounds=max_rounds,
-                label=f"link_crashes dead={n_dead} rep={rep}",
-            )
-            for n_dead in dead_link_counts
-            for rep in range(repetitions)
+    sweep = resolve_options(options).make_runner()
+    results = sweep.run(
+        SimTask.call(
+            _run_link_crash_rep,
+            n_dead_links=n_dead,
+            forward_probability=forward_probability,
+            n_terms=n_terms,
+            seed=seed + 4999 * rep,
+            max_rounds=max_rounds,
+            label=f"link_crashes dead={n_dead} rep={rep}",
         )
+        for n_dead in dead_link_counts
+        for rep in range(repetitions)
     )
     points = []
-    for n_dead in dead_link_counts:
-        outcomes = [next(results) for _ in range(repetitions)]
+    for n_dead, outcomes in per_cell(dead_link_counts, results, repetitions):
         finished = [o for o in outcomes if o[0]]
         pool = finished if finished else outcomes
         points.append(

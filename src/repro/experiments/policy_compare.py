@@ -19,14 +19,13 @@ the comparison is paired, not just averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
     backend_params,
+    per_cell,
     resolve_options,
 )
 from repro.experiments.grid_spread import _BroadcastSeed
@@ -154,10 +153,6 @@ def run(
     repetitions: int = 5,
     seed: int = 0,
     max_rounds: int = 48,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    backend: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> list[PolicyPoint]:
     """Sweep every policy against every fault axis (one flat task batch).
@@ -170,15 +165,7 @@ def run(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(
-        options,
-        supports=("backend",),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        backend=backend,
-    )
-    backend = opts.backend
+    opts = resolve_options(options, supports=("backend",))
     sweep = opts.make_runner()
 
     cells: list[tuple[PolicySpec, str, float, dict]] = []
@@ -207,20 +194,19 @@ def run(
             # hence the same crash map) under every policy.
             seed=seed + rep,
             label=f"policy_compare {spec.name} {fault}={level} rep={rep}",
-            **backend_params(backend),
+            **backend_params(opts.backend),
         )
         for spec, fault, level, overrides in cells
         for rep in range(repetitions)
     ]
     outcomes = sweep.run(tasks)
 
-    points = []
-    for index, (spec, fault, level, _) in enumerate(cells):
-        start = index * repetitions
-        points.append(
-            _aggregate(spec, fault, level, outcomes[start:start + repetitions])
+    return [
+        _aggregate(spec, fault, level, reps)
+        for (spec, fault, level, _), reps in per_cell(
+            cells, outcomes, repetitions
         )
-    return points
+    ]
 
 
 def format_table(points: list[PolicyPoint]) -> str:

@@ -36,13 +36,11 @@ a worked example.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.experiments.chaos import scenario_for
 from repro.experiments.common import (
-    UNSET,
     ExperimentOptions,
     backend_params,
     resolve_options,
@@ -235,10 +233,6 @@ def run(
     seed: int = 0,
     max_rounds: int = 48,
     deadline_rounds: int | None = None,
-    n_workers: Any = UNSET,
-    runner: Any = UNSET,
-    cache_dir: Any = UNSET,
-    backend: Any = UNSET,
     options: ExperimentOptions | None = None,
 ) -> FrontierReport:
     """Race every protocol against every fault axis (one flat task batch).
@@ -272,15 +266,7 @@ def run(
         deadline_rounds = max_rounds
     if deadline_rounds < 1:
         raise ValueError(f"deadline_rounds must be >= 1, got {deadline_rounds}")
-    opts = resolve_options(
-        options,
-        supports=("backend",),
-        runner=runner,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        backend=backend,
-    )
-    backend = opts.backend
+    opts = resolve_options(options, supports=("backend",))
     sweep = opts.make_runner()
 
     plan = _plan(protocols, upset_rates, link_crash_counts, repetitions, seed)
@@ -294,7 +280,7 @@ def run(
             max_rounds=max_rounds,
             seed=task_seed,
             label=f"frontier {spec.name} {fault}={level} rep={rep}",
-            **backend_params(backend),
+            **backend_params(opts.backend),
         )
         for spec, fault, level, overrides, rep, task_seed in plan
     ]
@@ -435,7 +421,6 @@ def certify_frontier(
     batch_size: int = 8,
     max_replicates: int = 64,
     options: ExperimentOptions | None = None,
-    backend: Any = None,
 ) -> FrontierEnvelope:
     """Certify every protocol's chaos-tolerance envelope cell by cell.
 
@@ -454,7 +439,6 @@ def certify_frontier(
     for kind in kinds:
         scenario_for(kind, 0.0)  # validate axes before paying for runs
     opts = resolve_options(options, supports=("backend",))
-    engine_backend = opts.backend if backend is None else backend
     sweep = opts.make_runner()
     certifier = CertificationRunner(
         sweep, batch_size=batch_size, max_replicates=max_replicates
@@ -484,7 +468,7 @@ def certify_frontier(
                 "spec": spec,
                 "side": side,
                 "max_rounds": max_rounds,
-                "backend": engine_backend,
+                "backend": opts.backend,
             },
             label=f"frontier {spec.name} {kind} intensity={level}",
             base_seed=cell_seed,

@@ -389,7 +389,7 @@ class SweepRunner:
         Raises:
             RetryExhaustedError: a task failed ``max_attempts`` times.
         """
-        ordered = self._assign_seeds(list(tasks))
+        ordered = self.assign_seeds(tasks)
         self.tasks_submitted += len(ordered)
         results: list[Any] = [None] * len(ordered)
 
@@ -500,23 +500,18 @@ class SweepRunner:
     def assign_seeds(self, tasks: Iterable[SimTask]) -> list[SimTask]:
         """Fill in missing task seeds from ``base_seed``, by batch index.
 
-        Public for callers that split a campaign into several
-        :meth:`run` calls (the job queue executes cancellable chunks):
-        seeding the *whole* batch up front keeps every task's seed a
-        function of its position in the full campaign, so chunked and
-        single-call execution stay bit-identical.
-        """
-        return self._assign_seeds(list(tasks))
-
-    # ------------------------------------------------------------- internals
-
-    def _assign_seeds(self, tasks: list[SimTask]) -> list[SimTask]:
-        """Fill in missing task seeds from `base_seed`, by task index.
-
         Seeds are a function of (base_seed, position in the batch) only,
         so the same batch always gets the same seeds — independent of
         worker count, scheduling, or which results were cached.
+
+        :meth:`run` seeds every batch through this; it is public for
+        callers that split a campaign into several :meth:`run` calls
+        (the job queue executes cancellable chunks): seeding the *whole*
+        batch up front keeps every task's seed a function of its
+        position in the full campaign, so chunked and single-call
+        execution stay bit-identical.
         """
+        tasks = list(tasks)
         if self.base_seed is None or all(t.seed is not None for t in tasks):
             return tasks
         derived = spawn_seeds(self.base_seed, len(tasks))
@@ -524,6 +519,8 @@ class SweepRunner:
             task if task.seed is not None else replace(task, seed=derived[i])
             for i, task in enumerate(tasks)
         ]
+
+    # ------------------------------------------------------------- internals
 
     def _backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with uniform jitter for retry `attempt`.
@@ -538,6 +535,26 @@ class SweepRunner:
             delay *= 1.0 + self.retry_jitter * self._retry_rng.random()
         return delay
 
+    def _retry_or_raise(
+        self, task: SimTask, attempt: int, error: BaseException | None
+    ) -> None:
+        """Account failed attempt number `attempt` of `task`.
+
+        Sleeps the backoff when the attempt budget allows a retry; the
+        one retry decision of the serial and the pool path.
+
+        Args:
+            error: what the attempt raised, or ``None`` for a timeout.
+
+        Raises:
+            RetryExhaustedError: `attempt` was the last allowed one
+                (chained to `error`).
+        """
+        if attempt >= self.max_attempts:
+            raise RetryExhaustedError(task, attempt, error) from error
+        self.tasks_retried += 1
+        time.sleep(self._backoff_delay(attempt))
+
     def _execute_serial(
         self,
         pending: list[tuple[int, SimTask, str | None]],
@@ -545,19 +562,14 @@ class SweepRunner:
     ) -> None:
         """In-process execution with bounded retry/backoff per task."""
         for index, task, key in pending:
-            last_error: BaseException | None = None
-            for attempt in range(1, self.max_attempts + 1):
+            attempt = 1
+            while True:
                 started = time.perf_counter()
                 try:
                     value = _execute_task(task)
                 except Exception as error:  # noqa: BLE001 - retried below
-                    last_error = error
-                    if attempt == self.max_attempts:
-                        raise RetryExhaustedError(
-                            task, attempt, error
-                        ) from error
-                    self.tasks_retried += 1
-                    time.sleep(self._backoff_delay(attempt))
+                    self._retry_or_raise(task, attempt, error)
+                    attempt += 1
                 else:
                     emit(
                         TaskCompletion(
@@ -570,8 +582,6 @@ class SweepRunner:
                         key,
                     )
                     break
-            else:  # pragma: no cover - loop always breaks or raises
-                raise RetryExhaustedError(task, self.max_attempts, last_error)
 
     def _execute_pooled(
         self,

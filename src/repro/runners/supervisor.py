@@ -51,12 +51,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.runners.runner import (
-    RetryExhaustedError,
-    SimTask,
-    TaskCompletion,
-    _execute_task,
-)
+from repro.runners.runner import SimTask, TaskCompletion, _execute_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.runners.runner import SweepRunner
@@ -313,14 +308,7 @@ class FleetSupervisor:
             inflight[future] = (state, deadline, now)
 
         def requeue_for_retry(state: _TaskState, error: BaseException | None):
-            if state.attempt >= runner.max_attempts:
-                if error is None:
-                    raise RetryExhaustedError(state.task, state.attempt, None)
-                raise RetryExhaustedError(
-                    state.task, state.attempt, error
-                ) from error
-            runner.tasks_retried += 1
-            time.sleep(runner._backoff_delay(state.attempt))
+            runner._retry_or_raise(state.task, state.attempt, error)
             state.attempt += 1
             queue.append(state)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import chaos
+from repro.experiments.common import ExperimentOptions
 from repro.faults import BurstUpsets, LinkFlap, RampOverflow
 from repro.runners import SweepRunner
 
@@ -57,8 +58,13 @@ class TestCampaign:
         assert report.thresholds["burst_upsets"] == 0.0
 
     def test_worker_count_does_not_change_metrics(self):
-        serial = chaos.run(collect_metrics=True, **_FAST)
-        pooled = chaos.run(collect_metrics=True, n_workers=4, **_FAST)
+        serial = chaos.run(
+            options=ExperimentOptions(collect_metrics=True), **_FAST
+        )
+        pooled = chaos.run(
+            options=ExperimentOptions(collect_metrics=True, n_workers=4),
+            **_FAST,
+        )
         for cell_s, cell_p in zip(serial.cells, pooled.cells):
             assert [m.to_json() for m in cell_s.run_metrics] == [
                 m.to_json() for m in cell_p.run_metrics
@@ -69,7 +75,9 @@ class TestCampaign:
         plain = chaos.run(kinds=("link_flap",), **_FAST)
         assert all(cell.drops_by_scenario is None for cell in plain.cells)
         instrumented = chaos.run(
-            kinds=("link_flap",), collect_metrics=True, **_FAST
+            kinds=("link_flap",),
+            options=ExperimentOptions(collect_metrics=True),
+            **_FAST,
         )
         flap = next(
             c for c in instrumented.cells if c.intensity == 0.9
@@ -78,10 +86,11 @@ class TestCampaign:
 
     def test_campaign_memoizes_through_the_cache(self, tmp_path):
         runner = SweepRunner(cache_dir=str(tmp_path))
-        chaos.run(kinds=("burst_upsets",), runner=runner, **_FAST)
+        options = ExperimentOptions(runner=runner)
+        chaos.run(kinds=("burst_upsets",), options=options, **_FAST)
         executed = runner.tasks_executed
         assert executed > 0
-        chaos.run(kinds=("burst_upsets",), runner=runner, **_FAST)
+        chaos.run(kinds=("burst_upsets",), options=options, **_FAST)
         assert runner.tasks_executed == executed  # all cells were hits
 
     def test_repetitions_validated(self):

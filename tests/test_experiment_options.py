@@ -2,20 +2,45 @@
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
 
-from repro.experiments import fig3_1, grid_spread, link_crashes
-from repro.experiments.common import (
-    UNSET,
-    ExperimentOptions,
-    resolve_options,
-)
+import repro.experiments
+from repro.diversity.compare import compare_architectures
+from repro.experiments import fig3_1, fig4_4, grid_spread, link_crashes
+from repro.experiments.common import ExperimentOptions, resolve_options
+from repro.noc.topology import Mesh2D
 from repro.runners import SweepRunner
+from repro.runners.cache import ResultCache
 from repro.service import ResultsDB
 
-DEPRECATION_MATCH = r"scalar execution kwargs .* are deprecated"
+#: The execution settings that may only travel inside ``options=``.
+SCALAR_KNOBS = {"n_workers", "runner", "cache_dir", "collect_metrics", "backend"}
+
+
+def _cache_keys(harness, tmp_path, name, **knobs):
+    """The on-disk cache keys one `harness(options=...)` call leaves."""
+    cache_dir = tmp_path / name
+    harness(options=ExperimentOptions(cache_dir=str(cache_dir), **knobs))
+    return list(ResultCache(cache_dir).keys())
+
+
+def _one_fig4_4_task(options):
+    return fig4_4.run(
+        dead_tile_counts=(1,),
+        probabilities=(0.5,),
+        repetitions=1,
+        seed=3,
+        options=options,
+    )
+
+
+def _one_grid_spread_task(options):
+    return grid_spread.measure_spread(
+        Mesh2D(3, 3), repetitions=1, seed=3, options=options
+    )
 
 
 class TestExperimentOptions:
@@ -74,15 +99,6 @@ class TestResolveOptions:
             warnings.simplefilter("error")
             assert resolve_options(opts) is opts
 
-    def test_legacy_scalars_warn_and_translate(self, cache_dir):
-        with pytest.warns(DeprecationWarning, match=DEPRECATION_MATCH):
-            opts = resolve_options(None, n_workers=2, cache_dir=cache_dir)
-        assert opts == ExperimentOptions(n_workers=2, cache_dir=cache_dir)
-
-    def test_mixing_options_and_scalars_is_a_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_options(ExperimentOptions(), n_workers=2)
-
     def test_unsupported_knob_is_a_value_error(self):
         with pytest.raises(ValueError, match="does not support"):
             resolve_options(
@@ -99,36 +115,42 @@ class TestResolveOptions:
             is opts
         )
 
-    def test_unset_sentinel_reprs_cleanly(self):
-        assert repr(UNSET) == "<unset>"
-
 
 class TestHarnessBehavior:
-    def test_options_and_legacy_results_are_identical(self):
-        with pytest.warns(DeprecationWarning, match=DEPRECATION_MATCH):
-            legacy = fig3_1.run(n=64, repetitions=2, seed=3, n_workers=1)
-        new = fig3_1.run(
-            n=64, repetitions=2, seed=3, options=ExperimentOptions()
-        )
-        assert new == legacy
+    # The digests below were computed at the last commit that still had
+    # the scalar-kwargs API, where both APIs produced them: caches written
+    # by any earlier version stay valid as long as these hold.
 
-    def test_cache_keys_are_unchanged_across_the_apis(self, cache_dir):
-        # Warm the cache through the legacy kwargs...
-        with pytest.warns(DeprecationWarning, match=DEPRECATION_MATCH):
-            legacy = fig3_1.run(
-                n=64, repetitions=3, seed=3, cache_dir=cache_dir
-            )
-        # ...then rerun via options=: every task must hit that cache.
-        runner = SweepRunner(cache_dir=cache_dir)
-        new = fig3_1.run(
-            n=64,
-            repetitions=3,
-            seed=3,
-            options=ExperimentOptions(runner=runner),
-        )
-        assert runner.tasks_executed == 0
-        assert runner.cache_hits == 3
-        assert new == legacy
+    def test_default_options_keep_the_pre_options_cache_keys(self, tmp_path):
+        assert _cache_keys(
+            lambda options: fig3_1.run(
+                n=64, repetitions=1, seed=3, options=options
+            ),
+            tmp_path,
+            "fig3_1",
+        ) == [
+            "516d00cd9256ac26505f4b88585c3fecd95b6efe95d57ec6e1cb2d4b6127407f"
+        ]
+        assert _cache_keys(_one_fig4_4_task, tmp_path, "fig4_4") == [
+            "2278ab233774af862f5d62967f3447a1e6e81942a855639e12c5ae6cf97ced43"
+        ]
+        assert _cache_keys(
+            _one_grid_spread_task, tmp_path, "grid_spread", backend="object"
+        ) == [
+            "cb5d88548569a5e4e209cccdf1bea35c4770bbc720381f2293378f8119f2bd8d"
+        ]
+
+    def test_result_knobs_keep_their_pinned_cache_keys(self, tmp_path):
+        assert _cache_keys(
+            _one_fig4_4_task, tmp_path, "fig4_4", collect_metrics=True
+        ) == [
+            "05b14f15d8d89ccfddea0744470220f929bbaa28b7bcde263d1df834896b65a5"
+        ]
+        assert _cache_keys(
+            _one_grid_spread_task, tmp_path, "grid_spread", backend="fast"
+        ) == [
+            "111f2b1bf1b648b1a53b868a895a428bf151c821856f8679f5d2087f84cd020f"
+        ]
 
     def test_options_api_emits_no_warnings(self):
         with warnings.catch_warnings():
@@ -156,9 +178,26 @@ class TestHarnessBehavior:
                 options=ExperimentOptions(backend="fast"),
             )
 
-    def test_harness_rejects_mixed_apis(self):
-        with pytest.raises(TypeError, match="not both"):
-            fig3_1.run(n=64, n_workers=2, options=ExperimentOptions())
+    def test_options_is_the_only_execution_argument(self):
+        functions = [("diversity.compare", compare_architectures)] + [
+            (module_name, fn)
+            for module_name in repro.experiments.__all__
+            for fn in vars(getattr(repro.experiments, module_name)).values()
+            if inspect.isfunction(fn)
+            and fn.__module__ == f"repro.experiments.{module_name}"
+            and not fn.__name__.startswith("_")
+        ]
+        entry_points = 0
+        for module_name, fn in functions:
+            where = f"{module_name}.{fn.__name__}"
+            params = set(inspect.signature(fn).parameters)
+            assert not params & SCALAR_KNOBS, where
+            if fn.__name__.startswith(
+                ("run", "measure_", "certify_", "compare_")
+            ):
+                assert "options" in params, where
+                entry_points += 1
+        assert entry_points >= 24  # the walk found the harnesses
 
     def test_shared_runner_spans_subharness_calls(self, cache_dir):
         runner = SweepRunner(cache_dir=cache_dir)

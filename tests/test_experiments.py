@@ -18,6 +18,9 @@ from repro.experiments import (
     fig4_11,
     fig5_3,
 )
+from repro.experiments.common import ExperimentOptions
+
+FAST = ExperimentOptions(backend="fast")
 
 
 class TestFig3_1:
@@ -206,7 +209,7 @@ class TestFig5_3:
 
 
 class TestBackendThreading:
-    """The ``backend=`` execution keyword on the experiment harnesses.
+    """The ``backend`` execution option on the experiment harnesses.
 
     Both backends are bit-identical (see test_backends_equivalence), so
     a harness run on ``backend="fast"`` must reproduce the object-backend
@@ -228,7 +231,7 @@ class TestBackendThreading:
 
         kwargs = dict(repetitions=2, seed=3, max_rounds=40)
         slow = measure_spread(Mesh2D(4, 4), 0.5, **kwargs)
-        fast = measure_spread(Mesh2D(4, 4), 0.5, backend="fast", **kwargs)
+        fast = measure_spread(Mesh2D(4, 4), 0.5, options=FAST, **kwargs)
         assert fast == slow
 
     def test_chaos_identical_across_backends(self):
@@ -241,7 +244,7 @@ class TestBackendThreading:
             repetitions=1,
             max_rounds=24,
         )
-        assert chaos.run(backend="fast", **kwargs) == chaos.run(**kwargs)
+        assert chaos.run(options=FAST, **kwargs) == chaos.run(**kwargs)
 
     def test_policy_compare_identical_across_backends(self):
         from repro.experiments import policy_compare
@@ -255,5 +258,5 @@ class TestBackendThreading:
             max_rounds=24,
         )
         slow = policy_compare.run(**kwargs)
-        fast = policy_compare.run(backend="fast", **kwargs)
+        fast = policy_compare.run(options=FAST, **kwargs)
         assert fast == slow

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.protocol import StochasticProtocol
 from repro.experiments import fig4_4
+from repro.experiments.common import ExperimentOptions
 from repro.experiments.grid_spread import measure_spread
 from repro.metrics import (
     CSV_COLUMNS,
@@ -197,7 +198,9 @@ class TestSweepIntegration:
         for n_workers in (1, 4):
             m = measure_spread(
                 Torus2D(4, 4), repetitions=4, seed=21,
-                n_workers=n_workers, collect_metrics=True,
+                options=ExperimentOptions(
+                    n_workers=n_workers, collect_metrics=True
+                ),
             )
             results[n_workers] = m
         a, b = results[1], results[4]
@@ -215,16 +218,19 @@ class TestSweepIntegration:
     def test_warm_cache_returns_metrics_without_resimulating(
         self, cache_dir
     ):
-        kwargs = dict(
-            topology=Mesh2D(3, 3), repetitions=3, seed=13,
-            collect_metrics=True,
-        )
+        kwargs = dict(topology=Mesh2D(3, 3), repetitions=3, seed=13)
         cold = SweepRunner(cache_dir=cache_dir)
-        first = measure_spread(runner=cold, **kwargs)
+        first = measure_spread(
+            options=ExperimentOptions(runner=cold, collect_metrics=True),
+            **kwargs,
+        )
         assert cold.tasks_executed == 3
 
         warm = SweepRunner(cache_dir=cache_dir)
-        second = measure_spread(runner=warm, **kwargs)
+        second = measure_spread(
+            options=ExperimentOptions(runner=warm, collect_metrics=True),
+            **kwargs,
+        )
         assert warm.tasks_executed == 0
         assert warm.cache_hits == 3
         assert second.metrics.to_json() == first.metrics.to_json()
@@ -232,9 +238,12 @@ class TestSweepIntegration:
     def test_instrumented_and_plain_sweeps_do_not_alias(self, cache_dir):
         kwargs = dict(topology=Mesh2D(3, 3), repetitions=2, seed=13)
         runner = SweepRunner(cache_dir=cache_dir)
-        measure_spread(runner=runner, **kwargs)
+        measure_spread(options=ExperimentOptions(runner=runner), **kwargs)
         assert runner.tasks_executed == 2
-        measure_spread(runner=runner, collect_metrics=True, **kwargs)
+        measure_spread(
+            options=ExperimentOptions(runner=runner, collect_metrics=True),
+            **kwargs,
+        )
         # The instrumented variant must re-execute, not reuse the plain
         # cache entries (its results carry an extra RunMetrics element).
         assert runner.tasks_executed == 4
@@ -246,7 +255,7 @@ class TestSweepIntegration:
             dead_tile_counts=(0,),
             repetitions=2,
             max_rounds=80,
-            collect_metrics=True,
+            options=ExperimentOptions(collect_metrics=True),
         )
         assert len(points) == 1
         summary = points[0].metrics

@@ -7,6 +7,7 @@ import pytest
 from repro.core.packet import BROADCAST
 from repro.core.protocol import StochasticProtocol
 from repro.experiments import policy_compare
+from repro.experiments.common import ExperimentOptions
 from repro.faults import FaultConfig
 from repro.noc.config import SimConfig
 from repro.noc.engine import NocSimulator
@@ -336,8 +337,8 @@ class TestPolicyCompareHarness:
             link_crash_counts=(),
             max_rounds=24,
         )
-        assert policy_compare.run(**kwargs, n_workers=1) == policy_compare.run(
-            **kwargs, n_workers=4
+        assert policy_compare.run(**kwargs) == policy_compare.run(
+            **kwargs, options=ExperimentOptions(n_workers=4)
         )
 
     def test_format_table_mentions_every_policy(self):
