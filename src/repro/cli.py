@@ -13,7 +13,8 @@ Twelve commands cover the common workflows without writing a script:
 * ``policies`` — list the registered forwarding policies, or run the
   four-policy fault-sweep comparison (``repro policies compare``);
 * ``profile`` — time the engine's four per-round phases on a standard
-  broadcast workload (``repro.metrics.PhaseProfiler``);
+  broadcast workload (``repro.metrics.PhaseProfiler``); with
+  ``--backend fast`` also print which send / receive path each round ran;
 * ``chaos`` — sweep the dynamic fault scenarios
   (``repro.faults.scenarios``) over an intensity grid and print the
   degradation report with the recomputed tolerance thresholds
@@ -55,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Sequence
 
 import repro
@@ -655,6 +657,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     topology = _build_topology(args.topology, args.side)
     profiler = PhaseProfiler()
+    engine_paths: Counter[str] = Counter()
     n = topology.n_tiles
     for rep in range(args.repetitions):
         simulator = NocSimulator(
@@ -671,11 +674,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
             args.rounds,
             until=lambda sim: len(sim.informed_tiles()) == n,
         )
+        # Only the fast backend has alternative paths to report.
+        engine_paths.update(getattr(simulator, "engine_paths", {}))
     print(
         f"broadcast on {args.topology}({args.side}), p = {args.p}, "
         f"{args.repetitions} repetition(s), {profiler.rounds} rounds total"
     )
     print(profiler.format_table())
+    if engine_paths:
+        print("engine paths (rounds per path; upset-pool doubles):")
+        for name, count in engine_paths.items():
+            print(f"  {name:<20}{count:>12}")
     return 0
 
 

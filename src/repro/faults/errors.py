@@ -86,11 +86,12 @@ class RandomErrorVector(ErrorModel):
     def corrupt(self, payload: bytes, rng: np.random.Generator) -> bytes:
         if not payload:
             return payload
-        original = np.frombuffer(payload, dtype=np.uint8)
         while True:
-            scrambled = rng.integers(0, 256, size=len(payload), dtype=np.uint8)
-            if not np.array_equal(scrambled, original):
-                return scrambled.tobytes()
+            scrambled = rng.integers(
+                0, 256, size=len(payload), dtype=np.uint8
+            ).tobytes()
+            if scrambled != payload:
+                return scrambled
 
 
 class RandomBitError(ErrorModel):

@@ -76,6 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.noc.config import SimConfig
     from repro.noc.trace import Observer
 
+#: Uniforms `_send_rows_pooled` pre-draws after each anchor; every refill
+#: doubles the block.  A constant, not a setting: tests monkeypatch it to
+#: cross block boundaries on small grids.
+_POOL_CHUNK = 64
+
 
 class _ArrivalChunk:
     """A batch of packets latched for one future round.
@@ -420,6 +425,18 @@ class FastNocSimulator(NocSimulator):
             policy_cls.on_dead_link is not ForwardingPolicy.on_dead_link
         )
 
+        #: Exact counts of the rounds each send / receive path ran and of
+        #: the upset pool's draws (docs/performance.md).  A diagnostic
+        #: attribute only: it never enters results, metrics or cache keys.
+        self.engine_paths: dict[str, int] = dict.fromkeys(
+            (
+                "send.vectorized", "send.pooled", "send.matrix",
+                "send.sequential", "receive.vectorized", "receive.ordered",
+                "pool.doubles_drawn", "pool.doubles_used", "pool.reanchors",
+            ),
+            0,
+        )
+
         self.tiles = {t: _TileView(self, t) for t in range(n)}
 
     def _set_ip(self, tile_id: int, ip: IPCore) -> None:
@@ -652,10 +669,12 @@ class FastNocSimulator(NocSimulator):
                         inverse[perm] = np.arange(total)
                         alt = {int(inverse[i]): p for i, p in alt.items()}
         if ordered:
+            self.engine_paths["receive.ordered"] += 1
             self._receive_ordered(
                 round_index, dst, mid, ttl, hop, upset, intact, alt
             )
             return
+        self.engine_paths["receive.vectorized"] += 1
         self._receive_vectorized(
             round_index, dst, mid, ttl, hop, upset, intact, alt
         )
@@ -969,17 +988,22 @@ class FastNocSimulator(NocSimulator):
                 max_degree=self._max_deg,
             )
         )
+        paths = self.engine_paths
         if p_row is None:
+            paths["send.sequential"] += 1
             self._send_rows_sequential(round_index, t_arr, m_arr)
             return
         p_row = np.asarray(p_row, dtype=np.float64)
         link_ok = self._effective_link_ok()
         if p_row.ndim == 2:
+            paths["send.matrix"] += 1
             self._send_rows_matrix(round_index, t_arr, m_arr, p_row, link_ok)
             return
         if self.fault_config.p_upset > 0.0:
+            paths["send.pooled"] += 1
             self._send_rows_pooled(round_index, t_arr, m_arr, p_row, link_ok)
         else:
+            paths["send.vectorized"] += 1
             self._send_rows_vectorized(
                 round_index, t_arr, m_arr, p_row, link_ok
             )
@@ -1245,68 +1269,81 @@ class FastNocSimulator(NocSimulator):
     def _send_rows_pooled(
         self, round_index, t_arr, m_arr, p_row, link_ok
     ) -> None:
-        """Send with p_upset > 0: draw decision+upset uniforms from a
-        pre-drawn pool, rewinding the bit generator around each genuine
-        corruption draw so the stream position stays exact."""
+        """Send with p_upset > 0: walk decision+upset uniforms out of a
+        growing pre-drawn pool, rewinding the bit generator around each
+        genuine corruption draw so the stream position stays exact.
+
+        The pool starts at ``_POOL_CHUNK`` doubles after every anchor and
+        doubles per refill, so a round pre-draws O(consumed + chunk x
+        corruptions) uniforms however many packets are corrupted.
+        """
         stats = self.stats
         observer = self.observer
+        paths = self.engine_paths
         p_upset = float(self.fault_config.p_upset)
-        tiles = t_arr.tolist()
-        mids = m_arr.tolist()
-        probs = p_row.tolist()
-        budget = 0
-        for tile_id, p in zip(tiles, probs):
-            if p >= 1.0:
-                budget += len(self._neighbors[tile_id])
-            elif p > 0.0:
-                budget += 2 * len(self._neighbors[tile_id])
-        if budget == 0:
-            return
+        neighbors_of = self._neighbors
+        alt_packets = self._alt_packets
         link_ok_l = link_ok.tolist()
+        delay_l = self._delay.tolist()
+        epb_l = self._epb.tolist()
+        random = self.rng.random
         bit_generator = self.rng.bit_generator
         anchor = bit_generator.state
-        pool = self.rng.random(budget).tolist()
-        used = 0
+        pool: list[float] = []
+        have = used = 0
+        block = _POOL_CHUNK
         builders: dict[int, _ChunkBuilder] = {}
         energy = stats.energy_j
-        n_live = 0
-        for tile_id, mid, p in zip(tiles, mids, probs):
+        n_live = n_dead = bits_sent = 0
+        for tile_id, mid, p, ttl0, hop1, size_bits in zip(
+            t_arr.tolist(),
+            m_arr.tolist(),
+            p_row.tolist(),
+            self._ttl[t_arr, m_arr].tolist(),
+            (self._hop[t_arr, m_arr] + 1).tolist(),
+            self._msg_bits[m_arr].tolist(),
+        ):
             if p <= 0.0:
                 continue
-            neighbors = self._neighbors[tile_id]
-            n_ports = len(neighbors)
+            neighbors = neighbors_of[tile_id]
             if p >= 1.0:
-                decisions = None
+                ports = range(len(neighbors))
             else:
-                decisions = pool[used : used + n_ports]
+                n_ports = len(neighbors)
+                while used + n_ports > have:
+                    pool += random(block).tolist()
+                    have += block
+                    block *= 2
+                ports = [
+                    port
+                    for port, draw in enumerate(pool[used : used + n_ports])
+                    if draw < p
+                ]
                 used += n_ports
-            ttl0 = int(self._ttl[tile_id, mid])
-            hop1 = int(self._hop[tile_id, mid]) + 1
-            alt_src = (
-                self._alt_packets.get((tile_id, mid))
-                if self._alt_packets
-                else None
-            )
+            alt_src = alt_packets.get((tile_id, mid)) if alt_packets else None
             ok_row = link_ok_l[tile_id]
-            for port in range(n_ports):
-                if decisions is not None and not decisions[port] < p:
-                    continue
+            delay_row = delay_l[tile_id]
+            epb_row = epb_l[tile_id]
+            for port in ports:
                 neighbor = neighbors[port]
                 if not ok_row[port]:
-                    stats.transmissions_attempted += 1
-                    stats.dead_link_drops += 1
+                    n_dead += 1
                     self.policy.on_dead_link(tile_id, neighbor, round_index)
                     if observer is not None:
                         observer.on_dead_link_drop(
                             round_index, tile_id, neighbor
                         )
                     continue
+                if used == have:
+                    pool += random(block).tolist()
+                    have += block
+                    block *= 2
                 draw = pool[used]
                 used += 1
                 if draw < p_upset:
                     # Corruption draws must come from the live stream:
                     # rewind to the logical position, let the error model
-                    # draw, then re-anchor and re-pool.
+                    # draw, then re-anchor and start a fresh small pool.
                     self._rewind(bit_generator, anchor, used)
                     stats.upsets_injected += 1
                     copy = self._event_packet(mid, ttl0, hop1, alt_src)
@@ -1317,23 +1354,23 @@ class FastNocSimulator(NocSimulator):
                         observer.on_upset_injected(
                             round_index, tile_id, neighbor, copy
                         )
-                    event_intact = copy.is_intact()
-                    event = (True, event_intact, copy)
+                    event = (True, copy.is_intact(), copy)
                     anchor = bit_generator.state
-                    pool = self.rng.random(budget).tolist()
-                    used = 0
+                    paths["pool.doubles_drawn"] += have
+                    paths["pool.doubles_used"] += used
+                    paths["pool.reanchors"] += 1
+                    pool = []
+                    have = used = 0
+                    block = _POOL_CHUNK
                 else:
                     event = (False, True, alt_src)
-                delay = int(self._delay[tile_id, port])
-                builder = builders.get(round_index + delay)
+                arrival = round_index + delay_row[port]
+                builder = builders.get(arrival)
                 if builder is None:
-                    builder = builders[round_index + delay] = _ChunkBuilder()
+                    builder = builders[arrival] = _ChunkBuilder()
                 builder.add(neighbor, mid, ttl0, hop1, *event)
-                size_bits = int(self._msg_bits[mid])
-                stats.transmissions_attempted += 1
-                stats.transmissions_delivered += 1
-                stats.bits_transmitted += size_bits
-                energy += size_bits * float(self._epb[tile_id, port])
+                bits_sent += size_bits
+                energy += size_bits * epb_row[port]
                 n_live += 1
                 if observer is not None:
                     was_upset, _, alt_packet = event
@@ -1345,11 +1382,18 @@ class FastNocSimulator(NocSimulator):
                         if was_upset
                         else self._event_packet(mid, ttl0, hop1, alt_packet),
                     )
+        stats.transmissions_attempted += n_live + n_dead
+        stats.dead_link_drops += n_dead
+        stats.transmissions_delivered += n_live
+        stats.bits_transmitted += bits_sent
         stats.energy_j = energy
         if n_live:
             stats.per_round_transmissions[round_index] += n_live
-        # Leave the generator exactly where the object engine's would be.
-        self._rewind(bit_generator, anchor, used)
+        if have:
+            # Leave the generator exactly where the object engine's would be.
+            self._rewind(bit_generator, anchor, used)
+        paths["pool.doubles_drawn"] += have
+        paths["pool.doubles_used"] += used
         for arrival, builder in builders.items():
             self._pending.setdefault(arrival, []).append(builder.chunk())
 

@@ -15,6 +15,7 @@ diverges.
 from __future__ import annotations
 
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.core.protocol import StochasticProtocol  # noqa: E402
 from repro.faults import FaultConfig  # noqa: E402
 from repro.metrics import MetricsCollector  # noqa: E402
 from repro.noc import Mesh2D, NocSimulator, SimConfig, Torus2D  # noqa: E402
+from repro.noc.backends import fast  # noqa: E402
 from repro.noc.tile import IPCore, TileContext  # noqa: E402
 from repro.noc.topology import FullyConnected, RingTopology  # noqa: E402
 from repro.policies import PolicySpec  # noqa: E402
@@ -72,6 +74,7 @@ def _fault_configs() -> st.SearchStrategy:
         p_link=prob,
         p_upset=prob,
         p_overflow=prob,
+        error_model=st.sampled_from(["vector", "bit"]),
     )
 
 
@@ -129,13 +132,29 @@ def _run_one(backend: str, cell: dict):
     return result, collector.metrics(), frozenset(sim.informed_tiles())
 
 
-@settings(
+_SEARCH = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@_SEARCH
 @given(cell=_cells())
 def test_backends_agree_on_random_configs(cell: dict) -> None:
+    _assert_backends_agree(cell)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@_SEARCH
+@given(cell=_cells())
+def test_backends_agree_at_small_pool_chunks(chunk: int, cell: dict) -> None:
+    """The same search with an upset-pool refill inside almost every row."""
+    with mock.patch.object(fast, "_POOL_CHUNK", chunk):
+        _assert_backends_agree(cell)
+
+
+def _assert_backends_agree(cell: dict) -> None:
     result_o, metrics_o, informed_o = _run_one("object", cell)
     result_f, metrics_f, informed_f = _run_one("fast", cell)
     for field in fields(result_o.stats):

@@ -42,6 +42,7 @@ from repro.faults import (
 )
 from repro.metrics import MetricsCollector
 from repro.noc import Mesh2D, NocSimulator, SimConfig, Torus2D
+from repro.noc.backends import fast
 from repro.noc.tile import IPCore, TileContext
 from repro.noc.topology import FullyConnected, RingTopology
 from repro.policies import PolicySpec
@@ -227,6 +228,45 @@ GOLDEN_CELLS = {
         ),
         seed=1,
     ),
+    # ------------------------------------------ the upset draw pool's edges
+    "mesh-upsets-bit-model": dict(
+        topology=Mesh2D(4, 4),
+        protocol=StochasticProtocol(0.7),
+        fault=FaultConfig(p_upset=0.1, error_model="bit"),
+        seed=1,
+    ),
+    "mesh-upsets-heavy": dict(
+        topology=Mesh2D(4, 4),
+        protocol=StochasticProtocol(0.7),
+        fault=FaultConfig(p_upset=0.9),
+        seed=2,
+    ),
+    "mesh-upsets-certain": dict(
+        topology=Mesh2D(4, 4),
+        protocol=StochasticProtocol(0.7),
+        fault=FaultConfig(p_upset=1.0),
+        seed=3,
+    ),
+    "mesh-flood-upsets": dict(
+        topology=Mesh2D(3, 5),
+        protocol=StochasticProtocol(1.0),
+        fault=FaultConfig(p_upset=0.2),
+        seed=1,
+    ),
+    "mesh-link-delays-upsets": dict(
+        topology=Mesh2D(4, 4),
+        protocol=StochasticProtocol(0.6),
+        fault=FaultConfig(p_upset=0.1),
+        config={"link_delays": {(0, 1): 3, (5, 6): 2, (4, 0): 4}},
+        seed=2,
+    ),
+    # One round of this grid consumes several default-size pool blocks.
+    "mesh-12x12-upsets": dict(
+        topology=Mesh2D(12, 12),
+        protocol=StochasticProtocol(0.5),
+        fault=FaultConfig(p_upset=0.05),
+        seed=3,
+    ),
     # ---------------------------------------------- dynamic fault scenarios
     "scenario-burst-upsets": dict(
         topology=Mesh2D(4, 4),
@@ -311,6 +351,21 @@ def test_golden_cell_bit_identical(name: str) -> None:
     if "mounts" not in cell:
         cell = dict(cell, mounts=((0, _Seed),))
     _assert_identical(cell)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
+def test_golden_cell_bit_identical_at_small_pool_chunks(
+    name: str, chunk: int, monkeypatch
+) -> None:
+    """The same grid with a pool refill inside almost every row.
+
+    At the default block size these <= 4x4 grids almost never cross a
+    refill boundary; a block of 1 is shorter than one row's ports and a
+    block of 3 splits rows unevenly.
+    """
+    monkeypatch.setattr(fast, "_POOL_CHUNK", chunk)
+    test_golden_cell_bit_identical(name)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])

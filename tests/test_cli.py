@@ -159,6 +159,26 @@ class TestProbe:
         assert "minimum ttl" in capsys.readouterr().out
 
 
+class TestProfile:
+    ARGS = ["profile", "--side", "4", "--rounds", "24", "--repetitions", "2",
+            "--upset", "0.1"]
+
+    def test_fast_backend_reports_engine_paths(self, capsys):
+        assert main(self.ARGS + ["--backend", "fast"]) == 0
+        output = capsys.readouterr().out
+        _, _, listing = output.partition("engine paths")
+        counts = dict(line.split() for line in listing.splitlines()[1:])
+        assert int(counts["send.pooled"]) > 0
+        assert int(counts["send.vectorized"]) == 0
+        assert int(counts["pool.doubles_drawn"]) >= int(
+            counts["pool.doubles_used"]
+        )
+
+    def test_object_backend_has_no_paths_to_report(self, capsys):
+        assert main(self.ARGS + ["--backend", "object"]) == 0
+        assert "engine paths" not in capsys.readouterr().out
+
+
 class TestMp3:
     def test_clean_run_exits_zero(self, capsys):
         code = main(
