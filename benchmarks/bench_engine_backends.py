@@ -6,7 +6,12 @@ workload, at bit-identical results.  This bench measures both engines on
 that exact workload, asserts the results match, and reports rounds/s
 and the speedup factor.  A second leg repeats the comparison under data
 upsets (``p_upset=0.1``), where the fast backend walks a pre-drawn pool
-instead of one batched draw block, against a **>= 1.5x** floor.
+instead of one batched draw block, against a **>= 1.5x** floor.  Two
+more legs cover the scalar send walker, where both engines run the same
+per-transmission sequence (``NocSimulator._transmit``): push-pull
+(fault-free) and ``adaptive_route`` at ``p_upset=0.1``.  Their floor is
+parity — fast must not be slower than object — asserted in full mode
+only; ``--quick`` checks equality alone.
 
 Run standalone for the full measurement (asserts the 10x target)::
 
@@ -23,18 +28,25 @@ from __future__ import annotations
 import argparse
 import time
 
+import pytest
+
 from repro.core.packet import BROADCAST
 from repro.core.protocol import StochasticProtocol
 from repro.faults import FaultConfig
 from repro.noc.engine import NocSimulator, SimulationResult
 from repro.noc.tile import IPCore, TileContext
 from repro.noc.topology import Mesh2D
+from repro.policies import PolicySpec
 
 MAX_ROUNDS = 400
 
 #: The upset leg: packet upset probability and its speedup floor.
 UPSET_P = 0.1
 UPSET_MIN_SPEEDUP = 1.5
+
+#: The scalar-walker legs: (policy kind, p_upset), floor = parity.
+WALKER_LEGS = (("push_pull", 0.0), ("adaptive_route", UPSET_P))
+WALKER_MIN_SPEEDUP = 1.0
 
 
 class _Seed(IPCore):
@@ -48,13 +60,18 @@ def broadcast_once(
     seed: int = 1,
     p: float = 0.5,
     p_upset: float = 0.0,
+    policy: str | None = None,
 ) -> SimulationResult:
-    """One full broadcast-saturation run on `backend`."""
+    """One full broadcast-saturation run on `backend`.
+
+    `policy` names a registered policy kind to run instead of the
+    Bernoulli(`p`) protocol.
+    """
     topology = Mesh2D(side, side)
     n = topology.n_tiles
     simulator = NocSimulator(
         topology,
-        StochasticProtocol(p),
+        StochasticProtocol(p) if policy is None else PolicySpec.of(policy),
         FaultConfig(p_upset=p_upset),
         seed=seed,
         default_ttl=MAX_ROUNDS,
@@ -67,7 +84,12 @@ def broadcast_once(
 
 
 def time_backend(
-    backend: str, side: int, repeats: int, seed: int = 1, p_upset: float = 0.0
+    backend: str,
+    side: int,
+    repeats: int,
+    seed: int = 1,
+    p_upset: float = 0.0,
+    policy: str | None = None,
 ) -> tuple[float, SimulationResult]:
     """Best-of-`repeats` wall-clock seconds for one saturation run."""
     best = float("inf")
@@ -75,7 +97,7 @@ def time_backend(
     for _ in range(repeats):
         start = time.perf_counter()
         result = broadcast_once(
-            backend, side=side, seed=seed, p_upset=p_upset
+            backend, side=side, seed=seed, p_upset=p_upset, policy=policy
         )
         best = min(best, time.perf_counter() - start)
     assert result is not None
@@ -83,11 +105,17 @@ def time_backend(
 
 
 def compare(
-    side: int, repeats: int, seed: int = 1, p_upset: float = 0.0
+    side: int,
+    repeats: int,
+    seed: int = 1,
+    p_upset: float = 0.0,
+    policy: str | None = None,
 ) -> dict:
     """Measure both backends; returns timings, speedup and the results."""
-    t_object, r_object = time_backend("object", side, repeats, seed, p_upset)
-    t_fast, r_fast = time_backend("fast", side, repeats, seed, p_upset)
+    t_object, r_object = time_backend(
+        "object", side, repeats, seed, p_upset, policy
+    )
+    t_fast, r_fast = time_backend("fast", side, repeats, seed, p_upset, policy)
     if r_object != r_fast:
         raise AssertionError(
             "backends diverged on the benchmark workload — equivalence "
@@ -96,6 +124,7 @@ def compare(
     rounds = r_object.rounds + 1
     return {
         "side": side,
+        "policy": policy or "bernoulli",
         "p_upset": p_upset,
         "rounds": rounds,
         "t_object": t_object,
@@ -110,7 +139,7 @@ def report(stats: dict) -> str:
     """Render one comparison as the human-readable summary block."""
     return (
         f"engine-backend throughput, {stats['side']}x{stats['side']} mesh "
-        f"broadcast, p_upset = {stats['p_upset']} "
+        f"broadcast, {stats['policy']}, p_upset = {stats['p_upset']} "
         f"({stats['rounds']} rounds)\n"
         f"  object: {stats['t_object'] * 1e3:8.1f} ms  "
         f"({stats['rps_object']:8.0f} rounds/s)\n"
@@ -144,6 +173,16 @@ def test_fast_backend_upset_speedup_smoke():
     assert stats["speedup"] >= UPSET_MIN_SPEEDUP
 
 
+@pytest.mark.parametrize(("policy", "p_upset"), WALKER_LEGS)
+def test_fast_backend_walker_legs_smoke(policy, p_upset):
+    # Equality only (compare() raises on divergence): both engines run
+    # the same per-transmission code here, so the floor is parity and
+    # only the standalone full run asserts it.
+    stats = compare(side=16, repeats=1, p_upset=p_upset, policy=policy)
+    print("\n" + report(stats))
+    assert stats["rounds"] > 1
+
+
 # ------------------------------------------------------------- standalone
 
 
@@ -170,11 +209,14 @@ def main() -> int:
         args.side, args.repeats = 12, 2
         args.min_speedup = min(args.min_speedup, 3.0)
     status = 0
-    for p_upset, floor in (
-        (0.0, args.min_speedup),
-        (UPSET_P, UPSET_MIN_SPEEDUP),
-    ):
-        stats = compare(args.side, args.repeats, args.seed, p_upset)
+    legs = [(None, 0.0, args.min_speedup), (None, UPSET_P, UPSET_MIN_SPEEDUP)]
+    # Walker legs: equality (inside compare) always, parity in full mode
+    # only, and always on the 16x16 mesh.
+    walker_floor = 0.0 if args.quick else WALKER_MIN_SPEEDUP
+    legs += [(policy, p_upset, walker_floor) for policy, p_upset in WALKER_LEGS]
+    for policy, p_upset, floor in legs:
+        side = args.side if policy is None else 16
+        stats = compare(side, args.repeats, args.seed, p_upset, policy)
         print(report(stats))
         if stats["speedup"] < floor:
             print(

@@ -1,6 +1,7 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Twelve commands cover the common workflows without writing a script:
+These commands cover the common workflows without writing a script
+(``repro info`` prints the authoritative list, read off the parser):
 
 * ``info`` — version and package map;
 * ``spread`` — broadcast a rumor on a topology, print the saturation
@@ -173,8 +174,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print()
     print("packages: core noc policies metrics faults crc bus energy apps "
           "mp3 diversity experiments runners service stats")
-    print("commands: info spread probe mp3 figure policies profile chaos "
-          "certify chaos-service frontier db")
+    print("commands: " + " ".join(command_names()))
     return 0
 
 
@@ -647,7 +647,6 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.core.protocol import StochasticProtocol as Protocol
     from repro.experiments.grid_spread import _BroadcastSeed
     from repro.metrics import PhaseProfiler
 
@@ -662,7 +661,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     for rep in range(args.repetitions):
         simulator = NocSimulator(
             topology,
-            Protocol(args.p),
+            StochasticProtocol(args.p),
             _fault_config(args),
             seed=args.seed + rep,
             default_ttl=args.rounds,
@@ -867,8 +866,8 @@ def _backend_parent() -> argparse.ArgumentParser:
         choices=KNOWN_BACKENDS,
         default="object",
         help="engine backend: 'object' (reference) or 'fast' (vectorised "
-        "structure-of-arrays engine; bit-identical results, ~10x round "
-        "throughput)",
+        "structure-of-arrays engine; bit-identical results, measured "
+        "speedups in docs/performance.md)",
     )
     return parent
 
@@ -1313,6 +1312,15 @@ def build_parser() -> argparse.ArgumentParser:
     db_gc.set_defaults(handler=cmd_db_gc)
 
     return parser
+
+
+def command_names() -> list[str]:
+    """The top-level subcommands, read off :func:`build_parser`."""
+    return [
+        name
+        for action in build_parser()._subparsers._group_actions
+        for name in action.choices
+    ]
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -43,38 +43,37 @@ Configurations that are supported but fall back to slower exact paths:
 * bounded ``buffer_capacity`` or IPs overriding ``on_receive`` run the
   receive phase event-by-event (eviction order and hook interleaving are
   sequential semantics);
-* policies without a :meth:`ForwardingPolicy.decide_batch`
-  implementation run the send phase row-by-row through
-  ``policy.decisions`` (still array-backed state, same stream).
+* policies without a :meth:`ForwardingPolicy.decide_batch`, and
+  deterministic ``decide_batch`` matrices under ``p_upset > 0``, send
+  row by row through one scalar walker that drives the inherited
+  :meth:`NocSimulator._transmit` (array-backed state, same stream).
 
-One observable difference is documented: the object engine's per-round
-*intra-round ordering* of observer event callbacks interleaves drop and
-delivery events per arrival, while the fast engine groups them by kind
-within the round.  Per-round counts, series, stats and all
-:class:`repro.metrics.MetricsCollector` output are identical.  Attach a
-:class:`repro.noc.trace.TraceRecorder` to the object backend when exact
-event interleaving matters.  Similarly, IPs must not rely on object
-identity of buffered packets (the fast engine materialises equal-valued
-packets on demand and tracks TTL/hops in arrays).
+Observer ordering is a contract with three clauses, enforced by
+``tests/test_observer_ordering.py``: on every path (a) each per-kind
+subsequence of hook calls and (b) each round's multiset of events equal
+the object engine's; (c) the *full* sequence is equal in rounds whose
+receive ran event-ordered and whose send ran through the scalar walker
+or the upset pool.  Only the vectorised receive and the draw-free
+batched emit regroup a round's events by kind.  Stats, series and all
+:class:`repro.metrics.MetricsCollector` output are identical always.
+IPs must not rely on object identity of buffered packets (the fast
+engine materialises equal-valued packets on demand and tracks TTL/hops
+in arrays).
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.packet import BROADCAST, Packet, PacketFactory
 from repro.noc.backends.base import FAST_BACKEND, register_backend
+from repro.noc.clock import ClockDomain
 from repro.noc.engine import NocSimulator
 from repro.noc.tile import IPCore, RelayCore, TileContext, TileState
 from repro.policies.base import BatchDecisionView, ForwardingPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.profiler import PhaseProfiler
-    from repro.noc.config import SimConfig
-    from repro.noc.trace import Observer
 
 #: Uniforms `_send_rows_pooled` pre-draws after each anchor; every refill
 #: doubles the block.  A constant, not a setting: tests monkeypatch it to
@@ -197,7 +196,10 @@ class _TileView:
     __slots__ = ("_sim", "tile_id")
 
     def __init__(self, sim: "FastNocSimulator", tile_id: int) -> None:
-        self._sim = sim
+        # A proxy, not a reference: the simulator owns its views, and a
+        # sim <-> view cycle would park a finished run's arrays until the
+        # cyclic collector happens to run instead of freeing them at once.
+        self._sim = weakref.proxy(sim)
         self.tile_id = tile_id
 
     # ------------------------------------------------------------- liveness
@@ -300,16 +302,13 @@ class FastNocSimulator(NocSimulator):
     speedups and usage guidance.
     """
 
-    def _init_from_config(
-        self,
-        config: "SimConfig",
-        *,
-        seed: int | None,
-        observer: "Observer | Sequence[Observer] | None",
-        profiler: "PhaseProfiler | None" = None,
-    ) -> None:
-        fault_config = config.fault_config
-        if fault_config is not None and fault_config.sigma_synchr != 0.0:
+    # --------------------------------------------------------------- set-up
+
+    def _build_tile_state(self) -> None:
+        """Structure-of-arrays tile state instead of per-tile objects;
+        configurations the arrays cannot represent are refused here."""
+        config = self.config
+        if self.fault_config.sigma_synchr != 0.0:
             raise ValueError(
                 "backend='fast' cannot model sigma_synchr > 0: skewed "
                 "clocks interleave per-transmission normal draws that "
@@ -325,14 +324,6 @@ class FastNocSimulator(NocSimulator):
                 "backend='fast' does not support bus_tiles (bus-transaction "
                 "egress); use backend='object'"
             )
-        super()._init_from_config(
-            config, seed=seed, observer=observer, profiler=profiler
-        )
-        self._setup_soa()
-
-    # --------------------------------------------------------------- set-up
-
-    def _setup_soa(self) -> None:
         topology = self.topology
         n = topology.n_tiles
         if sorted(self._tile_ids) != list(range(n)):
@@ -340,10 +331,10 @@ class FastNocSimulator(NocSimulator):
                 "backend='fast' requires contiguous tile ids 0..n-1"
             )
         # With sigma_synchr == 0 (guaranteed at construction) every clock
-        # domain is deterministic and identical, so all tiles can share
-        # one instance — round boundaries memoise once instead of n times.
-        clock0 = self.clocks[self._tile_ids[0]]
-        self.clocks = {tid: clock0 for tid in self._tile_ids}
+        # domain is deterministic and identical, so all tiles share one
+        # instance — round boundaries memoise once instead of n times.
+        self._clock = ClockDomain(self.nominal_round_s, self.injector)
+        self.clocks = dict.fromkeys(self._tile_ids, self._clock)
         degrees = [len(self._neighbors[t]) for t in range(n)]
         max_deg = max(degrees, default=0)
         self._max_deg = max_deg
@@ -405,6 +396,9 @@ class FastNocSimulator(NocSimulator):
         )
         #: round -> chunks of packets latched for that round.
         self._pending: dict[int, list[_ArrivalChunk]] = {}
+        #: round -> copies latched one at a time by `_transmit` since the
+        #: last receive phase, which flushes them into `_pending`.
+        self._latched: dict[int, _ChunkBuilder] = {}
 
         self._relay = self.config.buffer_mode == "relay"
         self._ips: dict[int, IPCore] = {}
@@ -587,13 +581,9 @@ class FastNocSimulator(NocSimulator):
         return True
 
     def _apply_scheduled_crashes(self, round_index: int) -> None:
-        for tile_id in sorted(
-            self._scheduled_tile_crashes.pop(round_index, ())
-        ):
-            if self._alive[tile_id]:
-                self._crash_tile(tile_id)
-        for link in sorted(self._scheduled_link_crashes.pop(round_index, ())):
-            self._dynamic_dead_links.add(link)
+        links = self._scheduled_link_crashes.get(round_index, ())
+        super()._apply_scheduled_crashes(round_index)
+        for link in links:
             port = self._port_of.get(link)
             if port is not None:
                 self._static_link_ok[link[0], port] = False
@@ -622,6 +612,12 @@ class FastNocSimulator(NocSimulator):
             self._buffered[:, :] = False
             self._buflen[:] = 0
             self._alt_packets.clear()
+        if self._latched:
+            # Emission order is receive order: everything `_transmit`
+            # latched last round follows that round's batched chunks.
+            for arrival, builder in self._latched.items():
+                self._pending.setdefault(arrival, []).append(builder.chunk())
+            self._latched.clear()
         chunks = self._pending.pop(round_index, None)
         if not chunks:
             return
@@ -991,7 +987,7 @@ class FastNocSimulator(NocSimulator):
         paths = self.engine_paths
         if p_row is None:
             paths["send.sequential"] += 1
-            self._send_rows_sequential(round_index, t_arr, m_arr)
+            self._send_rows_scalar(round_index, t_arr, m_arr)
             return
         p_row = np.asarray(p_row, dtype=np.float64)
         link_ok = self._effective_link_ok()
@@ -1163,69 +1159,14 @@ class FastNocSimulator(NocSimulator):
             # Decisions are draw-free, so the only RNG consumers are the
             # per-live-transmission upset draws — walk them scalar-wise
             # in (row, port) order, exactly like the object engine.
-            self._emit_transmit_scalar(
-                round_index, t_arr, m_arr, transmit, link_ok
+            busy = transmit.any(axis=1)
+            self._send_rows_scalar(
+                round_index, t_arr[busy], m_arr[busy], transmit[busy]
             )
         else:
             self._emit_transmit_matrix(
                 round_index, t_arr, m_arr, transmit, link_ok
             )
-
-    def _emit_transmit_scalar(
-        self, round_index, t_arr, m_arr, transmit, link_ok
-    ) -> None:
-        """Emit a precomputed transmit mask with live scalar upset draws."""
-        stats = self.stats
-        observer = self.observer
-        injector = self.injector
-        builders: dict[int, _ChunkBuilder] = {}
-        link_ok_l = link_ok.tolist()
-        rows, ports = np.nonzero(transmit)
-        for row, port in zip(rows.tolist(), ports.tolist()):
-            tile_id = int(t_arr[row])
-            mid = int(m_arr[row])
-            neighbor = int(self._nbr[tile_id, port])
-            if not link_ok_l[tile_id][port]:
-                stats.record_dead_link()
-                self.policy.on_dead_link(tile_id, neighbor, round_index)
-                if observer is not None:
-                    observer.on_dead_link_drop(round_index, tile_id, neighbor)
-                continue
-            ttl0 = int(self._ttl[tile_id, mid])
-            hop0 = int(self._hop[tile_id, mid])
-            alt_src = (
-                self._alt_packets.get((tile_id, mid))
-                if self._alt_packets
-                else None
-            )
-            copy = self._event_packet(mid, ttl0, hop0, alt_src).copy_for_link()
-            was_upset = False
-            if injector.upset_occurs():
-                was_upset = True
-                stats.upsets_injected += 1
-                copy = copy.scrambled(injector.corrupt(copy.codeword))
-                if observer is not None:
-                    observer.on_upset_injected(
-                        round_index, tile_id, neighbor, copy
-                    )
-            delay = int(self._delay[tile_id, port])
-            builder = builders.get(round_index + delay)
-            if builder is None:
-                builder = builders[round_index + delay] = _ChunkBuilder()
-            alt_packet = copy if (was_upset or alt_src is not None) else None
-            builder.add(
-                neighbor, mid, copy.ttl, copy.hop_count, was_upset,
-                copy.is_intact(), alt_packet,
-            )
-            stats.record_transmission(
-                round_index,
-                copy.size_bits,
-                copy.size_bits * float(self._epb[tile_id, port]),
-            )
-            if observer is not None:
-                observer.on_transmission(round_index, tile_id, neighbor, copy)
-        for arrival, builder in builders.items():
-            self._pending.setdefault(arrival, []).append(builder.chunk())
 
     def _emit_delayed(
         self, round_index, delays, dsts, mids, ttls, hops, upsets, intact, alt
@@ -1400,102 +1341,73 @@ class FastNocSimulator(NocSimulator):
     def _latch_arrival(
         self, arrival: int, dst: int, copy: Packet, was_upset: bool
     ) -> None:
-        """Latch pull-phase traffic into the columnar pending chunks.
+        """Latch one `_transmit` copy into the columnar pending state.
 
-        The shared :meth:`NocSimulator._pull_phase` emits materialised
-        packets; this override routes them into ``_pending`` so the fast
-        receive phase processes them exactly like send-phase arrivals
-        (pull responses are rare — a chunk per event is fine).
+        Copies accumulate in one :class:`_ChunkBuilder` per arrival round;
+        the next :meth:`_receive_phase` turns the builders into chunks, so
+        the fast receive processes them exactly like batched arrivals.
         """
         mid = self._register_message(copy)
-        canonical = self._msg_packets[mid]
+        intact = copy.is_intact()
         non_canonical = (
             was_upset
-            or not copy.is_intact()
-            or copy.codeword != canonical.codeword
+            or not intact
+            or copy.codeword != self._msg_packets[mid].codeword
         )
-        builder = _ChunkBuilder()
+        builder = self._latched.get(arrival)
+        if builder is None:
+            builder = self._latched[arrival] = _ChunkBuilder()
         builder.add(
-            dst, mid, copy.ttl, copy.hop_count, was_upset,
-            copy.is_intact(), copy if non_canonical else None,
+            dst, mid, copy.ttl, copy.hop_count, was_upset, intact,
+            copy if non_canonical else None,
         )
-        self._pending.setdefault(arrival, []).append(builder.chunk())
 
-    def _send_rows_sequential(self, round_index, t_arr, m_arr) -> None:
-        """Exact per-row fallback for policies without decide_batch."""
-        stats = self.stats
-        observer = self.observer
-        injector = self.injector
+    def _send_rows_scalar(
+        self, round_index, t_arr, m_arr, transmit=None
+    ) -> None:
+        """Exact per-row send: each row's packet is materialised and
+        driven through the inherited :meth:`_transmit`, port by port.
+
+        The target ports come from ``policy.decisions`` (`transmit` is
+        None: the policy has no ``decide_batch``) or from the rows of a
+        deterministic ``decide_batch`` mask walked under upsets.
+        """
         capacity = self.config.buffer_capacity
-        builders: dict[int, _ChunkBuilder] = {}
-        previous_tile = -1
-        occupancy = 0
-        for tile_id, mid in zip(t_arr.tolist(), m_arr.tolist()):
-            if tile_id != previous_tile:
-                previous_tile = tile_id
-                occupancy = int(self._buflen[tile_id])
+        alt_packets = self._alt_packets
+        sender_end = self._clock.round_end(round_index)
+        mask_rows = None if transmit is None else transmit.tolist()
+        for row, (tile_id, mid, ttl, hop, occupancy) in enumerate(
+            zip(
+                t_arr.tolist(),
+                m_arr.tolist(),
+                self._ttl[t_arr, m_arr].tolist(),
+                self._hop[t_arr, m_arr].tolist(),
+                self._buflen[t_arr].tolist(),
+            )
+        ):
             neighbors = self._neighbors[tile_id]
-            ttl0 = int(self._ttl[tile_id, mid])
-            hop0 = int(self._hop[tile_id, mid])
-            alt_src = (
-                self._alt_packets.get((tile_id, mid))
-                if self._alt_packets
-                else None
+            packet = self._event_packet(
+                mid, ttl, hop, alt_packets.get((tile_id, mid))
             )
-            packet = self._event_packet(mid, ttl0, hop0, alt_src)
-            decisions = self.policy.decisions(
-                packet,
-                neighbors,
-                self.rng,
-                tile_id=tile_id,
-                round_index=round_index,
-                buffer_occupancy=occupancy,
-                buffer_capacity=capacity,
-            )
-            for decision in decisions:
-                if not decision.transmit:
-                    continue
-                neighbor = decision.neighbor
-                if not self._link_alive(tile_id, neighbor):
-                    stats.record_dead_link()
-                    self.policy.on_dead_link(tile_id, neighbor, round_index)
-                    if observer is not None:
-                        observer.on_dead_link_drop(
-                            round_index, tile_id, neighbor
-                        )
-                    continue
-                copy = packet.copy_for_link()
-                was_upset = False
-                if injector.upset_occurs():
-                    was_upset = True
-                    stats.upsets_injected += 1
-                    copy = copy.scrambled(injector.corrupt(copy.codeword))
-                    if observer is not None:
-                        observer.on_upset_injected(
-                            round_index, tile_id, neighbor, copy
-                        )
-                delay = self.link_delays.get((tile_id, neighbor), 1)
-                builder = builders.get(round_index + delay)
-                if builder is None:
-                    builder = builders[round_index + delay] = _ChunkBuilder()
-                alt_packet = (
-                    copy if (was_upset or alt_src is not None) else None
-                )
-                builder.add(
-                    neighbor, mid, copy.ttl, copy.hop_count, was_upset,
-                    copy.is_intact(), alt_packet,
-                )
-                energy_per_bit = self.link_energy_overrides.get(
-                    (tile_id, neighbor), self.link_model.energy_per_bit_j
-                )
-                stats.record_transmission(
-                    round_index,
-                    copy.size_bits,
-                    copy.size_bits * energy_per_bit,
-                )
-                if observer is not None:
-                    observer.on_transmission(
-                        round_index, tile_id, neighbor, copy
+            if mask_rows is None:
+                targets = [
+                    decision.neighbor
+                    for decision in self.policy.decisions(
+                        packet,
+                        neighbors,
+                        self.rng,
+                        tile_id=tile_id,
+                        round_index=round_index,
+                        buffer_occupancy=occupancy,
+                        buffer_capacity=capacity,
                     )
-        for arrival, builder in builders.items():
-            self._pending.setdefault(arrival, []).append(builder.chunk())
+                    if decision.transmit
+                ]
+            else:
+                targets = [
+                    neighbors[port]
+                    for port, go in enumerate(mask_rows[row])
+                    if go
+                ]
+            for dst in targets:
+                self._transmit(round_index, tile_id, dst, packet, sender_end)

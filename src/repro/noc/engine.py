@@ -14,9 +14,10 @@ round follows thesis Fig 3-4:
    garbage-collected;
 4. **send** — every buffered packet is offered to every output port and the
    protocol's RND circuit decides, per port, whether it is transmitted.
-   Transmissions over dead links vanish; transmissions over live links may
-   suffer a data upset; finite buffers and Bernoulli(p_overflow) drops
-   happen at the receiving latch.
+   Every link crossing runs :meth:`NocSimulator._transmit`: transmissions
+   over dead links vanish; transmissions over live links may suffer a
+   data upset; finite buffers and Bernoulli(p_overflow) drops happen at
+   the receiving latch.
 
 Synchronization errors are modelled through per-tile clock domains: the
 arrival round of a packet is the earliest receiver round starting after the
@@ -322,21 +323,6 @@ class NocSimulator:
             nominal_round_s = self.link_model.transfer_time_s(size_bits)
         self.nominal_round_s = nominal_round_s
 
-        self.tiles: dict[int, Tile] = {
-            tid: Tile(
-                tid,
-                factory=PacketFactory(
-                    tid, default_ttl=default_ttl, crc=self.crc
-                ),
-                buffer_capacity=config.buffer_capacity,
-                buffer_mode=config.buffer_mode,
-            )
-            for tid in topology.tile_ids
-        }
-        self.clocks: dict[int, ClockDomain] = {
-            tid: ClockDomain(self.nominal_round_s, self.injector)
-            for tid in topology.tile_ids
-        }
         self.stats = NetworkStats()
 
         crash_plan = config.crash_plan
@@ -345,13 +331,6 @@ class NocSimulator:
                 topology.tile_ids, topology.links, config.protected_tiles
             )
         self.crash_plan = crash_plan
-        for tid in crash_plan.dead_tiles:
-            self.tiles[tid].crash()
-
-        #: round -> tile -> [(packet, was_upset)] waiting to be latched.
-        self._arrivals: dict[int, dict[int, list[tuple[Packet, bool]]]] = (
-            defaultdict(lambda: defaultdict(list))
-        )
         self._mounted: list[int] = []
         self._unique_keys: set[tuple[int, int]] = set()
         self.current_round = 0
@@ -387,10 +366,40 @@ class NocSimulator:
         self.link_energy_overrides = dict(config.link_energy_overrides)
         self.egress_limits = dict(config.egress_limits)
         self.bus_tiles = config.bus_tiles
+        self._build_tile_state()
         self.observer = as_observer(observer)
         self.profiler = profiler
         if self.observer is not None:
             self.observer.on_bind(self)
+
+    def _build_tile_state(self) -> None:
+        """Build this backend's per-tile representation (draws nothing).
+
+        The one overridable step of :meth:`_init_from_config`: the object
+        engine keeps a :class:`Tile`, a :class:`ClockDomain` and an
+        arrival map per tile; other backends build their own instead.
+        """
+        self.tiles: dict[int, Tile] = {
+            tid: Tile(
+                tid,
+                factory=PacketFactory(
+                    tid, default_ttl=self.default_ttl, crc=self.crc
+                ),
+                buffer_capacity=self._config.buffer_capacity,
+                buffer_mode=self._config.buffer_mode,
+            )
+            for tid in self._tile_ids
+        }
+        self.clocks: dict[int, ClockDomain] = {
+            tid: ClockDomain(self.nominal_round_s, self.injector)
+            for tid in self._tile_ids
+        }
+        for tid in self.crash_plan.dead_tiles:
+            self.tiles[tid].crash()
+        #: round -> tile -> [(packet, was_upset)] waiting to be latched.
+        self._arrivals: dict[int, dict[int, list[tuple[Packet, bool]]]] = (
+            defaultdict(lambda: defaultdict(list))
+        )
 
     # ------------------------------------------------------------- app setup
 
@@ -630,8 +639,7 @@ class NocSimulator:
             neighbors = self._neighbors[tile_id]
             if not neighbors:
                 continue
-            sender_clock = self.clocks[tile_id]
-            sender_end = sender_clock.round_end(round_index)
+            sender_end = self.clocks[tile_id].round_end(round_index)
             budget = self.egress_limits.get(tile_id)
             packets = tile.outgoing_packets()
             if budget is not None and len(packets) > 1:
@@ -664,41 +672,10 @@ class NocSimulator:
                         if budget <= 0:
                             break
                         budget -= 1  # a grant is consumed even if wasted
-                    dst = decision.neighbor
-                    if not self._link_alive(tile_id, dst):
-                        self.stats.record_dead_link()
-                        self.policy.on_dead_link(tile_id, dst, round_index)
-                        if self.observer is not None:
-                            self.observer.on_dead_link_drop(
-                                round_index, tile_id, dst
-                            )
-                        continue
-                    copy = packet.copy_for_link()
-                    was_upset = False
-                    if self.injector.upset_occurs():
-                        was_upset = True
-                        self.stats.upsets_injected += 1
-                        copy = copy.scrambled(self.injector.corrupt(copy.codeword))
-                        if self.observer is not None:
-                            self.observer.on_upset_injected(
-                                round_index, tile_id, dst, copy
-                            )
-                    arrival = self._arrival_round(
-                        tile_id, dst, sender_end, round_index
+                    self._transmit(
+                        round_index, tile_id, decision.neighbor, packet,
+                        sender_end,
                     )
-                    self._arrivals[arrival][dst].append((copy, was_upset))
-                    energy_per_bit = self.link_energy_overrides.get(
-                        (tile_id, dst), self.link_model.energy_per_bit_j
-                    )
-                    self.stats.record_transmission(
-                        round_index,
-                        copy.size_bits,
-                        copy.size_bits * energy_per_bit,
-                    )
-                    if self.observer is not None:
-                        self.observer.on_transmission(
-                            round_index, tile_id, dst, copy
-                        )
 
     def _send_as_bus(
         self,
@@ -714,46 +691,62 @@ class NocSimulator:
         grants = budget if budget is not None else len(packets)
         for packet in packets[:grants]:
             for dst in neighbors:
-                if not self._link_alive(tile_id, dst):
-                    self.stats.record_dead_link()
-                    self.policy.on_dead_link(tile_id, dst, round_index)
-                    if self.observer is not None:
-                        self.observer.on_dead_link_drop(
-                            round_index, tile_id, dst
-                        )
-                    continue
-                copy = packet.copy_for_link()
-                was_upset = False
-                if self.injector.upset_occurs():
-                    was_upset = True
-                    self.stats.upsets_injected += 1
-                    copy = copy.scrambled(self.injector.corrupt(copy.codeword))
-                    if self.observer is not None:
-                        self.observer.on_upset_injected(
-                            round_index, tile_id, dst, copy
-                        )
-                arrival = self._arrival_round(
-                    tile_id, dst, sender_end, round_index
-                )
-                self._arrivals[arrival][dst].append((copy, was_upset))
-                energy_per_bit = self.link_energy_overrides.get(
-                    (tile_id, dst), self.link_model.energy_per_bit_j
-                )
-                self.stats.record_transmission(
-                    round_index, copy.size_bits, copy.size_bits * energy_per_bit
-                )
-                if self.observer is not None:
-                    self.observer.on_transmission(
-                        round_index, tile_id, dst, copy
-                    )
+                self._transmit(round_index, tile_id, dst, packet, sender_end)
+
+    def _transmit(
+        self,
+        round_index: int,
+        src: int,
+        dst: int,
+        packet: Packet,
+        sender_end: float,
+    ) -> bool:
+        """Drive one buffered `packet` onto the ``(src, dst)`` link.
+
+        The one per-transmission sequence of the fault model, shared by
+        the send phase, bus egress, pull responses and the fast backend's
+        scalar send walker: a dead link swallows the attempt (reported to
+        the policy and observer; returns False); otherwise the link gets
+        its own copy, the copy may suffer an upset, it is latched for the
+        receiver's round per :meth:`_arrival_round` and charged Eq. 3
+        energy.  `sender_end` is the sender's ``round_end(round_index)``,
+        drawn by the caller: clock boundaries are drawn lazily, so *when*
+        it is asked for is part of the RNG stream under clock skew.
+        """
+        stats = self.stats
+        observer = self.observer
+        if not self._link_alive(src, dst):
+            stats.record_dead_link()
+            self.policy.on_dead_link(src, dst, round_index)
+            if observer is not None:
+                observer.on_dead_link_drop(round_index, src, dst)
+            return False
+        copy = packet.copy_for_link()
+        was_upset = self.injector.upset_occurs()
+        if was_upset:
+            stats.upsets_injected += 1
+            copy = copy.scrambled(self.injector.corrupt(copy.codeword))
+            if observer is not None:
+                observer.on_upset_injected(round_index, src, dst, copy)
+        arrival = self._arrival_round(src, dst, sender_end, round_index)
+        self._latch_arrival(arrival, dst, copy, was_upset)
+        energy_per_bit = self.link_energy_overrides.get(
+            (src, dst), self.link_model.energy_per_bit_j
+        )
+        stats.record_transmission(
+            round_index, copy.size_bits, copy.size_bits * energy_per_bit
+        )
+        if observer is not None:
+            observer.on_transmission(round_index, src, dst, copy)
+        return True
 
     def _latch_arrival(
         self, arrival: int, dst: int, copy: Packet, was_upset: bool
     ) -> None:
         """Latch one in-flight copy for `dst`'s receive phase at `arrival`.
 
-        The pull phase emits traffic through this hook so backends can
-        route it into their own arrival structures (the fast backend
+        :meth:`_transmit` emits through this hook so backends can route
+        traffic into their own arrival structures (the fast backend
         overrides it to append to its columnar pending chunks).
         """
         self._arrivals[arrival][dst].append((copy, was_upset))
@@ -766,10 +759,10 @@ class NocSimulator:
         neighbor; informed ones return nothing without drawing).  A
         request crosses the ``(tile, target)`` link as priced control
         traffic; an alive, informed target answers by transmitting its
-        buffered packets back over ``(target, tile)`` exactly like send
-        phase traffic — copy per link, upset draw, latency latch, Eq. 3
-        energy.  This method is shared by both engine backends, so the
-        RNG stream and stats are bit-identical by construction.
+        buffered packets back over ``(target, tile)`` through
+        :meth:`_transmit`, i.e. exactly like send phase traffic.  This
+        method is shared by both engine backends, so the RNG stream and
+        stats are bit-identical by construction.
         """
         policy = self.policy
         stats = self.stats
@@ -812,43 +805,10 @@ class NocSimulator:
                     continue
                 sender_end = self.clocks[target].round_end(round_index)
                 for packet in packets:
-                    if not self._link_alive(target, tile_id):
-                        stats.record_dead_link()
-                        policy.on_dead_link(target, tile_id, round_index)
-                        if self.observer is not None:
-                            self.observer.on_dead_link_drop(
-                                round_index, target, tile_id
-                            )
-                        continue
-                    copy = packet.copy_for_link()
-                    was_upset = False
-                    if self.injector.upset_occurs():
-                        was_upset = True
-                        stats.upsets_injected += 1
-                        copy = copy.scrambled(
-                            self.injector.corrupt(copy.codeword)
-                        )
-                        if self.observer is not None:
-                            self.observer.on_upset_injected(
-                                round_index, target, tile_id, copy
-                            )
-                    arrival = self._arrival_round(
-                        target, tile_id, sender_end, round_index
-                    )
-                    self._latch_arrival(arrival, tile_id, copy, was_upset)
-                    energy_per_bit = self.link_energy_overrides.get(
-                        (target, tile_id), self.link_model.energy_per_bit_j
-                    )
-                    stats.record_transmission(
-                        round_index,
-                        copy.size_bits,
-                        copy.size_bits * energy_per_bit,
-                    )
-                    stats.pull_responses += 1
-                    if self.observer is not None:
-                        self.observer.on_transmission(
-                            round_index, target, tile_id, copy
-                        )
+                    if self._transmit(
+                        round_index, target, tile_id, packet, sender_end
+                    ):
+                        stats.pull_responses += 1
 
     def _arrival_round(
         self, src: int, dst: int, sender_end: float, round_index: int

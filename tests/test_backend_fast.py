@@ -210,6 +210,25 @@ class TestTileViewFacade:
             for key, packet in fast.tiles[tid].send_buffer.items():
                 assert packet.key == key
 
+    @pytest.mark.parametrize("backend", KNOWN_BACKENDS)
+    def test_finished_simulator_is_freed_without_the_cycle_collector(
+        self, backend: str
+    ) -> None:
+        """Views must not tie the simulator into a reference cycle: a
+        sweep's finished runs (and their arrays) are released at once."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            sim = self._saturated(backend)
+            gone = weakref.ref(sim)
+            del sim
+            assert gone() is None
+        finally:
+            gc.enable()
+
 
 # -------------------------------------------------------------- ttl helpers
 

@@ -89,6 +89,22 @@ class TestInfo:
         assert "repro" in output
         assert "Stochastic Communication" in output
 
+    def test_command_list_is_read_off_the_parser(self, capsys):
+        """`info` cannot drift: it prints the parser's own subcommands."""
+        from repro.cli import command_names
+
+        names = command_names()
+        for name in names:
+            # Every listed command parses (SystemExit 0 = its --help ran).
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([name, "--help"])
+            assert exit_info.value.code == 0
+        capsys.readouterr()
+        assert main(["info"]) == 0
+        output = capsys.readouterr().out
+        assert "commands: " + " ".join(names) in output
+        assert {"info", "spread", "frontier", "chaos-service", "db"} <= set(names)
+
 
 class TestSpread:
     def test_mesh_spread(self, capsys):
