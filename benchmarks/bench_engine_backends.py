@@ -6,12 +6,14 @@ workload, at bit-identical results.  This bench measures both engines on
 that exact workload, asserts the results match, and reports rounds/s
 and the speedup factor.  A second leg repeats the comparison under data
 upsets (``p_upset=0.1``), where the fast backend walks a pre-drawn pool
-instead of one batched draw block, against a **>= 1.5x** floor.  Two
-more legs cover the scalar send walker, where both engines run the same
-per-transmission sequence (``NocSimulator._transmit``): push-pull
-(fault-free) and ``adaptive_route`` at ``p_upset=0.1``.  Their floor is
-parity — fast must not be slower than object — asserted in full mode
-only; ``--quick`` checks equality alone.
+instead of one batched draw block, against a **>= 1.5x** floor.  Three
+policy legs follow on the 16x16 mesh.  Fault-free push-pull runs both
+halves batched (``repro/policies/sampling.py``) against a **>= 5x**
+floor.  Push-pull and ``adaptive_route`` at ``p_upset=0.1`` run the
+scalar send walker, where both engines execute the same
+per-transmission sequence (``NocSimulator._transmit``): push-pull is
+checked for equality only, ``adaptive_route`` for parity.  The policy
+floors are asserted in full mode only; ``--quick`` checks equality alone.
 
 Run standalone for the full measurement (asserts the 10x target)::
 
@@ -44,9 +46,14 @@ MAX_ROUNDS = 400
 UPSET_P = 0.1
 UPSET_MIN_SPEEDUP = 1.5
 
-#: The scalar-walker legs: (policy kind, p_upset), floor = parity.
-WALKER_LEGS = (("push_pull", 0.0), ("adaptive_route", UPSET_P))
-WALKER_MIN_SPEEDUP = 1.0
+#: The policy legs: (policy kind, p_upset, full-mode speedup floor).
+#: Fault-free push-pull is batched; the two upset legs run the scalar
+#: walker (floor 0 = equality only, 1 = parity).
+POLICY_LEGS = (
+    ("push_pull", 0.0, 5.0),
+    ("push_pull", UPSET_P, 0.0),
+    ("adaptive_route", UPSET_P, 1.0),
+)
 
 
 class _Seed(IPCore):
@@ -173,11 +180,12 @@ def test_fast_backend_upset_speedup_smoke():
     assert stats["speedup"] >= UPSET_MIN_SPEEDUP
 
 
-@pytest.mark.parametrize(("policy", "p_upset"), WALKER_LEGS)
-def test_fast_backend_walker_legs_smoke(policy, p_upset):
-    # Equality only (compare() raises on divergence): both engines run
-    # the same per-transmission code here, so the floor is parity and
-    # only the standalone full run asserts it.
+@pytest.mark.parametrize(
+    ("policy", "p_upset"), [leg[:2] for leg in POLICY_LEGS]
+)
+def test_fast_backend_policy_legs_smoke(policy, p_upset):
+    # Equality only (compare() raises on divergence); the floors are
+    # asserted by the standalone full run.
     stats = compare(side=16, repeats=1, p_upset=p_upset, policy=policy)
     print("\n" + report(stats))
     assert stats["rounds"] > 1
@@ -210,10 +218,12 @@ def main() -> int:
         args.min_speedup = min(args.min_speedup, 3.0)
     status = 0
     legs = [(None, 0.0, args.min_speedup), (None, UPSET_P, UPSET_MIN_SPEEDUP)]
-    # Walker legs: equality (inside compare) always, parity in full mode
-    # only, and always on the 16x16 mesh.
-    walker_floor = 0.0 if args.quick else WALKER_MIN_SPEEDUP
-    legs += [(policy, p_upset, walker_floor) for policy, p_upset in WALKER_LEGS]
+    # Policy legs: equality (inside compare) always, their floors in full
+    # mode only, and always on the 16x16 mesh.
+    legs += [
+        (policy, p_upset, 0.0 if args.quick else floor)
+        for policy, p_upset, floor in POLICY_LEGS
+    ]
     for policy, p_upset, floor in legs:
         side = args.side if policy is None else 16
         stats = compare(side, args.repeats, args.seed, p_upset, policy)

@@ -28,6 +28,11 @@ Stream discipline (matching the object engine draw for draw):
   ``p_upset > 0``.  Upset corruption draws interleave mid-stream, so the
   upset path draws from a *pool* and rewinds/advances the PCG64 bit
   generator to keep the stream position exact around each corruption.
+* **push-pull** — at ``p_upset == 0`` the policy draws a whole round's
+  push ports (send) and pull targets (pull) from one uint32 block that
+  consumes exactly what the per-row ``choice`` / ``integers`` calls
+  would (:mod:`repro.policies.sampling`); it may decline a round, which
+  then runs on the scalar paths below.
 
 Deliberate limits (a ``ValueError`` at construction, never a silently
 different answer):
@@ -43,10 +48,14 @@ Configurations that are supported but fall back to slower exact paths:
 * bounded ``buffer_capacity`` or IPs overriding ``on_receive`` run the
   receive phase event-by-event (eviction order and hook interleaving are
   sequential semantics);
-* policies without a :meth:`ForwardingPolicy.decide_batch`, and
-  deterministic ``decide_batch`` matrices under ``p_upset > 0``, send
-  row by row through one scalar walker that drives the inherited
-  :meth:`NocSimulator._transmit` (array-backed state, same stream).
+* policies without a :meth:`ForwardingPolicy.decide_batch` (or whose
+  hook returns None for the round), and ``decide_batch`` matrices under
+  ``p_upset > 0``, send row by row through one scalar walker that drives
+  the inherited :meth:`NocSimulator._transmit` (array-backed state, same
+  stream);
+* pull phases without a :meth:`ForwardingPolicy.pull_ports_batch` mask
+  — the hook is missing or declined, ``p_upset > 0``, or a link has no
+  reverse port — run the inherited per-tile phase.
 
 Observer ordering is a contract with three clauses, enforced by
 ``tests/test_observer_ordering.py``: on every path (a) each per-kind
@@ -54,8 +63,9 @@ subsequence of hook calls and (b) each round's multiset of events equal
 the object engine's; (c) the *full* sequence is equal in rounds whose
 receive ran event-ordered and whose send ran through the scalar walker
 or the upset pool.  Only the vectorised receive and the draw-free
-batched emit regroup a round's events by kind.  Stats, series and all
-:class:`repro.metrics.MetricsCollector` output are identical always.
+batched emit (send and pull) regroup a round's events by kind.  Stats,
+series and all :class:`repro.metrics.MetricsCollector` output are
+identical always.
 IPs must not rely on object identity of buffered packets (the fast
 engine materialises equal-valued packets on demand and tracks TTL/hops
 in arrays).
@@ -348,6 +358,16 @@ class FastNocSimulator(NocSimulator):
                 self._port_of[(t, neighbor)] = port
         jj = np.arange(max_deg)
         self._static_link_ok = jj[None, :] < self._deg[:, None]
+        #: port -> the neighbor's port back to this tile, which a pull
+        #: response leaves on.  None for push-only policies and on a
+        #: topology with one-way links (the pull phase then stays scalar).
+        self._back = None
+        if self.policy.uses_pull:
+            back = np.full((n, max_deg), -1, dtype=np.int64)
+            for (t, neighbor), port in self._port_of.items():
+                back[t, port] = self._port_of.get((neighbor, t), -1)
+            if (back[self._static_link_ok] >= 0).all():
+                self._back = back
         for link in self.crash_plan.dead_links:
             port = self._port_of.get(link)
             if port is not None:
@@ -419,13 +439,15 @@ class FastNocSimulator(NocSimulator):
             policy_cls.on_dead_link is not ForwardingPolicy.on_dead_link
         )
 
-        #: Exact counts of the rounds each send / receive path ran and of
-        #: the upset pool's draws (docs/performance.md).  A diagnostic
-        #: attribute only: it never enters results, metrics or cache keys.
+        #: Exact counts of the rounds each send / receive / pull path ran
+        #: and of the upset pool's draws (docs/performance.md).  A
+        #: diagnostic attribute only: it never enters results, metrics or
+        #: cache keys.
         self.engine_paths: dict[str, int] = dict.fromkeys(
             (
                 "send.vectorized", "send.pooled", "send.matrix",
                 "send.sequential", "receive.vectorized", "receive.ordered",
+                "pull.vectorized", "pull.sequential",
                 "pool.doubles_drawn", "pool.doubles_used", "pool.reanchors",
             ),
             0,
@@ -612,12 +634,7 @@ class FastNocSimulator(NocSimulator):
             self._buffered[:, :] = False
             self._buflen[:] = 0
             self._alt_packets.clear()
-        if self._latched:
-            # Emission order is receive order: everything `_transmit`
-            # latched last round follows that round's batched chunks.
-            for arrival, builder in self._latched.items():
-                self._pending.setdefault(arrival, []).append(builder.chunk())
-            self._latched.clear()
+        self._flush_latched()
         chunks = self._pending.pop(round_index, None)
         if not chunks:
             return
@@ -982,6 +999,8 @@ class FastNocSimulator(NocSimulator):
                 buffer_occupancy=self._buflen[t_arr],
                 buffer_capacity=self.config.buffer_capacity,
                 max_degree=self._max_deg,
+                degrees=deg,
+                rng=self.rng if self.fault_config.p_upset == 0.0 else None,
             )
         )
         paths = self.engine_paths
@@ -1045,12 +1064,18 @@ class FastNocSimulator(NocSimulator):
         self._emit_transmit_matrix(round_index, t_arr, m_arr, transmit, link_ok)
 
     def _emit_transmit_matrix(
-        self, round_index, t_arr, m_arr, transmit, link_ok
+        self, round_index, t_arr, m_arr, transmit, link_ok, lead=None
     ) -> None:
-        """Emit a precomputed (row, port) transmit mask (no upset draws)."""
+        """Emit a precomputed (row, port) transmit mask (no upset draws).
+
+        `lead`, when given, is a pair ``(first_row, joules)``: energy
+        charged outside the mask that the object engine adds just before
+        the transmissions of rows ``first_row[i]`` onwards (a pull
+        request ahead of its responses).
+        """
         stats = self.stats
         observer = self.observer
-        if not transmit.any():
+        if lead is None and not transmit.any():
             return
         links_ok = link_ok[t_arr]
         live = transmit & links_ok
@@ -1075,24 +1100,31 @@ class FastNocSimulator(NocSimulator):
                             round_index, src, neighbor
                         )
         n_live = int(np.count_nonzero(live))
-        if n_live == 0:
+        if lead is None and n_live == 0:
             return
         rows, ports = np.nonzero(live)
         srcs = t_arr[rows]
         dsts = self._nbr[srcs, ports]
         mids = m_arr[rows]
         sizes = self._msg_bits[mids]
-        stats.transmissions_attempted += n_live
-        stats.transmissions_delivered += n_live
-        stats.bits_transmitted += int(sizes.sum())
-        stats.per_round_transmissions[round_index] += n_live
         # ufunc accumulate rounds every running sum left to right, which
         # keeps energy_j bit-identical to the object engine's per-event
         # "+=" chain (np.sum's pairwise reassociation would not).
         increments = np.empty(n_live + 1, dtype=np.float64)
         increments[0] = stats.energy_j
         np.multiply(sizes, self._epb[srcs, ports], out=increments[1:])
+        if lead is not None:
+            first_row, joules = lead
+            increments = np.insert(
+                increments, np.searchsorted(rows, first_row) + 1, joules
+            )
         stats.energy_j = float(np.add.accumulate(increments)[-1])
+        if n_live == 0:
+            return
+        stats.transmissions_attempted += n_live
+        stats.transmissions_delivered += n_live
+        stats.bits_transmitted += int(sizes.sum())
+        stats.per_round_transmissions[round_index] += n_live
         hops = self._hop[srcs, mids] + 1
         ttls = self._ttl[srcs, mids]
         alt_events: dict[int, Packet] = {}
@@ -1338,13 +1370,24 @@ class FastNocSimulator(NocSimulator):
         for arrival, builder in builders.items():
             self._pending.setdefault(arrival, []).append(builder.chunk())
 
+    def _flush_latched(self) -> None:
+        """Turn the copies `_transmit` latched into pending chunks.
+
+        Emission order is receive order: the copies follow every chunk
+        emitted before them and precede every chunk emitted after this
+        call.
+        """
+        for arrival, builder in self._latched.items():
+            self._pending.setdefault(arrival, []).append(builder.chunk())
+        self._latched.clear()
+
     def _latch_arrival(
         self, arrival: int, dst: int, copy: Packet, was_upset: bool
     ) -> None:
         """Latch one `_transmit` copy into the columnar pending state.
 
-        Copies accumulate in one :class:`_ChunkBuilder` per arrival round;
-        the next :meth:`_receive_phase` turns the builders into chunks, so
+        Copies accumulate in one :class:`_ChunkBuilder` per arrival round
+        until :meth:`_flush_latched` turns the builders into chunks, so
         the fast receive processes them exactly like batched arrivals.
         """
         mid = self._register_message(copy)
@@ -1411,3 +1454,74 @@ class FastNocSimulator(NocSimulator):
                 ]
             for dst in targets:
                 self._transmit(round_index, tile_id, dst, packet, sender_end)
+
+    def _pull_phase(self, round_index: int) -> None:
+        """Batched pull half for policies with ``pull_ports_batch``.
+
+        The policy draws the whole round's request ports at once; the
+        requests become stats and the answered ones become response rows
+        — each responder's buffer in insertion order, transmitted on the
+        port back to the requester — emitted as one matrix.  Under
+        upsets (every response draws), on a topology with one-way links,
+        without the hook, or when the policy declines the round, the
+        inherited per-tile phase runs.
+        """
+        tiles = np.nonzero(self._alive & (self._deg > 0))[0]
+        if tiles.size == 0:
+            return
+        requests = None
+        if self.fault_config.p_upset == 0.0 and self._back is not None:
+            requests = self.policy.pull_ports_batch(
+                tiles,
+                self._deg[tiles],
+                self._informed[tiles],
+                self.rng,
+                round_index,
+            )
+        if requests is None:
+            self.engine_paths["pull.sequential"] += 1
+            super()._pull_phase(round_index)
+            return
+        self.engine_paths["pull.vectorized"] += 1
+        rows, ports = np.nonzero(requests)
+        if rows.size == 0:
+            return
+        stats = self.stats
+        link_ok = self._effective_link_ok()
+        askers = tiles[rows]
+        crossed = link_ok[askers, ports]
+        askers, ports = askers[crossed], ports[crossed]
+        responders = self._nbr[askers, ports]
+        # Per crossed request: the response rows it triggers.
+        n_rows = np.where(
+            self._alive[responders], self._buflen[responders], 0
+        )
+        answered = n_rows > 0
+        n_requests = int(rows.size)
+        stats.pull_requests += n_requests
+        stats.pull_requests_lost += n_requests - int(
+            np.count_nonzero(answered)
+        )
+        request_bits = self.policy.pull_request_bits
+        stats.bits_transmitted += request_bits * int(askers.size)
+        lead = (
+            np.cumsum(n_rows) - n_rows,
+            request_bits * self._epb[askers, ports],
+        )
+        t_ans = responders[answered]
+        request_of, m_arr = np.nonzero(self._buffered[t_ans])
+        t_arr = t_ans[request_of]
+        if n_rows.max(initial=0) > 1:
+            order = np.lexsort((self._iseq[t_arr, m_arr], request_of))
+            request_of, m_arr, t_arr = (
+                request_of[order], m_arr[order], t_arr[order]
+            )
+        back = self._back[askers, ports][answered][request_of]
+        transmit = np.zeros((t_arr.size, self._max_deg), dtype=bool)
+        transmit[np.arange(t_arr.size), back] = True
+        stats.pull_responses += int(np.count_nonzero(link_ok[t_arr, back]))
+        # Responses must follow whatever a declined (scalar) push latched.
+        self._flush_latched()
+        self._emit_transmit_matrix(
+            round_index, t_arr, m_arr, transmit, link_ok, lead
+        )

@@ -766,7 +766,7 @@ class NocSimulator:
         """
         policy = self.policy
         stats = self.stats
-        request_bits = int(getattr(policy, "pull_request_bits", 0))
+        request_bits = policy.pull_request_bits
         for tile_id in self._tile_ids:
             tile = self.tiles[tile_id]
             if not tile.alive:

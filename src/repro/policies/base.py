@@ -72,6 +72,11 @@ class BatchDecisionView:
         max_degree: the topology's maximum port count — the column width
             a 2-D :meth:`ForwardingPolicy.decide_batch` matrix must have
             (None on engines that never use the matrix form).
+        degrees: the owning tile's port count per row.
+        rng: the simulation's generator, for a ``decide_batch`` that
+            draws its decisions itself; None when the engine cannot let
+            a policy pre-draw the round (``p_upset > 0``: upset draws
+            interleave with the decisions, transmission by transmission).
     """
 
     round_index: int
@@ -81,6 +86,8 @@ class BatchDecisionView:
     buffer_occupancy: np.ndarray
     buffer_capacity: int | None
     max_degree: int | None = None
+    degrees: np.ndarray | None = None
+    rng: np.random.Generator | None = None
 
     def __len__(self) -> int:
         return len(self.tile_ids)
@@ -174,6 +181,10 @@ class ForwardingPolicy:
     #: draws happen.
     uses_pull: bool = False
 
+    #: Size in bits of one pull request, priced through the Eq. 3 energy
+    #: model per request that crosses a live link.
+    pull_request_bits: int = 0
+
     # ------------------------------------------------------------- identity
 
     def spec_params(self) -> dict[str, Any]:
@@ -254,6 +265,29 @@ class ForwardingPolicy:
         del tile_id, neighbors, rng, round_index, informed
         return ()
 
+    def pull_ports_batch(
+        self,
+        tile_ids: np.ndarray,
+        degrees: np.ndarray,
+        informed: np.ndarray,
+        rng: np.random.Generator,
+        round_index: int,
+    ) -> np.ndarray | None:
+        """Vectorised form of :meth:`pull_targets` for a whole pull phase.
+
+        The fast backend passes every live tile that has ports, in id
+        order, as parallel arrays.  Return a boolean request mask, one
+        row per tile and one column per port (at least ``degrees.max()``
+        wide): a True at ``(i, port)`` is a pull request from
+        ``tile_ids[i]`` to its neighbor on `port`.  The draws must be
+        exactly those of the :meth:`pull_targets` calls, in tile order,
+        and a tile's requests go out in port order.  Returning None (the
+        default) — with `rng` untouched — runs the phase through
+        :meth:`pull_targets` tile by tile.
+        """
+        del tile_ids, degrees, informed, rng, round_index
+        return None
+
     # ------------------------------------------------------------- decisions
 
     def decide(
@@ -310,12 +344,15 @@ class ForwardingPolicy:
         transmit) or ``p[i] == 0`` (silenced), one ``rng.random(n_ports)``
         block in row order otherwise.
 
-        Deterministic policies may instead return a 2-D float matrix of
-        shape ``(len(batch), batch.max_degree)`` whose entries are
-        exactly 0.0 or 1.0 — per-row, per-port decisions with no coin
-        flips (ports past a tile's degree are ignored).  The engine
-        rejects fractional matrix entries loudly; per-port *probabilities*
-        have no draw-order-preserving vectorised form.
+        A policy may instead return a 2-D matrix of shape
+        ``(len(batch), batch.max_degree)`` whose entries are exactly 0 or
+        1 — decided per row and port, no engine coin flips (ports past a
+        tile's degree are ignored).  The engine rejects fractional matrix
+        entries loudly; per-port *probabilities* have no
+        draw-order-preserving vectorised form.  A rule that needs
+        randomness to fill the matrix draws it from ``batch.rng`` and
+        must consume exactly what its :meth:`decisions` calls would, in
+        row order — or return None, also when ``batch.rng`` is None.
 
         Returning None (the default) means "no vectorised form": the
         engine falls back to calling :meth:`decisions` per row, so every

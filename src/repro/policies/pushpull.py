@@ -35,7 +35,12 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.protocol import ForwardDecision
-from repro.policies.base import ForwardingPolicy, register_policy
+from repro.policies.base import (
+    BatchDecisionView,
+    ForwardingPolicy,
+    register_policy,
+)
+from repro.policies.sampling import sample_ports
 from repro.policies.termination import FeedbackTermination
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,9 +161,20 @@ class PushPullPolicy(ForwardingPolicy):
             for port, neighbor in enumerate(neighbors)
         ]
 
-    # decide_batch stays None: "push to exactly `fanout` of my ports" is
-    # not expressible as independent per-port coins, so the fast backend
-    # uses its exact per-row sequential fallback (same RNG stream).
+    def decide_batch(self, batch: BatchDecisionView) -> np.ndarray | None:
+        if batch.rng is None:
+            return None
+        degrees = batch.degrees
+        if self._termination is not None:
+            # A silenced row pushes nowhere and draws nothing — exactly
+            # what a row without ports does.
+            degrees = degrees.copy()
+            degrees[
+                self._termination.silenced_rows(
+                    batch.tile_ids, batch.sources, batch.message_ids
+                )
+            ] = 0
+        return sample_ports(batch.rng, degrees, self.fanout, batch.max_degree)
 
     # ------------------------------------------------------------------ pull
 
@@ -177,6 +193,21 @@ class PushPullPolicy(ForwardingPolicy):
             # stays identical across backends and buffer contents.
             return ()
         return (neighbors[int(rng.integers(len(neighbors)))],)
+
+    def pull_ports_batch(
+        self,
+        tile_ids: np.ndarray,
+        degrees: np.ndarray,
+        informed: np.ndarray,
+        rng: np.random.Generator,
+        round_index: int,
+    ) -> np.ndarray | None:
+        del tile_ids, round_index
+        # Informed tiles request nothing and draw nothing, like a tile
+        # without ports.
+        return sample_ports(
+            rng, np.where(informed, 0, degrees), 1, int(degrees.max())
+        )
 
     def expected_copies_per_round(self, degree: int) -> float:
         return float(min(self.fanout, degree))

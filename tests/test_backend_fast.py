@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from repro.core.packet import BROADCAST
 from repro.core.protocol import StochasticProtocol
 from repro.faults import FaultConfig
 from repro.noc import Mesh2D, NocSimulator, SimConfig, Torus2D
@@ -26,12 +27,14 @@ from repro.noc.backends import (
     resolve_backend,
 )
 from repro.noc.backends.fast import FastNocSimulator
+from repro.noc.tile import IPCore, TileContext
 from repro.noc.topology import (
     FullyConnected,
     RingTopology,
     StarTopology,
     Topology,
 )
+from repro.policies import PolicySpec
 
 
 def _mesh_config(**overrides) -> SimConfig:
@@ -288,3 +291,49 @@ class TestAdjacencyPrecompute:
         assert sim._tile_ids == topology.tile_ids
         for tid in topology.tile_ids:
             assert sim._neighbors[tid] == topology.neighbors(tid)
+
+
+# ------------------------------------------------------------ one-way links
+
+
+class _ChordRing(Topology):
+    """A 6-ring plus a chord 0 -> 3 that has no reverse link."""
+
+    n_tiles = 6
+
+    def neighbors(self, tile_id: int) -> tuple[int, ...]:
+        self.validate_tile(tile_id)
+        ring = ((tile_id - 1) % 6, (tile_id + 1) % 6)
+        return ring + (3,) if tile_id == 0 else ring
+
+    def position(self, tile_id: int) -> tuple[float, float]:
+        return (float(tile_id), 0.0)
+
+
+class _Rumor(IPCore):
+    def on_start(self, ctx: TileContext) -> None:
+        ctx.send(BROADCAST, b"rumor")
+
+
+def test_pull_stays_scalar_where_a_response_has_no_port_back() -> None:
+    """Tile 0 can pull from 3 over the chord, but 3 has no port to 0:
+    the batched pull cannot address the response, so the phase runs the
+    inherited per-tile loop — and still matches the object engine."""
+
+    def run(backend: str):
+        config = SimConfig(
+            _ChordRing(),
+            PolicySpec.of("push_pull"),
+            default_ttl=20,
+            backend=backend,
+        )
+        sim = NocSimulator.from_config(config, seed=3)
+        sim.mount(3, _Rumor())
+        return sim.run(20, until=lambda s: False), sim
+
+    expected, _ = run(OBJECT_BACKEND)
+    got, sim = run(FAST_BACKEND)
+    assert got == expected and got.stats.pull_responses > 0
+    assert sim.engine_paths["pull.vectorized"] == 0
+    assert sim.engine_paths["pull.sequential"] > 0
+    assert sim.engine_paths["send.matrix"] > 0

@@ -63,6 +63,13 @@ def _protocols() -> st.SearchStrategy:
         st.just(PolicySpec("flood", {})),
         p.map(lambda v: PolicySpec("counter", {"k": 2, "forward_probability": v})),
         st.just(PolicySpec("adaptive", {"p_base": 0.6})),
+        st.builds(
+            lambda fanout, feedback_k: PolicySpec.of(
+                "push_pull", fanout=fanout, feedback_k=feedback_k
+            ),
+            st.integers(1, 3),
+            st.sampled_from([None, 2]),
+        ),
     )
 
 

@@ -322,6 +322,91 @@ GOLDEN_CELLS = {
         link_crashes=((2, (1, 2)),),
         seed=3,
     ),
+    # ------------------------------------------- push-pull, both halves
+    # At p_upset == 0 the push picks and the pull targets are batched
+    # (policies/sampling.py); every cell below has uninformed requesters.
+    "pushpull-fanout1": dict(
+        topology=Mesh2D(4, 4), protocol=PolicySpec.of("push_pull"), seed=1
+    ),
+    "pushpull-fanout2-torus": dict(
+        topology=Torus2D(4, 4),
+        protocol=PolicySpec.of("push_pull", fanout=2),
+        seed=2,
+    ),
+    "pushpull-fanout3-feedback": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull", fanout=3, feedback_k=2),
+        seed=3,
+    ),
+    "pushpull-free-requests": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull", pull_request_bits=0),
+        seed=1,
+    ),
+    # Degree-1 requesters (the end tiles) draw nothing.
+    "pushpull-line": dict(
+        topology=Mesh2D(4, 1), protocol=PolicySpec.of("push_pull"), seed=2
+    ),
+    # Buffers longer than one: a response follows the responder's
+    # insertion order (at this seed one differs from message order).
+    "pushpull-three-sources": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull"),
+        mounts=((0, _Seed), (5, _Seed), (15, _Seed)),
+        seed=23,
+    ),
+    "pushpull-crashes": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull"),
+        crash_plan=CrashPlan(dead_links=frozenset({(1, 2), (4, 0), (9, 10)})),
+        link_crashes=((2, (5, 6)), (3, (6, 5))),
+        tile_crashes=((3, 10),),
+        seed=1,
+    ),
+    "pushpull-link-delays": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull", fanout=2),
+        config={"link_delays": {(0, 1): 3, (5, 6): 2, (4, 0): 4, (1, 0): 2}},
+        seed=2,
+    ),
+    # Request energy interleaves with response energy, link by link.
+    "pushpull-energy-overrides": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull"),
+        config={
+            "link_energy_overrides": {
+                (0, 1): 2e-12, (1, 0): 3.3e-13, (4, 0): 7e-13, (5, 4): 1.1e-12
+            }
+        },
+        mounts=((0, _Seed), (15, _Seed)),
+        seed=3,
+    ),
+    "pushpull-overflow": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull", fanout=2),
+        fault=FaultConfig(p_overflow=0.1),
+        seed=1,
+    ),
+    "pushpull-capacity": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull"),
+        config={"buffer_capacity": 2},
+        mounts=((0, _Seed), (5, _Seed), (15, _Seed)),
+        seed=2,
+    ),
+    "pushpull-relay": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull", fanout=2),
+        config={"buffer_mode": "relay"},
+        seed=3,
+    ),
+    # Under upsets both halves stay on the scalar paths.
+    "pushpull-upsets": dict(
+        topology=Mesh2D(4, 4),
+        protocol=PolicySpec.of("push_pull", fanout=2),
+        fault=FaultConfig(p_upset=0.2),
+        seed=1,
+    ),
     # ----------------------------------------------------------- workloads
     "multi-message": dict(
         topology=Mesh2D(4, 4),

@@ -186,6 +186,9 @@ class TestProfile:
         counts = dict(line.split() for line in listing.splitlines()[1:])
         assert int(counts["send.pooled"]) > 0
         assert int(counts["send.vectorized"]) == 0
+        # A push-only run has no pull phase, but the keys are listed.
+        assert int(counts["pull.vectorized"]) == 0
+        assert int(counts["pull.sequential"]) == 0
         assert int(counts["pool.doubles_drawn"]) >= int(
             counts["pool.doubles_used"]
         )

@@ -21,6 +21,7 @@ from repro.policies import PolicySpec
 
 SEND_PATHS = ("send.vectorized", "send.pooled", "send.matrix", "send.sequential")
 RECEIVE_PATHS = ("receive.vectorized", "receive.ordered")
+PULL_PATHS = ("pull.vectorized", "pull.sequential")
 
 
 class _Seed(IPCore):
@@ -81,12 +82,22 @@ def test_engine_paths_repeat_exactly() -> None:
         ({}, "send.vectorized", "receive.vectorized"),
         ({"buffer_capacity": 2}, "send.vectorized", "receive.ordered"),
         (
-            {"protocol": PolicySpec("push_pull", {})},
+            # Under upsets every transmission draws between the picks:
+            # push-pull's rounds stay on the scalar walker.
+            {
+                "protocol": PolicySpec("push_pull", {}),
+                "fault_config": FaultConfig(p_upset=0.2),
+            },
             "send.sequential",
             "receive.vectorized",
         ),
         (
             {"protocol": PolicySpec("adaptive_route", {})},
+            "send.matrix",
+            "receive.vectorized",
+        ),
+        (
+            {"protocol": PolicySpec("push_pull", {})},
             "send.matrix",
             "receive.vectorized",
         ),
@@ -103,6 +114,14 @@ def test_each_round_counts_on_the_path_that_ran(overrides, send, receive) -> Non
     assert sum(paths[name] for name in SEND_PATHS) == paths[send]
     assert sum(paths[name] for name in RECEIVE_PATHS) == paths[receive]
     assert paths["pool.doubles_drawn"] == paths["pool.reanchors"] == 0
+    # The pull half runs batched exactly when the push half does.
+    pull = {"send.matrix": "pull.vectorized", "send.sequential": "pull.sequential"}
+    pulled = sum(paths[name] for name in PULL_PATHS)
+    if sim.policy.uses_pull:
+        assert 0 < paths[pull[send]] <= result.rounds
+        assert pulled == paths[pull[send]]
+    else:
+        assert pulled == 0
 
 
 def test_engine_paths_is_an_attribute_not_a_result() -> None:
@@ -122,4 +141,5 @@ def test_engine_paths_is_an_attribute_not_a_result() -> None:
         repr(result),
         repr(config.describe()),
     ):
-        assert "engine_paths" not in rendered and "pool." not in rendered
+        assert "engine_paths" not in rendered
+        assert "pool." not in rendered and "pull." not in rendered
