@@ -372,11 +372,6 @@ def cmd_policies_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Figures whose harnesses support ``collect_metrics`` (and therefore
-#: the ``--metrics-out`` flag).
-METRICS_FIGURES = ("fig4_4", "grid_spread")
-
-
 def _figure_metrics_document(name: str, outcome: list) -> dict:
     """Assemble the ``--metrics-out`` JSON document for one figure."""
     if name == "grid_spread":
@@ -402,35 +397,32 @@ def _figure_metrics_document(name: str, outcome: list) -> dict:
     return {"experiment": name, "points": points}
 
 
-#: Figures whose harnesses support the engine-backend selector.
-BACKEND_FIGURES = ("grid_spread",)
-
-
 def cmd_figure(args: argparse.Namespace) -> int:
     import repro.experiments as experiments
 
+    # Each harness declares the result knobs it honors (`SUPPORTS`);
+    # that declaration, not a list kept here, decides what is refused.
+    def supports(name: str) -> tuple[str, ...]:
+        return getattr(getattr(experiments, name), "SUPPORTS", ())
+
     collect_metrics = args.metrics_out is not None
-    if collect_metrics and args.name not in METRICS_FIGURES:
-        print(
-            f"--metrics-out supports {', '.join(METRICS_FIGURES)}; "
-            f"{args.name} does not collect per-round metrics yet",
-            file=sys.stderr,
-        )
-        return 2
-    if args.backend != "object" and args.name not in BACKEND_FIGURES:
-        print(
-            f"--backend supports {', '.join(BACKEND_FIGURES)}; "
-            f"{args.name} does not route through the engine backends yet",
-            file=sys.stderr,
-        )
-        return 2
+    for knob, flag, requested, lacks in (
+        ("collect_metrics", "--metrics-out", collect_metrics,
+         "does not collect per-round metrics yet"),
+        ("backend", "--backend", args.backend != "object",
+         "does not route through the engine backends yet"),
+    ):
+        if requested and knob not in supports(args.name):
+            able = [name for name in FIGURES if knob in supports(name)]
+            print(
+                f"{flag} supports {', '.join(able)}; {args.name} {lacks}",
+                file=sys.stderr,
+            )
+            return 2
     module = getattr(experiments, args.name)
-    extra = {}
-    if collect_metrics:
-        extra["collect_metrics"] = True
-    if args.name in BACKEND_FIGURES:
-        extra["backend"] = args.backend
-    opts = _sweep_options(args, **extra)
+    opts = _sweep_options(
+        args, collect_metrics=collect_metrics, backend=args.backend
+    )
     # One shared runner per invocation: two-panel figures reuse the same
     # worker pool, cache directory and results database.
     opts = opts.with_runner(opts.make_runner())

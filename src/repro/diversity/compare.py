@@ -19,7 +19,6 @@ from repro.core.protocol import StochasticProtocol
 from repro.diversity.architectures import Architecture, ArchitectureSpec
 from repro.faults import FaultConfig
 from repro.noc.engine import NocSimulator
-from repro.runners import SimTask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.common import ExperimentOptions
@@ -124,38 +123,31 @@ def compare_architectures(
     """
     # Deferred import: repro.experiments.common itself imports from the
     # diversity package via the experiment modules.
-    from repro.experiments.common import per_cell, resolve_options
+    from repro.experiments.common import column_mean, sweep_cells
 
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    sweep = resolve_options(options).make_runner()
-    specs = [architecture.build() for architecture in architectures]
-    outcomes = sweep.run(
-        SimTask.call(
+    return [
+        ArchitectureComparison(
+            name=spec.name,
+            completed=all(run[0] for run in runs),
+            latency_rounds=column_mean(runs, 1),
+            latency_s=column_mean(runs, 2),
+            transmissions=column_mean(runs, 3),
+            energy_j=column_mean(runs, 4),
+        )
+        for spec, runs, _ in sweep_cells(
             run_workload,
-            spec=spec,
-            forward_probability=forward_probability,
-            n_sensors=n_sensors,
-            n_frames=n_frames,
-            frame_interval=frame_interval,
-            seed=seed + rep,
-            max_rounds=max_rounds,
-            label=f"fig5_3 {spec.name} rep={rep}",
+            [architecture.build() for architecture in architectures],
+            params=lambda spec: dict(
+                spec=spec,
+                forward_probability=forward_probability,
+                n_sensors=n_sensors,
+                n_frames=n_frames,
+                frame_interval=frame_interval,
+                max_rounds=max_rounds,
+            ),
+            repetitions=repetitions,
+            seed=seed,
+            label=lambda spec, rep: f"fig5_3 {spec.name} rep={rep}",
+            options=options,
         )
-        for spec in specs
-        for rep in range(repetitions)
-    )
-    rows = []
-    for spec, runs in per_cell(specs, outcomes, repetitions):
-        n = len(runs)
-        rows.append(
-            ArchitectureComparison(
-                name=spec.name,
-                completed=all(run[0] for run in runs),
-                latency_rounds=sum(run[1] for run in runs) / n,
-                latency_s=sum(run[2] for run in runs) / n,
-                transmissions=sum(run[3] for run in runs) / n,
-                energy_j=sum(run[4] for run in runs) / n,
-            )
-        )
-    return rows
+    ]

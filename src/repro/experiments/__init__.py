@@ -23,9 +23,23 @@ record), and, on harnesses that support them, ``backend`` and
 (see ``docs/runners.md``).
 
 Options are pure execution plumbing: they never enter task cache keys,
-and harnesses embed their historical per-repetition seed formulas in the
-submitted tasks, so routed results match the original serial loops
-exactly — the reproduced numbers do not change.
+and harnesses keep their historical per-repetition seed strides, so
+routed results match the original serial loops exactly — the reproduced
+numbers do not change.
+
+Writing a harness
+-----------------
+
+A harness is a module-level task function (one seeded run returning a
+tuple or dict), a frozen result dataclass, and a ``run(...)`` that makes
+one :func:`repro.experiments.common.sweep_cells` call: it names the
+cells, each cell's task parameters and label, the repetition count and
+the seed stride, and reduces the ``(cell, outcomes, run_metrics)``
+triples it gets back.  The kernel owns everything else — option
+resolution, the ``repetitions >= 1`` check, task order, ``seed + stride
+* rep`` seeding, the ``collect_metrics`` / ``backend`` task parameters
+of harnesses that declare them in a module-level ``SUPPORTS``, and the
+regrouping of the flat batch.  ``docs/runners.md`` has a worked example.
 """
 
 from repro.experiments import (

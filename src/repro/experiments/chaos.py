@@ -32,19 +32,16 @@ import numpy as np
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
     ExperimentOptions,
-    backend_params,
-    metrics_params,
-    per_cell,
-    resolve_options,
-    split_metrics,
     summarize_metrics,
+    sweep_cells,
 )
-from repro.experiments.grid_spread import _BroadcastSeed
+from repro.experiments.grid_spread import saturate
 from repro.faults import BurstUpsets, LinkFlap, RampOverflow, ScenarioSpec
 from repro.metrics import MetricsCollector, MetricsSummary, RunMetrics
-from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
-from repro.runners import SimTask
+
+#: The result knobs this harness's task function takes.
+SUPPORTS = ("collect_metrics", "backend")
 
 #: Scenario axes a campaign can sweep: kind -> intensity -> spec.  The
 #: intensity axis matches the thesis' static tolerance knobs (p_upset /
@@ -92,25 +89,16 @@ def _chaos_once(
     ``collect_metrics=True`` a :class:`repro.metrics.RunMetrics` is
     appended (the scenario-attributed drop breakdown rides inside it).
     """
-    topology = Mesh2D(side, side)
-    n = topology.n_tiles
     collector = MetricsCollector() if collect_metrics else None
-    simulator = NocSimulator(
-        topology,
+    result, coverage = saturate(
+        Mesh2D(side, side),
         StochasticProtocol(forward_probability),
-        seed=seed,
-        # Upset survival needs TTL headroom: scrambled copies must be
-        # replaced by retransmissions before the rumor ages out.
-        default_ttl=max_rounds,
+        seed,
+        max_rounds,
         observer=collector,
         scenario=scenario_for(kind, intensity),
         backend=backend,
     )
-    simulator.mount(0, _BroadcastSeed(ttl=max_rounds))
-    result = simulator.run(
-        max_rounds, until=lambda sim: len(sim.informed_tiles()) == n
-    )
-    coverage = len(simulator.informed_tiles()) / n
     if collector is not None:
         return result.completed, result.rounds, coverage, collector.metrics()
     return result.completed, result.rounds, coverage
@@ -220,36 +208,30 @@ def run(
     bit-identical for any worker count (explicit per-task seeds,
     submission-order consumption).
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     for kind in kinds:
         scenario_for(kind, 0.0)  # validate axes before paying for the sweep
-    opts = resolve_options(options, supports=("collect_metrics", "backend"))
-    sweep = opts.make_runner()
-    cells = [(kind, level) for kind in kinds for level in levels]
-    tasks = [
-        SimTask.call(
+    reduced = [
+        _aggregate_cell(kind, level, outcomes, run_metrics, max_rounds)
+        for (kind, level), outcomes, run_metrics in sweep_cells(
             _chaos_once,
-            kind=kind,
-            intensity=level,
-            forward_probability=forward_probability,
-            side=side,
-            seed=seed + 104_729 * rep,
-            max_rounds=max_rounds,
-            label=f"chaos {kind} intensity={level} rep={rep}",
-            **metrics_params(opts.collect_metrics),
-            **backend_params(opts.backend),
+            [(kind, level) for kind in kinds for level in levels],
+            params=lambda cell: dict(
+                kind=cell[0],
+                intensity=cell[1],
+                forward_probability=forward_probability,
+                side=side,
+                max_rounds=max_rounds,
+            ),
+            repetitions=repetitions,
+            seed=seed,
+            stride=104_729,
+            label=lambda cell, rep: (
+                f"chaos {cell[0]} intensity={cell[1]} rep={rep}"
+            ),
+            options=options,
+            supports=SUPPORTS,
         )
-        for kind, level in cells
-        for rep in range(repetitions)
     ]
-    outcomes = sweep.run(tasks)
-    reduced: list[ChaosCell] = []
-    for (kind, level), chunk in per_cell(cells, outcomes, repetitions):
-        plain, run_metrics = split_metrics(chunk, opts.collect_metrics)
-        reduced.append(
-            _aggregate_cell(kind, level, plain, run_metrics, max_rounds)
-        )
     thresholds: dict[str, float | None] = {}
     for kind in kinds:
         tolerated = [

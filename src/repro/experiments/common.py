@@ -12,23 +12,37 @@ to one).  It is the only way to pass execution settings to a harness,
 and pure execution plumbing: the object is never hashed into a task, so
 the cache keys of the submitted tasks do not depend on it.
 
+Every grid-shaped harness is one :func:`sweep_cells` call: the kernel
+resolves the options, validates ``repetitions``, submits the whole
+``cells x repetitions`` grid as one flat batch seeded ``seed + stride *
+rep`` and hands each cell its outcomes back, so task order, seeds and
+regrouping are a property of this module, not of each harness.
+
 Instrumented sweeps (``ExperimentOptions(collect_metrics=True)``, see
 ``docs/observability.md``): task functions take an optional
 ``collect_metrics`` parameter and, when it is set, append a
 :class:`repro.metrics.RunMetrics` to their result tuple.  Because the
 flag is a task *parameter* it participates in the cache key, so
 instrumented and uninstrumented runs never alias in the on-disk cache.
-:func:`split_metrics` and :func:`summarize_metrics` are the shared
-plumbing for unpacking and reducing those results.
+:func:`sweep_cells` adds the parameter and strips the metrics back off;
+:func:`summarize_metrics` reduces them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
+from repro.apps.base import run_on_noc
+from repro.core.protocol import StochasticProtocol
+from repro.faults import FaultConfig, FaultInjector
 from repro.metrics import MetricsSummary, RunMetrics, aggregate_metrics
-from repro.runners import SweepRunner
+from repro.mp3.parallel import ParallelMp3App
+from repro.noc.engine import NocSimulator, SimulationResult
+from repro.noc.topology import Mesh2D, Topology
+from repro.runners import SimTask, SweepRunner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.db import ResultsDB
@@ -71,8 +85,8 @@ class ExperimentOptions:
     never hashed into a task, so two sweeps differing only in options
     plumbing (worker count, cache location, DB) share cache entries —
     while ``backend``/``collect_metrics``, which *do* change the task
-    parameters, enter the keys through :func:`backend_params` /
-    :func:`metrics_params`.
+    parameters, enter the keys as the task parameters
+    :func:`sweep_cells` adds.
     """
 
     runner: SweepRunner | None = None
@@ -174,28 +188,15 @@ def resolve_options(
     return options
 
 
-def per_cell(
-    cells: Sequence[Any], outcomes: Sequence[Any], repetitions: int
-) -> Iterator[tuple[Any, Sequence[Any]]]:
-    """Pair each cell with the outcomes of its `repetitions` tasks.
-
-    Harnesses submit a whole grid as one flat batch (``for cell in
-    cells for rep in range(repetitions)``) so parallel workers stay
-    busy across cell boundaries; this regroups the ordered results.
-    """
-    for i, cell in enumerate(cells):
-        yield cell, outcomes[i * repetitions : (i + 1) * repetitions]
-
-
 def backend_params(backend: str) -> dict[str, str]:
     """The extra task params of a non-default engine-backend run.
 
-    Mirrors :func:`metrics_params`: object-backend tasks omit the
-    parameter entirely, so their cache keys are byte-identical to
-    pre-backend sweeps and existing on-disk caches stay valid, while
-    ``backend="fast"`` tasks carry the parameter and hash separately —
-    backend provenance is auditable even though both backends produce
-    bit-identical results (see ``docs/performance.md``).
+    Object-backend tasks omit the parameter entirely, so their cache
+    keys are byte-identical to pre-backend sweeps and existing on-disk
+    caches stay valid, while ``backend="fast"`` tasks carry the
+    parameter and hash separately — backend provenance is auditable even
+    though both backends produce bit-identical results (see
+    ``docs/performance.md``).
     """
     from repro.noc.backends import KNOWN_BACKENDS, OBJECT_BACKEND
 
@@ -205,32 +206,73 @@ def backend_params(backend: str) -> dict[str, str]:
     return {"backend": backend} if backend != OBJECT_BACKEND else {}
 
 
-def metrics_params(collect_metrics: bool) -> dict[str, bool]:
-    """The extra task params of an instrumented run.
+def sweep_cells(
+    fn: Callable[..., Any],
+    cells: Iterable[Any],
+    *,
+    params: Callable[[Any], Mapping[str, Any]],
+    repetitions: int,
+    seed: int,
+    stride: int = 1,
+    label: Callable[[Any, int], str],
+    options: ExperimentOptions | None,
+    supports: tuple[str, ...] = (),
+) -> list[tuple[Any, list, list[RunMetrics] | None]]:
+    """Run `repetitions` seeded tasks of `fn` per cell, as one batch.
 
-    Uninstrumented tasks omit the flag entirely, keeping their cache
-    keys identical to pre-observability sweeps; instrumented tasks carry
-    ``collect_metrics=True`` and therefore hash (and cache) separately.
+    The whole grid is submitted at once (``for cell in cells for rep in
+    range(repetitions)``) so parallel workers stay busy across cell
+    boundaries, and the ordered results are regrouped per cell.
+
+    Args:
+        fn: the module-level task function.
+        cells: the grid, in presentation order.
+        params: a cell's task parameters (everything but ``seed``).
+        repetitions: Monte-Carlo repetitions per cell (>= 1).
+        seed: seed root; repetition ``rep`` of every cell runs at
+            ``seed + stride * rep``, so cells are paired observations.
+        stride: the harness's historical per-repetition seed stride.
+        label: display tag of the task of ``(cell, rep)``.
+        options: the harness's ``options=`` argument, unresolved.
+        supports: the result knobs (``"collect_metrics"``,
+            ``"backend"``) `fn` takes as parameters.  A supported
+            non-default knob becomes a task parameter and so enters the
+            cache key; at its default it is omitted, keeping the keys
+            of uninstrumented object-backend tasks unchanged.
+
+    Returns:
+        One ``(cell, outcomes, run_metrics)`` per cell: the cell's
+        `repetitions` results in repetition order and, on an
+        instrumented sweep, the :class:`repro.metrics.RunMetrics` each
+        task appended to its tuple (stripped from `outcomes`), else
+        ``None``.
     """
-    return {"collect_metrics": True} if collect_metrics else {}
-
-
-def split_metrics(
-    outcomes: Sequence[tuple], collect_metrics: bool
-) -> tuple[list[tuple], list[RunMetrics] | None]:
-    """Split task outcomes into plain results and their `RunMetrics`.
-
-    Instrumented task functions return their historical tuple with a
-    :class:`repro.metrics.RunMetrics` appended; this strips the metrics
-    off so the downstream statistics code sees the unchanged shape.
-    Returns ``(plain_outcomes, metrics_or_None)``.
-    """
-    if not collect_metrics:
-        return list(outcomes), None
-    return (
-        [outcome[:-1] for outcome in outcomes],
-        [outcome[-1] for outcome in outcomes],
+    opts = resolve_options(options, supports=supports)
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    cells = list(cells)
+    knobs = {"collect_metrics": True} if opts.collect_metrics else {}
+    knobs.update(backend_params(opts.backend))
+    results = opts.make_runner().run(
+        SimTask.call(
+            fn,
+            **params(cell),
+            **knobs,
+            seed=seed + stride * rep,
+            label=label(cell, rep),
+        )
+        for cell in cells
+        for rep in range(repetitions)
     )
+    grouped = []
+    for index, cell in enumerate(cells):
+        outcomes = results[index * repetitions : (index + 1) * repetitions]
+        run_metrics = None
+        if opts.collect_metrics:
+            run_metrics = [outcome[-1] for outcome in outcomes]
+            outcomes = [outcome[:-1] for outcome in outcomes]
+        grouped.append((cell, outcomes, run_metrics))
+    return grouped
 
 
 def summarize_metrics(
@@ -240,3 +282,78 @@ def summarize_metrics(
     if not runs:
         return None
     return aggregate_metrics(runs)
+
+
+def column_mean(outcomes: Sequence[Sequence[Any]], index: int) -> float:
+    """Mean of field `index` over a cell's outcome tuples."""
+    return sum(outcome[index] for outcome in outcomes) / len(outcomes)
+
+
+def completion_pool(outcomes: Sequence[tuple]) -> tuple[float, Sequence[tuple]]:
+    """Completion rate of a cell, and the runs its latency is read from.
+
+    Outcomes lead with a ``completed`` flag.  Latency and energy are
+    averaged over the finished runs only — over every run when none
+    finished, so a dead cell reports its round budget, not a hole.
+    """
+    finished = [outcome for outcome in outcomes if outcome[0]]
+    return len(finished) / len(outcomes), finished if finished else outcomes
+
+
+def run_crashed(
+    app: Any,
+    topology: Topology,
+    forward_probability: float,
+    seed: int,
+    max_rounds: int,
+    *,
+    n_dead_tiles: int = 0,
+    n_dead_links: int = 0,
+    **simulator_kwargs: Any,
+) -> SimulationResult:
+    """Run `app` on a chip with exact crash counts until `app.complete`.
+
+    The crash map is drawn from `seed` (so repetitions sharing a seed
+    share it) and never kills the app's critical tiles; `app.complete`
+    says whether the run finished inside `max_rounds`.
+    """
+    injector = FaultInjector(
+        FaultConfig.fault_free(), np.random.default_rng(seed)
+    )
+    plan = injector.crash_plan_with_exact_counts(
+        topology.tile_ids,
+        topology.links,
+        n_dead_tiles=n_dead_tiles,
+        n_dead_links=n_dead_links,
+        protected_tiles=app.critical_tiles,
+    )
+    simulator = NocSimulator(
+        topology,
+        StochasticProtocol(forward_probability),
+        seed=seed,
+        crash_plan=plan,
+        **simulator_kwargs,
+    )
+    app.deploy(simulator)
+    return simulator.run(max_rounds, until=lambda sim: app.complete)
+
+
+def mp3_run(
+    forward_probability: float,
+    fault_config: FaultConfig,
+    default_ttl: int,
+    n_frames: int,
+    granule: int,
+    seed: int,
+    max_rounds: int,
+) -> tuple[ParallelMp3App, SimulationResult]:
+    """One parallel MP3 encoding on the 4x4 mesh: the app and its result."""
+    app = ParallelMp3App(n_frames=n_frames, granule=granule, seed=seed)
+    simulator = NocSimulator(
+        Mesh2D(4, 4),
+        StochasticProtocol(forward_probability),
+        fault_config,
+        seed=seed,
+        default_ttl=default_ttl,
+    )
+    return app, run_on_noc(app, simulator, max_rounds=max_rounds)

@@ -16,8 +16,11 @@ from repro.core.theory import (
     expected_rounds_to_inform_all,
     simulate_rumor_spread,
 )
-from repro.experiments.common import ExperimentOptions, resolve_options
-from repro.runners import SimTask
+from repro.experiments.common import (
+    ExperimentOptions,
+    resolve_options,
+    sweep_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,14 @@ def run(
     options: ExperimentOptions | None = None,
 ) -> SpreadCurve:
     """Reproduce the Fig 3-1 curve for one population size."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    sweep = resolve_options(options).make_runner()
-    runs = sweep.run(
-        SimTask.call(
-            simulate_rumor_spread,
-            n=n,
-            seed=seed + rep,
-            label=f"fig3_1 n={n} rep={rep}",
-        )
-        for rep in range(repetitions)
+    [(_, runs, _)] = sweep_cells(
+        simulate_rumor_spread,
+        [n],
+        params=lambda n: {"n": n},
+        repetitions=repetitions,
+        seed=seed,
+        label=lambda n, rep: f"fig3_1 n={n} rep={rep}",
+        options=options,
     )
     rounds_to_all = sum(len(counts) - 1 for counts in runs) / len(runs)
     horizon = max(len(counts) for counts in runs)

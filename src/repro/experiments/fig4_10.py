@@ -11,21 +11,18 @@ variance (jitter) grows; synchronization errors never prevent completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.apps.base import run_on_noc
-from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
     ExperimentOptions,
-    per_cell,
-    resolve_options,
+    completion_pool,
+    mp3_run,
+    sweep_cells,
 )
 from repro.faults import FaultConfig
-from repro.mp3.parallel import ParallelMp3App
-from repro.noc.engine import NocSimulator
-from repro.noc.topology import Mesh2D
-from repro.runners import SimTask
 
 
 @dataclass(frozen=True)
@@ -47,6 +44,50 @@ class FailureImpactPoint:
     latency_rounds_std: float
 
 
+#: Panel -> the :class:`FaultConfig` field its x-axis sweeps.
+PANELS = {"overflow": "p_overflow", "synchronization": "sigma_synchr"}
+
+
+def sweep_panel(
+    figure: str,
+    run_rep: Callable[..., tuple],
+    stride: int,
+    aggregate: Callable[[str, float, list], Any],
+    panel: str,
+    levels: tuple[float, ...],
+    n_frames: int,
+    granule: int,
+    repetitions: int,
+    seed: int,
+    max_rounds: int,
+    options: ExperimentOptions | None,
+) -> list:
+    """One panel of the two-panel MP3 figures (Fig 4-10 and Fig 4-11).
+
+    Sweeps the panel's fault level, running `run_rep` per repetition
+    (seeded ``seed + stride * rep``) and reducing each level with
+    `aggregate`.
+    """
+    return [
+        aggregate(panel, level, outcomes)
+        for level, outcomes, _ in sweep_cells(
+            run_rep,
+            levels,
+            params=lambda level: dict(
+                fault_config=FaultConfig(**{PANELS[panel]: level}),
+                n_frames=n_frames,
+                granule=granule,
+                max_rounds=max_rounds,
+            ),
+            repetitions=repetitions,
+            seed=seed,
+            stride=stride,
+            label=lambda level, rep: f"{figure} {panel}={level} rep={rep}",
+            options=options,
+        )
+    ]
+
+
 def _run_impact_rep(
     fault_config: FaultConfig,
     n_frames: int,
@@ -55,60 +96,25 @@ def _run_impact_rep(
     max_rounds: int,
 ) -> tuple[bool, int]:
     """One MP3 run under one fault configuration."""
-    app = ParallelMp3App(n_frames=n_frames, granule=granule, seed=seed)
-    simulator = NocSimulator(
-        Mesh2D(4, 4),
-        StochasticProtocol(0.5),
-        fault_config,
-        seed=seed,
-        default_ttl=30,
+    app, result = mp3_run(
+        0.5, fault_config, 30, n_frames, granule, seed, max_rounds
     )
-    result = run_on_noc(app, simulator, max_rounds=max_rounds)
-    report = app.report()
-    return report.encoding_complete, result.rounds
+    return app.report().encoding_complete, result.rounds
 
 
 def _aggregate(axis: str, level: float, outcomes: list) -> FailureImpactPoint:
-    finished = [o for o in outcomes if o[0]]
-    pool = finished if finished else outcomes
+    completion_rate, pool = completion_pool(outcomes)
     rounds = np.array([o[1] for o in pool], dtype=float)
     return FailureImpactPoint(
         axis=axis,
         level=level,
-        completion_rate=len(finished) / len(outcomes),
+        completion_rate=completion_rate,
         latency_rounds_mean=float(rounds.mean()),
         latency_rounds_std=float(rounds.std()),
     )
 
 
-def _sweep_axis(
-    axis: str,
-    configs: list[tuple[float, FaultConfig]],
-    n_frames: int,
-    granule: int,
-    repetitions: int,
-    seed: int,
-    max_rounds: int,
-    opts: ExperimentOptions,
-) -> list[FailureImpactPoint]:
-    sweep = opts.make_runner()
-    outcomes = sweep.run(
-        SimTask.call(
-            _run_impact_rep,
-            fault_config=config,
-            n_frames=n_frames,
-            granule=granule,
-            seed=seed + 31 * rep,
-            max_rounds=max_rounds,
-            label=f"fig4_10 {axis}={level} rep={rep}",
-        )
-        for level, config in configs
-        for rep in range(repetitions)
-    )
-    return [
-        _aggregate(axis, level, reps)
-        for (level, _), reps in per_cell(configs, outcomes, repetitions)
-    ]
+_panel = partial(sweep_panel, "fig4_10", _run_impact_rep, 31, _aggregate)
 
 
 def run_overflow(
@@ -121,16 +127,9 @@ def run_overflow(
     options: ExperimentOptions | None = None,
 ) -> list[FailureImpactPoint]:
     """The left panel: latency vs buffer-overflow drop probability."""
-    opts = resolve_options(options)
-    return _sweep_axis(
-        "overflow",
-        [(level, FaultConfig(p_overflow=level)) for level in levels],
-        n_frames,
-        granule,
-        repetitions,
-        seed,
-        max_rounds,
-        opts,
+    return _panel(
+        "overflow", levels, n_frames, granule, repetitions, seed, max_rounds,
+        options,
     )
 
 
@@ -144,14 +143,7 @@ def run_synchronization(
     options: ExperimentOptions | None = None,
 ) -> list[FailureImpactPoint]:
     """The right panel: latency vs sigma_synchr (jitter, not failure)."""
-    opts = resolve_options(options)
-    return _sweep_axis(
-        "synchronization",
-        [(level, FaultConfig(sigma_synchr=level)) for level in levels],
-        n_frames,
-        granule,
-        repetitions,
-        seed,
-        max_rounds,
-        opts,
+    return _panel(
+        "synchronization", levels, n_frames, granule, repetitions, seed,
+        max_rounds, options,
     )

@@ -10,22 +10,14 @@ version also reports reconstruction SNR via the decoder, quantifying the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.apps.base import run_on_noc
-from repro.core.protocol import StochasticProtocol
-from repro.experiments.common import (
-    ExperimentOptions,
-    per_cell,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, mp3_run
+from repro.experiments.fig4_10 import sweep_panel
 from repro.faults import FaultConfig
 from repro.mp3.decoder import Mp3Decoder, reconstruction_snr_db
-from repro.mp3.parallel import ParallelMp3App
-from repro.noc.engine import NocSimulator
-from repro.noc.topology import Mesh2D
-from repro.runners import SimTask
 
 
 @dataclass(frozen=True)
@@ -56,15 +48,7 @@ def _run_bitrate_rep(
     max_rounds: int,
 ) -> tuple[float, int, float]:
     """One MP3 run; returns (bitrate_bps, frames_lost, snr_db)."""
-    app = ParallelMp3App(n_frames=n_frames, granule=granule, seed=seed)
-    simulator = NocSimulator(
-        Mesh2D(4, 4),
-        StochasticProtocol(0.5),
-        fault_config,
-        seed=seed,
-        default_ttl=30,
-    )
-    run_on_noc(app, simulator, max_rounds=max_rounds)
+    app, _ = mp3_run(0.5, fault_config, 30, n_frames, granule, seed, max_rounds)
     report = app.report()
     decoder = Mp3Decoder(granule)
     reconstruction = decoder.decode(app.output.frames, n_frames)
@@ -85,34 +69,7 @@ def _aggregate(axis: str, level: float, outcomes: list) -> BitratePoint:
     )
 
 
-def _sweep_axis(
-    axis: str,
-    configs: list[tuple[float, FaultConfig]],
-    n_frames: int,
-    granule: int,
-    repetitions: int,
-    seed: int,
-    max_rounds: int,
-    opts: ExperimentOptions,
-) -> list[BitratePoint]:
-    sweep = opts.make_runner()
-    outcomes = sweep.run(
-        SimTask.call(
-            _run_bitrate_rep,
-            fault_config=config,
-            n_frames=n_frames,
-            granule=granule,
-            seed=seed + 53 * rep,
-            max_rounds=max_rounds,
-            label=f"fig4_11 {axis}={level} rep={rep}",
-        )
-        for level, config in configs
-        for rep in range(repetitions)
-    )
-    return [
-        _aggregate(axis, level, reps)
-        for (level, _), reps in per_cell(configs, outcomes, repetitions)
-    ]
+_panel = partial(sweep_panel, "fig4_11", _run_bitrate_rep, 53, _aggregate)
 
 
 def run_overflow(
@@ -125,16 +82,9 @@ def run_overflow(
     options: ExperimentOptions | None = None,
 ) -> list[BitratePoint]:
     """Bit-rate vs overflow drop probability (left panel)."""
-    opts = resolve_options(options)
-    return _sweep_axis(
-        "overflow",
-        [(level, FaultConfig(p_overflow=level)) for level in levels],
-        n_frames,
-        granule,
-        repetitions,
-        seed,
-        max_rounds,
-        opts,
+    return _panel(
+        "overflow", levels, n_frames, granule, repetitions, seed, max_rounds,
+        options,
     )
 
 
@@ -148,14 +98,7 @@ def run_synchronization(
     options: ExperimentOptions | None = None,
 ) -> list[BitratePoint]:
     """Bit-rate vs sigma_synchr (right panel)."""
-    opts = resolve_options(options)
-    return _sweep_axis(
-        "synchronization",
-        [(level, FaultConfig(sigma_synchr=level)) for level in levels],
-        n_frames,
-        granule,
-        repetitions,
-        seed,
-        max_rounds,
-        opts,
+    return _panel(
+        "synchronization", levels, n_frames, granule, repetitions, seed,
+        max_rounds, options,
     )

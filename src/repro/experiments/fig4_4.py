@@ -11,25 +11,25 @@ optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.apps.fft2d import Fft2dApp
 from repro.apps.master_slave import MasterSlavePiApp
-from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
     ExperimentOptions,
-    metrics_params,
-    per_cell,
-    resolve_options,
-    split_metrics,
+    column_mean,
+    completion_pool,
+    run_crashed,
     summarize_metrics,
+    sweep_cells,
 )
-from repro.faults import FaultConfig, FaultInjector
 from repro.metrics import MetricsCollector, MetricsSummary
-from repro.noc.engine import NocSimulator
-from repro.noc.topology import Mesh2D
-from repro.runners import SimTask
+from repro.noc.topology import Mesh2D, Topology
+
+#: The result knobs this harness's task functions take.
+SUPPORTS = ("collect_metrics",)
 
 #: The thesis' four protocol variants.
 PROBABILITIES = (1.0, 0.75, 0.50, 0.25)
@@ -60,36 +60,30 @@ class CrashSweepPoint:
     metrics: MetricsSummary | None = None
 
 
+def _crash_outcome(
+    app: Any, topology: Topology,
+    p: float, n_dead: int, seed: int, max_rounds: int, collect_metrics: bool,
+) -> tuple:
+    """``(completed, rounds, energy_j[, RunMetrics])`` of one crashed run."""
+    collector = MetricsCollector() if collect_metrics else None
+    result = run_crashed(
+        app, topology, p, seed, max_rounds,
+        n_dead_tiles=n_dead, observer=collector,
+    )
+    outcome = app.complete, result.rounds, result.energy_j
+    if collector is not None:
+        return (*outcome, collector.metrics())
+    return outcome
+
+
 def _run_master_slave(
     p: float, n_dead: int, seed: int, max_rounds: int,
     collect_metrics: bool = False,
 ) -> tuple:
     app = MasterSlavePiApp.default_5x5(n_slaves=8, duplicate=True, n_terms=400)
-    topology = Mesh2D(5, 5)
-    injector = FaultInjector(FaultConfig.fault_free(), np.random.default_rng(seed))
-    plan = injector.crash_plan_with_exact_counts(
-        topology.tile_ids,
-        topology.links,
-        n_dead_tiles=n_dead,
-        protected_tiles=app.critical_tiles,
+    return _crash_outcome(
+        app, Mesh2D(5, 5), p, n_dead, seed, max_rounds, collect_metrics
     )
-    collector = MetricsCollector() if collect_metrics else None
-    simulator = NocSimulator(
-        topology, StochasticProtocol(p), seed=seed, crash_plan=plan,
-        observer=collector,
-    )
-    app.deploy(simulator)
-    # Replica-aware completion: the run ends when the master holds every
-    # partial, even if one replica of each pair died (or sits isolated).
-    result = simulator.run(
-        max_rounds=max_rounds, until=lambda sim: app.master.complete
-    )
-    if collector is not None:
-        return (
-            app.master.complete, result.rounds, result.energy_j,
-            collector.metrics(),
-        )
-    return app.master.complete, result.rounds, result.energy_j
 
 
 def _run_fft2d(
@@ -98,29 +92,9 @@ def _run_fft2d(
 ) -> tuple:
     image = np.random.default_rng(seed).normal(size=(8, 8))
     app = Fft2dApp(image, duplicate=True)
-    topology = Mesh2D(4, 4)
-    injector = FaultInjector(FaultConfig.fault_free(), np.random.default_rng(seed))
-    plan = injector.crash_plan_with_exact_counts(
-        topology.tile_ids,
-        topology.links,
-        n_dead_tiles=n_dead,
-        protected_tiles=app.critical_tiles,
+    return _crash_outcome(
+        app, Mesh2D(4, 4), p, n_dead, seed, max_rounds, collect_metrics
     )
-    collector = MetricsCollector() if collect_metrics else None
-    simulator = NocSimulator(
-        topology, StochasticProtocol(p), seed=seed, crash_plan=plan,
-        observer=collector,
-    )
-    app.deploy(simulator)
-    result = simulator.run(
-        max_rounds=max_rounds, until=lambda sim: app.root.complete
-    )
-    if collector is not None:
-        return (
-            app.root.complete, result.rounds, result.energy_j,
-            collector.metrics(),
-        )
-    return app.root.complete, result.rounds, result.energy_j
 
 
 _RUNNERS = {
@@ -150,38 +124,31 @@ def run(
             f"unknown application {application!r}; expected one of "
             f"{sorted(_RUNNERS)}"
         )
-    run_one = _RUNNERS[application]
-    opts = resolve_options(options, supports=("collect_metrics",))
-    sweep = opts.make_runner()
-    cells = [
-        (p, n_dead) for p in probabilities for n_dead in dead_tile_counts
-    ]
-    outcomes = sweep.run(
-        SimTask.call(
-            run_one,
-            p=p,
-            n_dead=n_dead,
-            seed=seed + 977 * rep,
-            max_rounds=max_rounds,
-            label=f"fig4_4[{application}] p={p} dead={n_dead} rep={rep}",
-            **metrics_params(opts.collect_metrics),
-        )
-        for p, n_dead in cells
-        for rep in range(repetitions)
-    )
     points = []
-    for (p, n_dead), reps in per_cell(cells, outcomes, repetitions):
-        cell, run_metrics = split_metrics(reps, opts.collect_metrics)
-        finished = [o for o in cell if o[0]]
-        pool = finished if finished else cell
+    for (p, n_dead), outcomes, run_metrics in sweep_cells(
+        _RUNNERS[application],
+        [(p, n_dead) for p in probabilities for n_dead in dead_tile_counts],
+        params=lambda cell: dict(
+            p=cell[0], n_dead=cell[1], max_rounds=max_rounds
+        ),
+        repetitions=repetitions,
+        seed=seed,
+        stride=977,
+        label=lambda cell, rep: (
+            f"fig4_4[{application}] p={cell[0]} dead={cell[1]} rep={rep}"
+        ),
+        options=options,
+        supports=SUPPORTS,
+    ):
+        completion_rate, pool = completion_pool(outcomes)
         points.append(
             CrashSweepPoint(
                 application=application,
                 forward_probability=p,
                 n_dead_tiles=n_dead,
-                completion_rate=len(finished) / len(cell),
-                latency_rounds=sum(o[1] for o in pool) / len(pool),
-                energy_j=sum(o[2] for o in pool) / len(pool),
+                completion_rate=completion_rate,
+                latency_rounds=column_mean(pool, 1),
+                energy_j=column_mean(pool, 2),
                 metrics=summarize_metrics(run_metrics),
             )
         )

@@ -10,19 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.apps.master_slave import MasterSlavePiApp
-from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
     ExperimentOptions,
-    per_cell,
-    resolve_options,
+    column_mean,
+    completion_pool,
+    run_crashed,
+    sweep_cells,
 )
-from repro.faults import FaultConfig, FaultInjector
-from repro.noc.engine import NocSimulator
+from repro.faults import FaultConfig
 from repro.noc.topology import Mesh2D
-from repro.runners import SimTask
 
 
 @dataclass(frozen=True)
@@ -44,31 +41,19 @@ def _run_surface_rep(
 ) -> tuple[bool, int]:
     """One Master-Slave run at one (crashes, p_upset) cell."""
     app = MasterSlavePiApp.default_5x5(n_slaves=8, duplicate=True, n_terms=200)
-    topology = Mesh2D(5, 5)
-    injector = FaultInjector(
-        FaultConfig.fault_free(), np.random.default_rng(seed)
-    )
-    plan = injector.crash_plan_with_exact_counts(
-        topology.tile_ids,
-        topology.links,
+    result = run_crashed(
+        app,
+        Mesh2D(5, 5),
+        forward_probability,
+        seed,
+        max_rounds,
         n_dead_tiles=n_dead,
-        protected_tiles=app.critical_tiles,
-    )
-    simulator = NocSimulator(
-        topology,
-        StochasticProtocol(forward_probability),
-        FaultConfig(p_upset=p_upset),
-        seed=seed,
-        crash_plan=plan,
+        fault_config=FaultConfig(p_upset=p_upset),
         # Heavy upsets need persistent packets: the protocol survives by
         # retransmitting, which takes TTL headroom.
         default_ttl=max_rounds,
     )
-    app.deploy(simulator)
-    result = simulator.run(
-        max_rounds=max_rounds, until=lambda sim: app.master.complete
-    )
-    return app.master.complete, result.rounds
+    return app.complete, result.rounds
 
 
 def run(
@@ -81,35 +66,29 @@ def run(
     options: ExperimentOptions | None = None,
 ) -> list[SurfacePoint]:
     """Sweep the two failure axes on the Master-Slave study."""
-    sweep = resolve_options(options).make_runner()
-    cells = [
-        (n_dead, p_upset)
-        for n_dead in dead_tile_counts
-        for p_upset in upset_levels
-    ]
-    outcomes = sweep.run(
-        SimTask.call(
-            _run_surface_rep,
-            n_dead=n_dead,
-            p_upset=p_upset,
-            forward_probability=forward_probability,
-            seed=seed + 7919 * rep,
-            max_rounds=max_rounds,
-            label=f"fig4_5 dead={n_dead} upset={p_upset} rep={rep}",
-        )
-        for n_dead, p_upset in cells
-        for rep in range(repetitions)
-    )
     points = []
-    for (n_dead, p_upset), cell in per_cell(cells, outcomes, repetitions):
-        finished = [o for o in cell if o[0]]
-        pool = finished if finished else cell
+    for (n_dead, p_upset), outcomes, _ in sweep_cells(
+        _run_surface_rep,
+        [(n_dead, p_upset) for n_dead in dead_tile_counts for p_upset in upset_levels],
+        params=lambda cell: dict(
+            n_dead=cell[0],
+            p_upset=cell[1],
+            forward_probability=forward_probability,
+            max_rounds=max_rounds,
+        ),
+        repetitions=repetitions,
+        seed=seed,
+        stride=7919,
+        label=lambda cell, rep: f"fig4_5 dead={cell[0]} upset={cell[1]} rep={rep}",
+        options=options,
+    ):
+        completion_rate, pool = completion_pool(outcomes)
         points.append(
             SurfacePoint(
                 n_dead_tiles=n_dead,
                 p_upset=p_upset,
-                completion_rate=len(finished) / len(cell),
-                latency_rounds=sum(o[1] for o in pool) / len(pool),
+                completion_rate=completion_rate,
+                latency_rounds=column_mean(pool, 1),
             )
         )
     return points

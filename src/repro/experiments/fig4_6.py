@@ -28,11 +28,14 @@ from repro.apps.master_slave import MasterSlavePiApp
 from repro.bus.simulator import BusModel, BusSimulator
 from repro.core.protocol import StochasticProtocol
 from repro.energy.model import TECH_025UM, TechnologyLibrary
-from repro.experiments.common import ExperimentOptions, resolve_options
+from repro.experiments.common import (
+    ExperimentOptions,
+    column_mean,
+    sweep_cells,
+)
 from repro.noc.engine import NocSimulator
 from repro.noc.link import LinkModel
 from repro.noc.topology import Mesh2D
-from repro.runners import SimTask
 
 
 @dataclass(frozen=True)
@@ -112,25 +115,21 @@ def run(
     options: ExperimentOptions | None = None,
 ) -> BusComparison:
     """Run the workload on both substrates and assemble the comparison."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    sweep = resolve_options(options).make_runner()
-    noc_runs = sweep.run(
-        SimTask.call(
-            _run_noc_once,
+    [(_, noc_runs, _)] = sweep_cells(
+        _run_noc_once,
+        [None],
+        params=lambda _: dict(
             forward_probability=forward_probability,
-            seed=seed + run_index,
             n_terms=n_terms,
             default_ttl=default_ttl,
             link_frequency_hz=technology.link_frequency_hz,
             link_energy_per_bit_j=technology.link_energy_per_bit_j,
-            label=f"fig4_6 noc run={run_index}",
-        )
-        for run_index in range(n_runs)
+        ),
+        repetitions=n_runs,
+        seed=seed,
+        label=lambda _, run_index: f"fig4_6 noc run={run_index}",
+        options=options,
     )
-    noc_latencies = [time_s for time_s, _, _ in noc_runs]
-    noc_path_hops = [hops for _, hops, _ in noc_runs]
-    noc_gross_ratio = [ratio for _, _, ratio in noc_runs]
 
     bus_app = MasterSlavePiApp.default_5x5(
         n_slaves=8, duplicate=False, n_terms=n_terms
@@ -147,16 +146,16 @@ def run(
     if not bus_result.completed:
         raise RuntimeError("fault-free bus run failed to complete")
 
-    noc_latency = sum(noc_latencies) / len(noc_latencies)
-    mean_hops = sum(noc_path_hops) / len(noc_path_hops)
-    path_energy_per_bit = mean_hops * technology.link_energy_per_bit_j
-    gross_per_delivery = sum(noc_gross_ratio) / len(noc_gross_ratio)
+    noc_latency = column_mean(noc_runs, 0)
+    path_energy_per_bit = (
+        column_mean(noc_runs, 1) * technology.link_energy_per_bit_j
+    )
     gross_energy_per_bit = (
-        gross_per_delivery * technology.link_energy_per_bit_j
+        column_mean(noc_runs, 2) * technology.link_energy_per_bit_j
     )
     bus_energy_per_bit = technology.bus_energy_per_bit_j
     return BusComparison(
-        noc_runs_latency_s=tuple(noc_latencies),
+        noc_runs_latency_s=tuple(time_s for time_s, _, _ in noc_runs),
         noc_latency_s=noc_latency,
         bus_latency_s=bus_result.time_s,
         latency_ratio=bus_result.time_s / noc_latency,

@@ -13,15 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.protocol import StochasticProtocol
-from repro.experiments.common import (
-    ExperimentOptions,
-    per_cell,
-    resolve_options,
-)
+from repro.experiments.common import ExperimentOptions, sweep_cells
 from repro.mp3.parallel import ParallelMp3App
 from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
-from repro.runners import SimTask
 
 
 @dataclass(frozen=True)
@@ -74,28 +69,26 @@ def run(
     options: ExperimentOptions | None = None,
 ) -> list[EnergyPoint]:
     """Measure energy (and latency) across p, fault-free."""
-    sweep = resolve_options(options).make_runner()
-    outcomes = sweep.run(
-        SimTask.call(
-            _run_energy_rep,
+    return [
+        EnergyPoint(
             forward_probability=p,
-            n_frames=n_frames,
-            granule=granule,
-            seed=seed + 613 * rep,
-            max_rounds=max_rounds,
-            label=f"fig4_9 p={p} rep={rep}",
+            energy_j=float(np.mean([r[0] for r in reps])),
+            transmissions=float(np.mean([r[1] for r in reps])),
+            latency_rounds=float(np.mean([r[2] for r in reps])),
         )
-        for p in probabilities
-        for rep in range(repetitions)
-    )
-    points = []
-    for p, reps in per_cell(probabilities, outcomes, repetitions):
-        points.append(
-            EnergyPoint(
+        for p, reps, _ in sweep_cells(
+            _run_energy_rep,
+            probabilities,
+            params=lambda p: dict(
                 forward_probability=p,
-                energy_j=float(np.mean([r[0] for r in reps])),
-                transmissions=float(np.mean([r[1] for r in reps])),
-                latency_rounds=float(np.mean([r[2] for r in reps])),
-            )
+                n_frames=n_frames,
+                granule=granule,
+                max_rounds=max_rounds,
+            ),
+            repetitions=repetitions,
+            seed=seed,
+            stride=613,
+            label=lambda p, rep: f"fig4_9 p={p} rep={rep}",
+            options=options,
         )
-    return points
+    ]

@@ -11,6 +11,7 @@ how much the grid's constrained connectivity costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -18,17 +19,17 @@ from repro.core.packet import BROADCAST
 from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
     ExperimentOptions,
-    backend_params,
-    metrics_params,
     resolve_options,
-    split_metrics,
     summarize_metrics,
+    sweep_cells,
 )
 from repro.metrics import MetricsCollector, MetricsSummary, RunMetrics
-from repro.noc.engine import NocSimulator
+from repro.noc.engine import NocSimulator, SimulationResult
 from repro.noc.tile import IPCore, TileContext
 from repro.noc.topology import FullyConnected, Mesh2D, Topology, Torus2D
-from repro.runners import SimTask
+
+#: The result knobs this harness's task function takes.
+SUPPORTS = ("collect_metrics", "backend")
 
 
 class _BroadcastSeed(IPCore):
@@ -45,6 +46,36 @@ class _BroadcastSeed(IPCore):
     @property
     def complete(self) -> bool:
         return self.sent
+
+
+def saturate(
+    topology: Topology,
+    protocol: Any,
+    seed: int,
+    max_rounds: int,
+    origin: int = 0,
+    **simulator_kwargs: Any,
+) -> tuple[SimulationResult, float]:
+    """Broadcast one rumor from `origin` until every tile is informed.
+
+    The rumor's TTL is the round budget, so it never ages out first —
+    under upsets scrambled copies must be replaced by retransmissions,
+    which takes that headroom.  Returns the result and the final
+    coverage (fraction of tiles informed).
+    """
+    n = topology.n_tiles
+    simulator = NocSimulator(
+        topology,
+        protocol,
+        seed=seed,
+        default_ttl=max_rounds,
+        **simulator_kwargs,
+    )
+    simulator.mount(origin, _BroadcastSeed(ttl=max_rounds))
+    result = simulator.run(
+        max_rounds, until=lambda sim: len(sim.informed_tiles()) == n
+    )
+    return result, len(simulator.informed_tiles()) / n
 
 
 @dataclass(frozen=True)
@@ -90,20 +121,15 @@ def _spread_once(
     per-round time series is appended to the tuple.  ``backend`` picks
     the engine (bit-identical results either way).
     """
-    n = topology.n_tiles
     collector = MetricsCollector() if collect_metrics else None
-    simulator = NocSimulator(
+    result, _ = saturate(
         topology,
         StochasticProtocol(forward_probability),
-        seed=seed,
-        default_ttl=max_rounds,
+        seed,
+        max_rounds,
+        origin,
         observer=collector,
         backend=backend,
-    )
-    simulator.mount(origin, _BroadcastSeed(ttl=max_rounds))
-    result = simulator.run(
-        max_rounds,
-        until=lambda sim: len(sim.informed_tiles()) == n,
     )
     curve = []
     informed = 1
@@ -135,27 +161,22 @@ def measure_spread(
     (``"fast"`` for the vectorised engine; results are bit-identical,
     only wall-clock changes).
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(options, supports=("collect_metrics", "backend"))
-    sweep = opts.make_runner()
-    label = name or repr(topology)
-    outcomes = sweep.run(
-        SimTask.call(
-            _spread_once,
+    name = name or repr(topology)
+    [(_, outcomes, run_metrics)] = sweep_cells(
+        _spread_once,
+        [topology],
+        params=lambda topology: dict(
             topology=topology,
             forward_probability=forward_probability,
             origin=origin,
-            seed=seed + rep,
             max_rounds=max_rounds,
-            label=f"grid_spread {label} rep={rep}",
-            **metrics_params(opts.collect_metrics),
-            **backend_params(opts.backend),
-        )
-        for rep in range(repetitions)
+        ),
+        repetitions=repetitions,
+        seed=seed,
+        label=lambda _, rep: f"grid_spread {name} rep={rep}",
+        options=options,
+        supports=SUPPORTS,
     )
-    outcomes, run_metrics = split_metrics(outcomes, opts.collect_metrics)
-    n = topology.n_tiles
     saturation_rounds = []
     curves = []
     completions = 0
@@ -173,8 +194,8 @@ def measure_spread(
     ]
     pool = saturation_rounds if saturation_rounds else [float(max_rounds)]
     return SpreadMeasurement(
-        topology_name=name or repr(topology),
-        n_tiles=n,
+        topology_name=name,
+        n_tiles=topology.n_tiles,
         saturation_rounds_mean=float(np.mean(pool)),
         saturation_rounds_std=float(np.std(pool)),
         completion_rate=completions / repetitions,
@@ -193,7 +214,7 @@ def run(
 ) -> list[SpreadMeasurement]:
     """Compare mesh / torus / complete-graph saturation at n = side^2."""
     n = side * side
-    opts = resolve_options(options, supports=("collect_metrics", "backend"))
+    opts = resolve_options(options, supports=SUPPORTS)
     shared = opts.with_runner(opts.make_runner())
     return [
         measure_spread(

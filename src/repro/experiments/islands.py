@@ -18,10 +18,14 @@ from dataclasses import dataclass
 from repro.apps.master_slave import MasterSlavePiApp
 from repro.core.protocol import StochasticProtocol
 from repro.diversity.islands import Island, IslandPlan
-from repro.experiments.common import ExperimentOptions, resolve_options
+from repro.experiments.common import (
+    ExperimentOptions,
+    column_mean,
+    resolve_options,
+    sweep_cells,
+)
 from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
-from repro.runners import SimTask
 
 
 @dataclass(frozen=True)
@@ -104,32 +108,29 @@ def run(
     options: ExperimentOptions | None = None,
 ) -> IslandComparison:
     """Measure the energy/latency trade of one island partition."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    sweep = resolve_options(options).make_runner()
-    outcomes = sweep.run(
-        SimTask.call(
-            _run_island_rep,
+    (_, uniform, _), (_, islanded, _) = sweep_cells(
+        _run_island_rep,
+        (False, True),
+        params=lambda islanded: dict(
             islanded=islanded,
             island_voltage=island_voltage,
             forward_probability=forward_probability,
             n_terms=n_terms,
-            seed=seed + rep,
             max_rounds=max_rounds,
-            label=f"islands {'islanded' if islanded else 'uniform'} rep={rep}",
-        )
-        for islanded in (False, True)
-        for rep in range(repetitions)
+        ),
+        repetitions=repetitions,
+        seed=seed,
+        label=lambda islanded, rep: (
+            f"islands {'islanded' if islanded else 'uniform'} rep={rep}"
+        ),
+        options=options,
     )
-    uniform = outcomes[:repetitions]
-    islanded = outcomes[repetitions:]
-    n = repetitions
     return IslandComparison(
         island_voltage=island_voltage,
-        uniform_rounds=sum(r for r, _ in uniform) / n,
-        islanded_rounds=sum(r for r, _ in islanded) / n,
-        uniform_energy_j=sum(e for _, e in uniform) / n,
-        islanded_energy_j=sum(e for _, e in islanded) / n,
+        uniform_rounds=column_mean(uniform, 0),
+        islanded_rounds=column_mean(islanded, 0),
+        uniform_energy_j=column_mean(uniform, 1),
+        islanded_energy_j=column_mean(islanded, 1),
     )
 
 

@@ -13,19 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.apps.master_slave import MasterSlavePiApp
-from repro.core.protocol import StochasticProtocol
 from repro.experiments.common import (
     ExperimentOptions,
-    per_cell,
-    resolve_options,
+    column_mean,
+    completion_pool,
+    run_crashed,
+    sweep_cells,
 )
-from repro.faults import FaultConfig, FaultInjector
-from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
-from repro.runners import SimTask
 
 
 @dataclass(frozen=True)
@@ -46,24 +42,17 @@ def _run_link_crash_rep(
     max_rounds: int,
 ) -> tuple[bool, int, int]:
     """One Master-Slave run with exactly n_dead_links crashed links."""
-    mesh = Mesh2D(5, 5)
     app = MasterSlavePiApp.default_5x5(n_terms=n_terms)
-    injector = FaultInjector(
-        FaultConfig.fault_free(), np.random.default_rng(seed)
-    )
-    plan = injector.crash_plan_with_exact_counts(
-        mesh.tile_ids, mesh.links, n_dead_links=n_dead_links
-    )
-    simulator = NocSimulator(
-        mesh,
-        StochasticProtocol(forward_probability),
-        seed=seed,
-        crash_plan=plan,
+    result = run_crashed(
+        app,
+        Mesh2D(5, 5),
+        forward_probability,
+        seed,
+        max_rounds,
+        n_dead_links=n_dead_links,
         default_ttl=24,
     )
-    app.deploy(simulator)
-    result = simulator.run(max_rounds, until=lambda sim: app.master.complete)
-    return app.master.complete, result.rounds, result.stats.dead_link_drops
+    return app.complete, result.rounds, result.stats.dead_link_drops
 
 
 def run(
@@ -76,32 +65,29 @@ def run(
     options: ExperimentOptions | None = None,
 ) -> list[LinkCrashPoint]:
     """Sweep dead directed links on the 5x5 Master-Slave study."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    sweep = resolve_options(options).make_runner()
-    results = sweep.run(
-        SimTask.call(
-            _run_link_crash_rep,
+    points = []
+    for n_dead, outcomes, _ in sweep_cells(
+        _run_link_crash_rep,
+        dead_link_counts,
+        params=lambda n_dead: dict(
             n_dead_links=n_dead,
             forward_probability=forward_probability,
             n_terms=n_terms,
-            seed=seed + 4999 * rep,
             max_rounds=max_rounds,
-            label=f"link_crashes dead={n_dead} rep={rep}",
-        )
-        for n_dead in dead_link_counts
-        for rep in range(repetitions)
-    )
-    points = []
-    for n_dead, outcomes in per_cell(dead_link_counts, results, repetitions):
-        finished = [o for o in outcomes if o[0]]
-        pool = finished if finished else outcomes
+        ),
+        repetitions=repetitions,
+        seed=seed,
+        stride=4999,
+        label=lambda n_dead, rep: f"link_crashes dead={n_dead} rep={rep}",
+        options=options,
+    ):
+        completion_rate, pool = completion_pool(outcomes)
         points.append(
             LinkCrashPoint(
                 n_dead_links=n_dead,
-                completion_rate=len(finished) / len(outcomes),
-                latency_rounds=sum(o[1] for o in pool) / len(pool),
-                dead_link_drops=sum(o[2] for o in outcomes) / len(outcomes),
+                completion_rate=completion_rate,
+                latency_rounds=column_mean(pool, 1),
+                dead_link_drops=column_mean(outcomes, 2),
             )
         )
     return points

@@ -19,21 +19,25 @@ the comparison is paired, not just averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.experiments.common import (
-    ExperimentOptions,
-    backend_params,
-    per_cell,
-    resolve_options,
-)
-from repro.experiments.grid_spread import _BroadcastSeed
+from repro.experiments.common import ExperimentOptions, sweep_cells
+from repro.experiments.grid_spread import saturate
 from repro.faults import CrashPlan, FaultConfig
-from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
 from repro.policies import PolicySpec
-from repro.runners import SimTask
+
+#: The result knobs the saturation task functions take.
+SUPPORTS = ("backend",)
+
+#: Fault axis -> (the task parameter it sweeps, its fault-free value).
+FAULT_AXES = {
+    "upset": ("p_upset", 0.0),
+    "overflow": ("p_overflow", 0.0),
+    "link_crash": ("n_dead_links", 0),
+}
 
 #: The four stock policies, by spec (order = presentation order).
 DEFAULT_POLICIES: tuple[PolicySpec, ...] = (
@@ -82,6 +86,49 @@ def _draw_dead_links(
     return frozenset(links[i] for i in picked)
 
 
+def _saturation_run(
+    side: int,
+    spec: PolicySpec,
+    p_upset: float,
+    p_overflow: float,
+    n_dead_links: int,
+    max_rounds: int,
+    seed: int,
+    backend: str,
+) -> dict[str, float]:
+    """Every statistic of one broadcast-saturation run of `spec`.
+
+    The task functions of this harness and of
+    :mod:`repro.experiments.protocol_frontier` project the fields they
+    report out of it.
+    """
+    topology = Mesh2D(side, side)
+    crash_plan = None
+    if n_dead_links:
+        crash_plan = CrashPlan(
+            dead_links=_draw_dead_links(topology, n_dead_links, seed)
+        )
+    result, coverage = saturate(
+        topology,
+        spec,
+        seed,
+        max_rounds,
+        fault_config=FaultConfig(p_upset=p_upset, p_overflow=p_overflow),
+        crash_plan=crash_plan,
+        backend=backend,
+    )
+    stats = result.stats
+    return {
+        "coverage": coverage,
+        "completed": float(result.completed),
+        "rounds": float(result.rounds),
+        "transmissions": float(stats.transmissions_attempted),
+        "pull_requests": float(stats.pull_requests),
+        "energy_j": stats.energy_j,
+        "time_s": result.time_s,
+    }
+
+
 def _policy_once(
     side: int,
     spec: PolicySpec,
@@ -93,55 +140,77 @@ def _policy_once(
     backend: str = "object",
 ) -> dict[str, float]:
     """One broadcast-saturation run of `spec` under one fault setting."""
-    topology = Mesh2D(side, side)
-    crash_plan = None
-    if n_dead_links:
-        crash_plan = CrashPlan(
-            dead_links=_draw_dead_links(topology, n_dead_links, seed)
-        )
-    simulator = NocSimulator(
-        topology,
-        spec,
-        FaultConfig(p_upset=p_upset, p_overflow=p_overflow),
-        seed=seed,
-        default_ttl=max_rounds,
-        crash_plan=crash_plan,
-        backend=backend,
-    )
-    simulator.mount(0, _BroadcastSeed(ttl=max_rounds))
-    n = topology.n_tiles
-    result = simulator.run(
-        max_rounds, until=lambda sim: len(sim.informed_tiles()) == n
+    run = _saturation_run(
+        side, spec, p_upset, p_overflow, n_dead_links, max_rounds, seed, backend
     )
     return {
-        "delivery_rate": len(simulator.informed_tiles()) / n,
-        "rounds": float(result.rounds),
-        "transmissions": float(result.stats.transmissions_attempted),
-        "energy_j": result.stats.energy_j,
-        "time_s": result.time_s,
+        "delivery_rate": run["coverage"],
+        "rounds": run["rounds"],
+        "transmissions": run["transmissions"],
+        "energy_j": run["energy_j"],
+        "time_s": run["time_s"],
     }
 
 
-def _aggregate(
-    spec: PolicySpec,
-    fault: str,
-    level: float,
-    outcomes: list[dict[str, float]],
-) -> PolicyPoint:
-    def mean(field: str) -> float:
-        return float(np.mean([outcome[field] for outcome in outcomes]))
+def sweep_fault_axes(
+    fn: Callable[..., dict[str, float]],
+    tag: str,
+    specs: Iterable[PolicySpec],
+    levels_by_axis: dict[str, Sequence[float]],
+    *,
+    side: int,
+    max_rounds: int,
+    repetitions: int,
+    seed: int,
+    options: ExperimentOptions | None,
+) -> list[tuple[PolicySpec, str, float, list[dict[str, float]]]]:
+    """Run every spec against every fault axis as one flat task batch.
 
-    return PolicyPoint(
-        policy=spec.name,
-        fault=fault,
-        level=level,
-        delivery_rate=mean("delivery_rate"),
-        rounds=mean("rounds"),
-        transmissions=mean("transmissions"),
-        energy_j=mean("energy_j"),
-        time_s=mean("time_s"),
-        repetitions=len(outcomes),
-    )
+    The axes are swept one at a time from a fault-free baseline, specs
+    in the given order within each level.  Repetition ``r`` runs at
+    ``seed + r`` under *every* spec (common random numbers), so the
+    specs face identical upset streams and crash maps.  Returns one
+    ``(spec, fault, level, outcomes)`` per cell; dead-link counts are
+    reported as float levels.
+    """
+    specs = tuple(specs)
+    baseline = dict(FAULT_AXES[fault] for fault in levels_by_axis)
+    cells = [
+        (
+            spec,
+            fault,
+            float(value) if fault == "link_crash" else value,
+            {**baseline, FAULT_AXES[fault][0]: value},
+        )
+        for fault, values in levels_by_axis.items()
+        for value in values
+        for spec in specs
+    ]
+    return [
+        (spec, fault, level, outcomes)
+        for (spec, fault, level, _), outcomes, _ in sweep_cells(
+            fn,
+            cells,
+            params=lambda cell: dict(
+                side=side, spec=cell[0], **cell[3], max_rounds=max_rounds
+            ),
+            repetitions=repetitions,
+            seed=seed,
+            label=lambda cell, rep: (
+                f"{tag} {cell[0].name} {cell[1]}={cell[2]} rep={rep}"
+            ),
+            options=options,
+            supports=SUPPORTS,
+        )
+    ]
+
+
+def field_means(outcomes: Sequence[dict[str, float]]) -> dict[str, float]:
+    """The mean of every field over a cell's outcome dicts."""
+    return {
+        field: float(np.mean([outcome[field] for outcome in outcomes]))
+        for field in outcomes[0]
+    }
 
 
 def run(
@@ -163,69 +232,59 @@ def run(
     links.  Returns one :class:`PolicyPoint` per (policy, axis, level),
     policies in the given order within each axis.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    opts = resolve_options(options, supports=("backend",))
-    sweep = opts.make_runner()
-
-    cells: list[tuple[PolicySpec, str, float, dict]] = []
-    for level in upset_rates:
-        for spec in policies:
-            cells.append((spec, "upset", level, {"p_upset": level}))
-    for level in overflow_rates:
-        for spec in policies:
-            cells.append((spec, "overflow", level, {"p_overflow": level}))
-    for count in link_crash_counts:
-        for spec in policies:
-            cells.append(
-                (spec, "link_crash", float(count), {"n_dead_links": count})
-            )
-
-    tasks = [
-        SimTask.call(
-            _policy_once,
-            side=side,
-            spec=spec,
-            p_upset=overrides.get("p_upset", 0.0),
-            p_overflow=overrides.get("p_overflow", 0.0),
-            n_dead_links=overrides.get("n_dead_links", 0),
-            max_rounds=max_rounds,
-            # Common random numbers: repetition r sees the same seed (and
-            # hence the same crash map) under every policy.
-            seed=seed + rep,
-            label=f"policy_compare {spec.name} {fault}={level} rep={rep}",
-            **backend_params(opts.backend),
-        )
-        for spec, fault, level, overrides in cells
-        for rep in range(repetitions)
-    ]
-    outcomes = sweep.run(tasks)
-
     return [
-        _aggregate(spec, fault, level, reps)
-        for (spec, fault, level, _), reps in per_cell(
-            cells, outcomes, repetitions
+        PolicyPoint(
+            policy=spec.name,
+            fault=fault,
+            level=level,
+            repetitions=len(outcomes),
+            **field_means(outcomes),
+        )
+        for spec, fault, level, outcomes in sweep_fault_axes(
+            _policy_once,
+            "policy_compare",
+            policies,
+            {
+                "upset": upset_rates,
+                "overflow": overflow_rates,
+                "link_crash": link_crash_counts,
+            },
+            side=side,
+            max_rounds=max_rounds,
+            repetitions=repetitions,
+            seed=seed,
+            options=options,
         )
     ]
+
+
+def format_axis_table(
+    points: Sequence[Any], header: str, row: Callable[[Any], str]
+) -> list[str]:
+    """Table lines for `points` grouped by fault axis, `row` per point."""
+    lines = []
+    for fault in dict.fromkeys(point.fault for point in points):
+        lines.append(f"--- fault axis: {fault} ---")
+        lines.append(header)
+        lines.extend(row(point) for point in points if point.fault == fault)
+    return lines
 
 
 def format_table(points: list[PolicyPoint]) -> str:
     """Render comparison rows as an aligned text table grouped by axis."""
-    lines = []
     header = (
         f"{'policy':<34} {'level':>7} {'deliver':>8} {'rounds':>7} "
         f"{'transmit':>9} {'energy_J':>10} {'time_s':>9}"
     )
-    for fault in dict.fromkeys(point.fault for point in points):
-        lines.append(f"--- fault axis: {fault} ---")
-        lines.append(header)
-        for point in points:
-            if point.fault != fault:
-                continue
-            lines.append(
+    return "\n".join(
+        format_axis_table(
+            points,
+            header,
+            lambda point: (
                 f"{point.policy:<34} {point.level:>7g} "
                 f"{point.delivery_rate:>8.2%} {point.rounds:>7.1f} "
                 f"{point.transmissions:>9.0f} {point.energy_j:>10.3e} "
                 f"{point.time_s:>9.3e}"
-            )
-    return "\n".join(lines)
+            ),
+        )
+    )

@@ -40,18 +40,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.chaos import scenario_for
-from repro.experiments.common import (
-    ExperimentOptions,
-    backend_params,
-    resolve_options,
+from repro.experiments.common import ExperimentOptions, resolve_options
+from repro.experiments.grid_spread import saturate
+from repro.experiments.policy_compare import (
+    SUPPORTS,
+    field_means,
+    format_axis_table,
+    _saturation_run,
+    sweep_fault_axes,
 )
-from repro.experiments.grid_spread import _BroadcastSeed
-from repro.experiments.policy_compare import _draw_dead_links
-from repro.faults import CrashPlan, FaultConfig
-from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D
 from repro.policies import PolicySpec
-from repro.runners import SimTask, spawn_seeds
+from repro.runners import spawn_seeds
 from repro.stats import BernoulliClaim, Certificate, CertificationRunner, Verdict
 
 #: The default protocol lineup, by spec (order = presentation order).
@@ -123,104 +123,8 @@ def _frontier_once(
     backend: str = "object",
 ) -> dict[str, float]:
     """One broadcast-saturation run of `spec` under one fault setting."""
-    topology = Mesh2D(side, side)
-    crash_plan = None
-    if n_dead_links:
-        crash_plan = CrashPlan(
-            dead_links=_draw_dead_links(topology, n_dead_links, seed)
-        )
-    simulator = NocSimulator(
-        topology,
-        spec,
-        FaultConfig(p_upset=p_upset),
-        seed=seed,
-        default_ttl=max_rounds,
-        crash_plan=crash_plan,
-        backend=backend,
-    )
-    simulator.mount(0, _BroadcastSeed(ttl=max_rounds))
-    n = topology.n_tiles
-    result = simulator.run(
-        max_rounds, until=lambda sim: len(sim.informed_tiles()) == n
-    )
-    stats = result.stats
-    return {
-        "coverage": len(simulator.informed_tiles()) / n,
-        "completed": float(result.completed),
-        "rounds": float(result.rounds),
-        "transmissions": float(stats.transmissions_attempted),
-        "pull_requests": float(stats.pull_requests),
-        "energy_j": stats.energy_j,
-        "time_s": result.time_s,
-    }
-
-
-def _plan(
-    protocols: tuple[PolicySpec, ...],
-    upset_rates: tuple[float, ...],
-    link_crash_counts: tuple[int, ...],
-    repetitions: int,
-    seed: int,
-) -> list[tuple[PolicySpec, str, float, dict, int, int]]:
-    """The flat task plan: ``(spec, fault, level, overrides, rep, seed)``.
-
-    Deterministic and pure — tests assert the pairing property on it
-    directly: every protocol at a matched ``(fault, level, rep)`` gets
-    the *same* task seed, hence the same upset stream and crash map.
-    """
-    plan: list[tuple[PolicySpec, str, float, dict, int, int]] = []
-    for level in upset_rates:
-        for spec in protocols:
-            for rep in range(repetitions):
-                plan.append(
-                    (spec, "upset", level, {"p_upset": level}, rep, seed + rep)
-                )
-    for count in link_crash_counts:
-        for spec in protocols:
-            for rep in range(repetitions):
-                plan.append(
-                    (
-                        spec,
-                        "link_crash",
-                        float(count),
-                        {"n_dead_links": count},
-                        rep,
-                        seed + rep,
-                    )
-                )
-    return plan
-
-
-def _aggregate(
-    spec: PolicySpec,
-    fault: str,
-    level: float,
-    outcomes: list[dict[str, float]],
-    deadline_rounds: int,
-) -> FrontierPoint:
-    def mean(field: str) -> float:
-        return float(np.mean([outcome[field] for outcome in outcomes]))
-
-    # Deadline behavior is derived at aggregation time, so the deadline
-    # knob never enters task cache keys — re-running with a different
-    # deadline reuses every cached replicate.
-    deadline_hits = [
-        bool(outcome["completed"]) and outcome["rounds"] <= deadline_rounds
-        for outcome in outcomes
-    ]
-    return FrontierPoint(
-        protocol=spec.name,
-        fault=fault,
-        level=level,
-        coverage=mean("coverage"),
-        completion_rate=mean("completed"),
-        deadline_rate=float(np.mean(deadline_hits)),
-        rounds=mean("rounds"),
-        transmissions=mean("transmissions"),
-        pull_requests=mean("pull_requests"),
-        energy_j=mean("energy_j"),
-        time_s=mean("time_s"),
-        repetitions=len(outcomes),
+    return _saturation_run(
+        side, spec, p_upset, 0.0, n_dead_links, max_rounds, seed, backend
     )
 
 
@@ -260,42 +164,39 @@ def run(
         The :class:`FrontierReport` with one point per (protocol, axis,
         level).
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if deadline_rounds is None:
         deadline_rounds = max_rounds
     if deadline_rounds < 1:
         raise ValueError(f"deadline_rounds must be >= 1, got {deadline_rounds}")
-    opts = resolve_options(options, supports=("backend",))
-    sweep = opts.make_runner()
-
-    plan = _plan(protocols, upset_rates, link_crash_counts, repetitions, seed)
-    tasks = [
-        SimTask.call(
-            _frontier_once,
-            side=side,
-            spec=spec,
-            p_upset=overrides.get("p_upset", 0.0),
-            n_dead_links=overrides.get("n_dead_links", 0),
-            max_rounds=max_rounds,
-            seed=task_seed,
-            label=f"frontier {spec.name} {fault}={level} rep={rep}",
-            **backend_params(opts.backend),
-        )
-        for spec, fault, level, overrides, rep, task_seed in plan
-    ]
-    outcomes = sweep.run(tasks)
-
     points = []
-    for index in range(0, len(plan), repetitions):
-        spec, fault, level, _, _, _ = plan[index]
+    for spec, fault, level, outcomes in sweep_fault_axes(
+        _frontier_once,
+        "frontier",
+        protocols,
+        {"upset": upset_rates, "link_crash": link_crash_counts},
+        side=side,
+        max_rounds=max_rounds,
+        repetitions=repetitions,
+        seed=seed,
+        options=options,
+    ):
+        means = field_means(outcomes)
+        # Deadline behavior is derived at aggregation time, so the
+        # deadline knob never enters task cache keys — re-running with a
+        # different deadline reuses every cached replicate.
+        deadline_hits = [
+            bool(outcome["completed"]) and outcome["rounds"] <= deadline_rounds
+            for outcome in outcomes
+        ]
         points.append(
-            _aggregate(
-                spec,
-                fault,
-                level,
-                outcomes[index:index + repetitions],
-                deadline_rounds,
+            FrontierPoint(
+                protocol=spec.name,
+                fault=fault,
+                level=level,
+                completion_rate=means.pop("completed"),
+                deadline_rate=float(np.mean(deadline_hits)),
+                repetitions=len(outcomes),
+                **means,
             )
         )
     return FrontierReport(
@@ -305,29 +206,25 @@ def run(
 
 def format_table(report: FrontierReport) -> str:
     """Render the paired comparison as an aligned table grouped by axis."""
-    points = report.points
-    lines = [
-        f"protocol frontier (deadline = {report.deadline_rounds} rounds)"
-    ]
     header = (
         f"{'protocol':<30} {'level':>7} {'coverage':>9} {'complete':>9} "
         f"{'deadline':>9} {'rounds':>7} {'transmit':>9} {'pulls':>7} "
         f"{'energy_J':>10}"
     )
-    for fault in dict.fromkeys(point.fault for point in points):
-        lines.append(f"--- fault axis: {fault} ---")
-        lines.append(header)
-        for point in points:
-            if point.fault != fault:
-                continue
-            lines.append(
+    return "\n".join(
+        [f"protocol frontier (deadline = {report.deadline_rounds} rounds)"]
+        + format_axis_table(
+            report.points,
+            header,
+            lambda point: (
                 f"{point.protocol:<30} {point.level:>7g} "
                 f"{point.coverage:>9.2%} {point.completion_rate:>9.2%} "
                 f"{point.deadline_rate:>9.2%} {point.rounds:>7.1f} "
                 f"{point.transmissions:>9.0f} {point.pull_requests:>7.0f} "
                 f"{point.energy_j:>10.3e}"
-            )
-    return "\n".join(lines)
+            ),
+        )
+    )
 
 
 # --------------------------------------------------------- certified frontier
@@ -348,21 +245,15 @@ def _frontier_chaos_once(
     as :func:`repro.experiments.chaos._chaos_once`, so the certified
     claims extract ``coverage`` the same way.
     """
-    topology = Mesh2D(side, side)
-    n = topology.n_tiles
-    simulator = NocSimulator(
-        topology,
+    result, coverage = saturate(
+        Mesh2D(side, side),
         spec,
-        seed=seed,
-        default_ttl=max_rounds,
+        seed,
+        max_rounds,
         scenario=scenario_for(kind, intensity),
         backend=backend,
     )
-    simulator.mount(0, _BroadcastSeed(ttl=max_rounds))
-    result = simulator.run(
-        max_rounds, until=lambda sim: len(sim.informed_tiles()) == n
-    )
-    return result.completed, result.rounds, len(simulator.informed_tiles()) / n
+    return result.completed, result.rounds, coverage
 
 
 @dataclass(frozen=True)
@@ -438,7 +329,7 @@ def certify_frontier(
     """
     for kind in kinds:
         scenario_for(kind, 0.0)  # validate axes before paying for runs
-    opts = resolve_options(options, supports=("backend",))
+    opts = resolve_options(options, supports=SUPPORTS)
     sweep = opts.make_runner()
     certifier = CertificationRunner(
         sweep, batch_size=batch_size, max_replicates=max_replicates

@@ -227,9 +227,19 @@ class TestMp3:
 
 
 class TestFigure:
-    def test_fig3_1(self, capsys):
+    def test_fig3_1(self, capsys, tmp_path):
         assert main(["figure", "fig3_1"]) == 0
         assert "fig3_1" in capsys.readouterr().out
+        # fig3_1 declares no SUPPORTS: both result knobs are refused
+        # with a message naming the figure and the ones that do.
+        out = tmp_path / "metrics.json"
+        assert main(["figure", "fig3_1", "--metrics-out", str(out)]) == 2
+        refusal = capsys.readouterr().err
+        assert "fig3_1" in refusal and "fig4_4, grid_spread" in refusal
+        assert not out.exists()
+        assert main(["figure", "fig3_1", "--backend", "fast"]) == 2
+        refusal = capsys.readouterr().err
+        assert "fig3_1" in refusal and "--backend supports grid_spread" in refusal
 
 
 class TestChaos:

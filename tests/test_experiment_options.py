@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 import repro.experiments
+from repro.diversity.architectures import FlatNoc
 from repro.diversity.compare import compare_architectures
 from repro.experiments import fig3_1, fig4_4, grid_spread, link_crashes
 from repro.experiments.common import ExperimentOptions, resolve_options
@@ -18,6 +19,42 @@ from repro.service import ResultsDB
 
 #: The execution settings that may only travel inside ``options=``.
 SCALAR_KNOBS = {"n_workers", "runner", "cache_dir", "collect_metrics", "backend"}
+
+
+def _public_functions():
+    """Every public function of the harness modules, as (where, fn)."""
+    return [("diversity.compare.compare_architectures", compare_architectures)] + [
+        (f"{module_name}.{fn.__name__}", fn)
+        for module_name in repro.experiments.__all__
+        for fn in vars(getattr(repro.experiments, module_name)).values()
+        if inspect.isfunction(fn)
+        and fn.__module__ == f"repro.experiments.{module_name}"
+        and not fn.__name__.startswith("_")
+    ]
+
+
+def _entry_points():
+    """The public functions that run a sweep, as (where, fn)."""
+    return [
+        (where, fn)
+        for where, fn in _public_functions()
+        if fn.__name__.startswith(("run", "measure_", "certify_", "compare_"))
+    ]
+
+
+#: Positional arguments of the entry points that have required ones.
+REQUIRED_ARGUMENTS = {
+    "grid_spread.measure_spread": (Mesh2D(3, 3),),
+    "diversity.compare.compare_architectures": ([FlatNoc(2)],),
+}
+
+#: Entry points with a repetition count, and that parameter's name.
+REPEATED = [
+    (where, fn, name)
+    for where, fn in _entry_points()
+    for name in ("repetitions", "n_runs")
+    if name in inspect.signature(fn).parameters
+]
 
 
 def _cache_keys(harness, tmp_path, name, **knobs):
@@ -179,25 +216,26 @@ class TestHarnessBehavior:
             )
 
     def test_options_is_the_only_execution_argument(self):
-        functions = [("diversity.compare", compare_architectures)] + [
-            (module_name, fn)
-            for module_name in repro.experiments.__all__
-            for fn in vars(getattr(repro.experiments, module_name)).values()
-            if inspect.isfunction(fn)
-            and fn.__module__ == f"repro.experiments.{module_name}"
-            and not fn.__name__.startswith("_")
-        ]
-        entry_points = 0
-        for module_name, fn in functions:
-            where = f"{module_name}.{fn.__name__}"
-            params = set(inspect.signature(fn).parameters)
-            assert not params & SCALAR_KNOBS, where
-            if fn.__name__.startswith(
-                ("run", "measure_", "certify_", "compare_")
-            ):
-                assert "options" in params, where
-                entry_points += 1
-        assert entry_points >= 24  # the walk found the harnesses
+        for where, fn in _public_functions():
+            assert not set(inspect.signature(fn).parameters) & SCALAR_KNOBS, where
+        for where, fn in _entry_points():
+            assert "options" in inspect.signature(fn).parameters, where
+        assert len(_entry_points()) >= 23  # the walk found the harnesses
+
+    @pytest.mark.parametrize(
+        "where,fn,name", REPEATED, ids=[where for where, _, _ in REPEATED]
+    )
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_repetitions_below_one_are_refused_by_the_kernel(
+        self, where, fn, name, count
+    ):
+        with pytest.raises(
+            ValueError, match=f"repetitions must be >= 1, got {count}"
+        ):
+            fn(*REQUIRED_ARGUMENTS.get(where, ()), **{name: count})
+
+    def test_every_repeating_entry_point_was_found(self):
+        assert len(REPEATED) == 21
 
     def test_shared_runner_spans_subharness_calls(self, cache_dir):
         runner = SweepRunner(cache_dir=cache_dir)

@@ -24,6 +24,7 @@ from repro.policies import (
 )
 from repro.runners import SimTask
 from repro.stats import Verdict
+from tests.test_harness_pins import RecordingRunner
 
 NEW_SPECS = (
     PolicySpec.of("push_pull"),
@@ -36,34 +37,50 @@ NEW_SPECS = (
 
 
 class TestPlanPairing:
-    """The common-random-numbers property, asserted on the plan itself."""
+    """The common-random-numbers property, asserted on the submitted tasks."""
+
+    @staticmethod
+    def _submitted(**kwargs) -> list[SimTask]:
+        runner = RecordingRunner()
+        protocol_frontier.run(
+            side=3, max_rounds=8, options=ExperimentOptions(runner=runner),
+            **kwargs,
+        )
+        (batch,) = runner.batches
+        return batch
 
     def test_matched_cells_share_seeds_across_protocols(self):
-        plan = protocol_frontier._plan(
-            protocol_frontier.DEFAULT_PROTOCOLS,
+        tasks = self._submitted(
             upset_rates=(0.0, 0.4),
             link_crash_counts=(4, 8),
             repetitions=3,
             seed=17,
         )
+        lineup = protocol_frontier.DEFAULT_PROTOCOLS
+        assert len(tasks) == len(lineup) * 4 * 3
         by_cell: dict[tuple, dict[str, int]] = {}
-        for spec, fault, level, _, rep, task_seed in plan:
-            by_cell.setdefault((fault, level, rep), {})[spec.name] = task_seed
-        for (fault, level, rep), seeds in by_cell.items():
-            assert len(seeds) == len(protocol_frontier.DEFAULT_PROTOCOLS)
+        for task in tasks:
+            # Labels read "frontier <protocol> <fault>=<level> rep=<rep>".
+            _, fault, rep = task.label.rsplit(" ", 2)
+            by_cell.setdefault((fault, rep), {})[
+                task.params["spec"].name
+            ] = task.seed
+        assert len(by_cell) == 4 * 3
+        for (fault, rep), seeds in by_cell.items():
+            assert len(seeds) == len(lineup)
             assert len(set(seeds.values())) == 1, (
-                f"protocols diverge at {fault}={level} rep={rep}: {seeds}"
+                f"protocols diverge at {fault} {rep}: {seeds}"
             )
 
     def test_repetitions_get_distinct_seeds(self):
-        plan = protocol_frontier._plan(
-            protocol_frontier.DEFAULT_PROTOCOLS[:1],
+        tasks = self._submitted(
+            protocols=protocol_frontier.DEFAULT_PROTOCOLS[:1],
             upset_rates=(0.2,),
             link_crash_counts=(),
             repetitions=4,
             seed=100,
         )
-        assert [entry[5] for entry in plan] == [100, 101, 102, 103]
+        assert [task.seed for task in tasks] == [100, 101, 102, 103]
 
     def test_dead_link_draw_is_a_pure_function_of_seed(self):
         topology = Mesh2D(4, 4)
