@@ -61,11 +61,7 @@ from collections import Counter
 from typing import Sequence
 
 import repro
-from repro.core.analysis import (
-    delivery_probability,
-    latency_profile,
-    minimum_ttl,
-)
+from repro.core.analysis import latency_profile, minimum_ttl
 from repro.core.protocol import StochasticProtocol
 from repro.faults import FaultConfig
 from repro.noc.engine import NocSimulator
@@ -106,13 +102,11 @@ def _fault_config(args: argparse.Namespace) -> FaultConfig:
 
 
 #: Default of every shared execution flag, keyed by Namespace attribute —
-#: both the single source for `_sweep_options` and what `_notice_ignored`
-#: compares against.
+#: what `_notice_ignored` compares against, in the order it names them.
 _EXECUTION_DEFAULTS = {
     "workers": 1,
     "cache_dir": None,
     "db": None,
-    "backend": "object",
     "max_attempts": 1,
     "retry_backoff": 0.5,
     "task_timeout": None,
@@ -142,14 +136,17 @@ def _sweep_options(args: argparse.Namespace, **extra):
 
 
 def _notice_ignored(
-    args: argparse.Namespace, command: str, *flags: str
+    args: argparse.Namespace,
+    why: str,
+    flags: Sequence[str] = tuple(_EXECUTION_DEFAULTS),
 ) -> None:
-    """Tell the user when a non-sweep command ignores an execution flag.
+    """Tell the user when a command ignores execution `flags`, and `why`.
 
     The shared parent parser gives every command a uniform interface;
-    commands that run a single in-process simulation accept the flags
-    but cannot honor them — surface that instead of silently dropping
-    an explicitly requested cache or database.
+    commands that run a single in-process simulation (or provision
+    their own runners) accept the flags but cannot honor them — surface
+    that instead of silently dropping an explicitly requested cache or
+    database.
     """
     explicit = [
         "--" + flag.replace("_", "-")
@@ -157,11 +154,14 @@ def _notice_ignored(
         if getattr(args, flag) != _EXECUTION_DEFAULTS[flag]
     ]
     if explicit:
-        print(
-            f"note: {command} runs in-process (no sweep); "
-            f"{', '.join(explicit)} ignored",
-            file=sys.stderr,
-        )
+        print(f"note: {why}; {', '.join(explicit)} ignored", file=sys.stderr)
+
+
+def _note_certificates(args: argparse.Namespace) -> None:
+    """Point at the recorded certificates when ``--db`` was given."""
+    if args.db is not None:
+        print(f"certificates recorded in {args.db} "
+              "(repro db export --table certificates)")
 
 
 # ------------------------------------------------------------------ commands
@@ -241,22 +241,9 @@ def cmd_spread(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    _notice_ignored(
-        args, "probe", "workers", "cache_dir", "db",
-        "max_attempts", "retry_backoff", "task_timeout",
-    )
+    _notice_ignored(args, "probe runs in-process (no sweep)")
     topology = _build_topology(args.topology, args.side)
     fault_config = _fault_config(args)
-    probability = delivery_probability(
-        topology,
-        args.p,
-        args.src,
-        args.dst,
-        ttl=args.ttl,
-        fault_config=fault_config,
-        trials=args.trials,
-        seed=args.seed,
-    )
     profile = latency_profile(
         topology,
         args.p,
@@ -271,7 +258,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         f"unicast {args.src} -> {args.dst} on {args.topology}({args.side}), "
         f"p = {args.p}, ttl = {args.ttl}"
     )
-    print(f"delivery probability: {probability:.3f}")
+    print(f"delivery probability: {profile.delivery_rate:.3f}")
     if profile.delivery_rate > 0:
         print(
             f"latency rounds: mean {profile.rounds_mean:.1f}, "
@@ -296,10 +283,7 @@ def cmd_mp3(args: argparse.Namespace) -> int:
     from repro.apps.base import run_on_noc
     from repro.mp3 import Mp3Decoder, ParallelMp3App, reconstruction_snr_db
 
-    _notice_ignored(
-        args, "mp3", "workers", "cache_dir", "db",
-        "max_attempts", "retry_backoff", "task_timeout",
-    )
+    _notice_ignored(args, "mp3 runs in-process (no sweep)")
     app = ParallelMp3App(
         n_frames=args.frames,
         granule=args.granule,
@@ -522,27 +506,19 @@ def cmd_certify(args: argparse.Namespace) -> int:
         f"p = {args.p}, budget {args.max_replicates} replicates/cell"
     )
     print(certify.format_envelope(envelope))
-    if args.db is not None:
-        print(f"certificates recorded in {args.db} "
-              "(repro db export --table certificates)")
+    _note_certificates(args)
     return 0
 
 
 def cmd_chaos_service(args: argparse.Namespace) -> int:
     from repro.service import chaos
 
-    ignored = [
-        "--" + flag.replace("_", "-")
-        for flag in ("cache_dir", "retry_backoff", "task_timeout")
-        if getattr(args, flag) != _EXECUTION_DEFAULTS[flag]
-    ]
-    if ignored:
-        print(
-            "note: chaos-service provisions its own disturbed runners "
-            f"(timeouts derive from --hang-s); {', '.join(ignored)} "
-            "ignored",
-            file=sys.stderr,
-        )
+    _notice_ignored(
+        args,
+        "chaos-service provisions its own disturbed runners "
+        "(timeouts derive from --hang-s)",
+        ("cache_dir", "retry_backoff", "task_timeout"),
+    )
     envelope = chaos.certify_service_envelope(
         injectors=tuple(args.injectors),
         levels=tuple(args.levels),
@@ -569,9 +545,7 @@ def cmd_chaos_service(args: argparse.Namespace) -> int:
         "replicates/cell"
     )
     print(chaos.format_service_envelope(envelope))
-    if args.db is not None:
-        print(f"certificates recorded in {args.db} "
-              "(repro db export --table certificates)")
+    _note_certificates(args)
     return 0
 
 
@@ -632,9 +606,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         )
         print()
         print(protocol_frontier.format_envelope(envelope))
-        if args.db is not None:
-            print(f"certificates recorded in {args.db} "
-                  "(repro db export --table certificates)")
+        _note_certificates(args)
     return 0
 
 
@@ -642,10 +614,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.experiments.grid_spread import _BroadcastSeed
     from repro.metrics import PhaseProfiler
 
-    _notice_ignored(
-        args, "profile", "workers", "cache_dir", "db",
-        "max_attempts", "retry_backoff", "task_timeout",
-    )
+    _notice_ignored(args, "profile runs in-process (no sweep)")
     topology = _build_topology(args.topology, args.side)
     profiler = PhaseProfiler()
     engine_paths: Counter[str] = Counter()
@@ -878,6 +847,124 @@ def _metrics_out_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _topology_flags(parser: argparse.ArgumentParser, side: int) -> None:
+    """``--topology/--side/--p`` of the single-broadcast commands."""
+    parser.add_argument(
+        "--topology", choices=("mesh", "torus", "complete"), default="mesh"
+    )
+    parser.add_argument("--side", type=_positive_int, default=side)
+    parser.add_argument("--p", type=float, default=0.5)
+
+
+def _fault_flags(parser: argparse.ArgumentParser) -> None:
+    """The static fault levels read back by :func:`_fault_config`."""
+    parser.add_argument("--upset", type=float, default=0.0)
+    parser.add_argument("--overflow", type=float, default=0.0)
+    parser.add_argument("--sigma", type=float, default=0.0)
+
+
+def _chaos_grid_flags(
+    parser: argparse.ArgumentParser,
+    verb: str,
+    coverage_help: str,
+    repetitions: int | None = None,
+) -> None:
+    """The scenario grid ``chaos`` sweeps and ``certify`` certifies.
+
+    `repetitions` is the fixed per-cell repetition count of the sweeping
+    command; the certifying one spends replicates adaptively instead.
+    """
+    parser.add_argument(
+        "--kinds",
+        nargs="+",
+        choices=("burst_upsets", "ramp_overflow", "link_flap"),
+        default=["burst_upsets", "ramp_overflow", "link_flap"],
+        help=f"scenario axes to {verb} (default: all three)",
+    )
+    parser.add_argument(
+        "--levels",
+        nargs="+",
+        type=float,
+        default=[0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0],
+        help="intensity grid per axis (default: 0 .. 1.0)",
+    )
+    parser.add_argument("--side", type=_positive_int, default=4)
+    parser.add_argument("--p", type=float, default=0.75)
+    if repetitions is not None:
+        parser.add_argument(
+            "--repetitions", type=_positive_int, default=repetitions
+        )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-rounds", type=_positive_int, default=96)
+    parser.add_argument(
+        "--coverage-target", type=float, default=0.99, help=coverage_help
+    )
+
+
+def _claim_flags(
+    parser: argparse.ArgumentParser,
+    target_help: str,
+    *,
+    batch_size: int,
+    batch_help: str,
+    max_replicates: int,
+) -> None:
+    """The SPRT claim quartet plus the replicate budget pair.
+
+    :func:`main` runs the parser's ``check`` default on the parsed
+    arguments, so an impossible claim is a usage error of this command,
+    not a traceback out of the first certified cell.
+    """
+    parser.add_argument(
+        "--target", type=float, default=0.9,
+        help=f"{target_help} (default: 0.9)",
+    )
+    parser.add_argument(
+        "--indifference",
+        type=float,
+        default=0.2,
+        help="SPRT indifference band below --target (default: 0.2)",
+    )
+    parser.add_argument(
+        "--alpha", type=float, default=0.05,
+        help="false-accept bound (default: 0.05)",
+    )
+    parser.add_argument(
+        "--beta", type=float, default=0.05,
+        help="false-reject bound (default: 0.05)",
+    )
+    parser.add_argument(
+        "--batch-size",
+        type=_positive_int,
+        default=batch_size,
+        help=f"{batch_help} (default: {batch_size})",
+    )
+    parser.add_argument(
+        "--max-replicates",
+        type=_positive_int,
+        default=max_replicates,
+        help="per-cell replicate budget; an undecided test certifies "
+        f"'undecided' (default: {max_replicates})",
+    )
+
+    def check(args: argparse.Namespace) -> None:
+        # BernoulliClaim owns the rule; importing it here, not at
+        # parser-build time, keeps `repro --help` cheap.
+        from repro.stats import BernoulliClaim
+
+        try:
+            BernoulliClaim(
+                target=args.target,
+                indifference=args.indifference,
+                alpha=args.alpha,
+                beta=args.beta,
+            )
+        except ValueError as error:
+            parser.error(str(error))
+
+    parser.set_defaults(check=check)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -897,12 +984,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="broadcast saturation on a topology",
         parents=[execution, backend, metrics_out],
     )
-    spread.add_argument(
-        "--topology", choices=("mesh", "torus", "complete"), default="mesh"
-    )
-    spread.add_argument("--side", type=int, default=4)
-    spread.add_argument("--p", type=float, default=0.5)
-    spread.add_argument("--repetitions", type=int, default=5)
+    _topology_flags(spread, side=4)
+    spread.add_argument("--repetitions", type=_positive_int, default=5)
     spread.add_argument("--seed", type=int, default=0)
     spread.set_defaults(handler=cmd_spread)
 
@@ -911,15 +994,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="unicast delivery probability / latency / min TTL",
         parents=[execution],
     )
-    probe.add_argument(
-        "--topology", choices=("mesh", "torus", "complete"), default="mesh"
-    )
-    probe.add_argument("--side", type=int, default=4)
-    probe.add_argument("--p", type=float, default=0.5)
+    _topology_flags(probe, side=4)
     probe.add_argument("--src", type=int, default=0)
     probe.add_argument("--dst", type=int, default=15)
-    probe.add_argument("--ttl", type=int, default=12)
-    probe.add_argument("--trials", type=int, default=100)
+    probe.add_argument("--ttl", type=_positive_int, default=12)
+    probe.add_argument("--trials", type=_positive_int, default=100)
     probe.add_argument("--seed", type=int, default=0)
     probe.add_argument(
         "--target",
@@ -927,9 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also search the minimum TTL for this delivery probability",
     )
-    probe.add_argument("--upset", type=float, default=0.0)
-    probe.add_argument("--overflow", type=float, default=0.0)
-    probe.add_argument("--sigma", type=float, default=0.0)
+    _fault_flags(probe)
     probe.set_defaults(handler=cmd_probe)
 
     mp3 = subparsers.add_parser(
@@ -943,9 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp3.add_argument("--p", type=float, default=0.5)
     mp3.add_argument("--max-rounds", type=int, default=2000)
     mp3.add_argument("--seed", type=int, default=0)
-    mp3.add_argument("--upset", type=float, default=0.0)
-    mp3.add_argument("--overflow", type=float, default=0.0)
-    mp3.add_argument("--sigma", type=float, default=0.0)
+    _fault_flags(mp3)
     mp3.set_defaults(handler=cmd_mp3)
 
     figure = subparsers.add_parser(
@@ -961,17 +1036,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the engine's per-round phases on a broadcast workload",
         parents=[execution, backend],
     )
-    profile.add_argument(
-        "--topology", choices=("mesh", "torus", "complete"), default="mesh"
-    )
-    profile.add_argument("--side", type=_positive_int, default=8)
-    profile.add_argument("--p", type=float, default=0.5)
+    _topology_flags(profile, side=8)
     profile.add_argument("--rounds", type=_positive_int, default=64)
     profile.add_argument("--repetitions", type=_positive_int, default=3)
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--upset", type=float, default=0.0)
-    profile.add_argument("--overflow", type=float, default=0.0)
-    profile.add_argument("--sigma", type=float, default=0.0)
+    _fault_flags(profile)
     profile.set_defaults(handler=cmd_profile)
 
     chaos = subparsers.add_parser(
@@ -979,31 +1048,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="dynamic-fault degradation report (repro.faults.scenarios)",
         parents=[execution, backend, metrics_out],
     )
-    chaos.add_argument(
-        "--kinds",
-        nargs="+",
-        choices=("burst_upsets", "ramp_overflow", "link_flap"),
-        default=["burst_upsets", "ramp_overflow", "link_flap"],
-        help="scenario axes to sweep (default: all three)",
-    )
-    chaos.add_argument(
-        "--levels",
-        nargs="+",
-        type=float,
-        default=[0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0],
-        help="intensity grid per axis (default: 0 .. 1.0)",
-    )
-    chaos.add_argument("--side", type=_positive_int, default=4)
-    chaos.add_argument("--p", type=float, default=0.75)
-    chaos.add_argument("--repetitions", type=_positive_int, default=3)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--max-rounds", type=_positive_int, default=96)
-    chaos.add_argument(
-        "--coverage-target",
-        type=float,
-        default=0.99,
-        help="mean final coverage a cell must sustain to count as "
-        "tolerated (default: 0.99)",
+    _chaos_grid_flags(
+        chaos,
+        "sweep",
+        "mean final coverage a cell must sustain to count as tolerated "
+        "(default: 0.99)",
+        repetitions=3,
     )
     chaos.set_defaults(handler=cmd_chaos)
 
@@ -1013,63 +1063,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(repro.stats)",
         parents=[execution, backend],
     )
-    certify.add_argument(
-        "--kinds",
-        nargs="+",
-        choices=("burst_upsets", "ramp_overflow", "link_flap"),
-        default=["burst_upsets", "ramp_overflow", "link_flap"],
-        help="scenario axes to certify (default: all three)",
+    _chaos_grid_flags(
+        certify,
+        "certify",
+        "per-run coverage bar of the certified claim (default: 0.99)",
     )
-    certify.add_argument(
-        "--levels",
-        nargs="+",
-        type=float,
-        default=[0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0],
-        help="intensity grid per axis (default: 0 .. 1.0)",
-    )
-    certify.add_argument("--side", type=_positive_int, default=4)
-    certify.add_argument("--p", type=float, default=0.75)
-    certify.add_argument("--seed", type=int, default=0)
-    certify.add_argument("--max-rounds", type=_positive_int, default=96)
-    certify.add_argument(
-        "--coverage-target",
-        type=float,
-        default=0.99,
-        help="per-run coverage bar of the certified claim (default: 0.99)",
-    )
-    certify.add_argument(
-        "--target",
-        type=float,
-        default=0.9,
-        help="claimed per-run success probability (default: 0.9)",
-    )
-    certify.add_argument(
-        "--indifference",
-        type=float,
-        default=0.2,
-        help="SPRT indifference band below --target (default: 0.2)",
-    )
-    certify.add_argument(
-        "--alpha", type=float, default=0.05,
-        help="false-accept bound (default: 0.05)",
-    )
-    certify.add_argument(
-        "--beta", type=float, default=0.05,
-        help="false-reject bound (default: 0.05)",
-    )
-    certify.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=8,
-        help="replicates per sweep batch — throughput plumbing only, "
-        "never changes the verdict (default: 8)",
-    )
-    certify.add_argument(
-        "--max-replicates",
-        type=_positive_int,
-        default=64,
-        help="per-cell replicate budget; an undecided test certifies "
-        "'undecided' (default: 64)",
+    _claim_flags(
+        certify,
+        "claimed per-run success probability",
+        batch_size=8,
+        batch_help="replicates per sweep batch — throughput plumbing only, "
+        "never changes the verdict",
+        max_replicates=64,
     )
     certify.set_defaults(handler=cmd_certify)
 
@@ -1114,39 +1119,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="hang duration of the task_hang injector; the disturbed "
         "runner's task timeout derives from it (default: 2.0)",
     )
-    chaos_service.add_argument(
-        "--target",
-        type=float,
-        default=0.9,
-        help="claimed P(campaign bit-identical, zero lost tasks) "
-        "(default: 0.9)",
-    )
-    chaos_service.add_argument(
-        "--indifference",
-        type=float,
-        default=0.2,
-        help="SPRT indifference band below --target (default: 0.2)",
-    )
-    chaos_service.add_argument(
-        "--alpha", type=float, default=0.05,
-        help="false-accept bound (default: 0.05)",
-    )
-    chaos_service.add_argument(
-        "--beta", type=float, default=0.05,
-        help="false-reject bound (default: 0.05)",
-    )
-    chaos_service.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=4,
-        help="replicate campaigns per certification batch (default: 4)",
-    )
-    chaos_service.add_argument(
-        "--max-replicates",
-        type=_positive_int,
-        default=16,
-        help="per-cell replicate budget; an undecided test certifies "
-        "'undecided' (default: 16)",
+    _claim_flags(
+        chaos_service,
+        "claimed P(campaign bit-identical, zero lost tasks)",
+        batch_size=4,
+        batch_help="replicate campaigns per certification batch",
+        max_replicates=16,
     )
     chaos_service.set_defaults(
         handler=cmd_chaos_service, workers=4, max_attempts=5
@@ -1319,6 +1297,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "check"):
+        args.check(args)
     return args.handler(args)
 
 

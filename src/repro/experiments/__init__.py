@@ -40,6 +40,12 @@ resolution, the ``repetitions >= 1`` check, task order, ``seed + stride
 * rep`` seeding, the ``collect_metrics`` / ``backend`` task parameters
 of harnesses that declare them in a module-level ``SUPPORTS``, and the
 regrouping of the flat batch.  ``docs/runners.md`` has a worked example.
+
+A *certified* envelope (:mod:`~repro.experiments.certify`,
+``protocol_frontier.certify_frontier``) is the same shape on
+:func:`repro.stats.certify_cells`: ``(axis..., intensity)`` cells, a
+claim, and the kernel owns grid order, cell seeding and the
+largest-accepted threshold rule (``docs/stats.md``).
 """
 
 from repro.experiments import (

@@ -16,11 +16,10 @@ The per-kind threshold is then the largest intensity whose claim was
 "~70 % upset tolerance" (Ch. 4).  ``repro certify`` is the CLI face;
 ``docs/stats.md`` walks through the statistics.
 
-Determinism: cell *i* draws its replicate seed root from
-``spawn_seeds(seed, n_cells)[i]``, and every cell certification is
-bit-identical across worker counts and batch sizes (see
-:mod:`repro.stats.certify`), so the whole envelope is a pure function
-of ``(seed, grid, claim parameters)``.
+Grid order, cell seeding and the threshold rule belong to
+:func:`repro.stats.certify_cells`: the whole envelope is a pure function
+of ``(seed, grid, claim parameters)``, bit-identical across worker
+counts and batch sizes.
 """
 
 from __future__ import annotations
@@ -29,8 +28,13 @@ from dataclasses import dataclass
 
 from repro.experiments.chaos import CHAOS_AXES, scenario_for
 from repro.experiments.common import ExperimentOptions, resolve_options
-from repro.runners import spawn_seeds
-from repro.stats import BernoulliClaim, Certificate, CertificationRunner, Verdict
+from repro.stats import (
+    BernoulliClaim,
+    Certificate,
+    Verdict,
+    certify_cells,
+    format_certified,
+)
 
 #: The default intensity grid — matches the chaos campaign's sweep.
 DEFAULT_LEVELS = (0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 1.0)
@@ -125,10 +129,6 @@ def certify_chaos_envelope(
     for kind in kinds:
         scenario_for(kind, 0.0)  # validate axes before paying for runs
     opts = resolve_options(options, supports=("backend",))
-    sweep = opts.make_runner()
-    certifier = CertificationRunner(
-        sweep, batch_size=batch_size, max_replicates=max_replicates
-    )
     claim = BernoulliClaim(
         metric=f"coverage>={coverage_target}",
         target=target,
@@ -136,70 +136,51 @@ def certify_chaos_envelope(
         alpha=alpha,
         beta=beta,
     )
-    grid = [(kind, level) for kind in kinds for level in levels]
-    cell_seeds = spawn_seeds(seed, len(grid))
-    cells: list[CertifiedCell] = []
-    for (kind, level), cell_seed in zip(grid, cell_seeds):
-        label = f"certify {kind} intensity={level}"
-        certificate = certifier.certify(
-            claim,
-            "repro.experiments.chaos:_chaos_once",
-            {
-                "kind": kind,
-                "intensity": level,
-                "forward_probability": forward_probability,
-                "side": side,
-                "max_rounds": max_rounds,
-                "backend": opts.backend,
-            },
-            label=label,
-            base_seed=cell_seed,
-        )
-        cells.append(
-            CertifiedCell(kind=kind, intensity=level, certificate=certificate)
-        )
-    thresholds: dict[str, float | None] = {}
-    for kind in kinds:
-        accepted = [
-            cell.intensity
-            for cell in cells
-            if cell.kind == kind and cell.verdict is Verdict.ACCEPT
-        ]
-        thresholds[kind] = max(accepted) if accepted else None
+    certified, thresholds = certify_cells(
+        opts.make_runner(),
+        claim,
+        "repro.experiments.chaos:_chaos_once",
+        [(kind, level) for kind in kinds for level in levels],
+        params=lambda cell: {
+            "kind": cell[0],
+            "intensity": cell[1],
+            "forward_probability": forward_probability,
+            "side": side,
+            "max_rounds": max_rounds,
+            "backend": opts.backend,
+        },
+        label=lambda cell: f"certify {cell[0]} intensity={cell[1]}",
+        seed=seed,
+        batch_size=batch_size,
+        max_replicates=max_replicates,
+    )
     return CertifiedEnvelope(
-        cells=tuple(cells),
+        cells=tuple(
+            CertifiedCell(*cell, certificate) for cell, certificate in certified
+        ),
         coverage_target=coverage_target,
         claim=claim,
-        thresholds=thresholds,
+        thresholds={kind: best for (kind,), best in thresholds.items()},
     )
 
 
 def format_envelope(envelope: CertifiedEnvelope) -> str:
     """Render a certified envelope as the plain-text report."""
-    claim = envelope.claim
-    lines = [
+    return format_certified(
         "certified tolerance envelope",
-        f"  claim per cell: P(coverage >= {envelope.coverage_target}) "
-        f">= {claim.target} (vs <= {claim.p0:g}, "
-        f"alpha={claim.alpha}, beta={claim.beta})",
-        "",
-        f"  {'scenario':<14} {'intensity':>9} {'verdict':>9} "
-        f"{'replicates':>10} {'confidence':>10}",
-    ]
-    for cell in envelope.cells:
-        certificate = cell.certificate
-        lines.append(
-            f"  {cell.kind:<14} {cell.intensity:>9.2f} "
-            f"{certificate.verdict.value:>9} "
-            f"{certificate.n_observed:>4}/{certificate.budget:<5} "
-            f"{certificate.confidence:>10.2f}"
-        )
-    lines.append("")
-    lines.append(
-        "  certified thresholds (largest accepted intensity; "
-        "static envelope: ~0.7 upset / ~0.8 overflow):"
+        f"coverage >= {envelope.coverage_target}",
+        envelope.claim,
+        (("scenario", 14),),
+        [
+            (
+                (cell.kind, cell.intensity),
+                cell.certificate,
+                f" {cell.certificate.confidence:>10.2f}",
+            )
+            for cell in envelope.cells
+        ],
+        "certified thresholds (largest accepted intensity; "
+        "static envelope: ~0.7 upset / ~0.8 overflow)",
+        envelope.thresholds.items(),
+        extra_header=f" {'confidence':>10}",
     )
-    for kind, threshold in envelope.thresholds.items():
-        shown = "none accepted" if threshold is None else f"{threshold:.2f}"
-        lines.append(f"    {kind:<14} {shown}")
-    return "\n".join(lines) + "\n"

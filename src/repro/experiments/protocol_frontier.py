@@ -51,8 +51,13 @@ from repro.experiments.policy_compare import (
 )
 from repro.noc.topology import Mesh2D
 from repro.policies import PolicySpec
-from repro.runners import spawn_seeds
-from repro.stats import BernoulliClaim, Certificate, CertificationRunner, Verdict
+from repro.stats import (
+    BernoulliClaim,
+    Certificate,
+    Verdict,
+    certify_cells,
+    format_certified,
+)
 
 #: The default protocol lineup, by spec (order = presentation order).
 DEFAULT_PROTOCOLS: tuple[PolicySpec, ...] = (
@@ -317,10 +322,10 @@ def certify_frontier(
 
     For each (protocol, kind, intensity) cell, certifies the Bernoulli
     claim "P(final coverage >= `coverage_target`) >= `target`" by SPRT
-    over adaptive replicate batches — the per-protocol analogue of
-    :func:`repro.experiments.certify.certify_chaos_envelope`, sharing
-    its claim construction and seeding discipline, so envelopes are
-    bit-identical across worker counts and batch sizes.
+    over adaptive replicate batches: one
+    :func:`repro.stats.certify_cells` grid, like
+    :func:`repro.experiments.certify.certify_chaos_envelope`, so
+    envelopes are bit-identical across worker counts and batch sizes.
 
     Returns:
         The :class:`FrontierEnvelope` with per-protocol certified
@@ -330,10 +335,6 @@ def certify_frontier(
     for kind in kinds:
         scenario_for(kind, 0.0)  # validate axes before paying for runs
     opts = resolve_options(options, supports=SUPPORTS)
-    sweep = opts.make_runner()
-    certifier = CertificationRunner(
-        sweep, batch_size=batch_size, max_replicates=max_replicates
-    )
     claim = BernoulliClaim(
         metric=f"coverage>={coverage_target}",
         target=target,
@@ -341,81 +342,65 @@ def certify_frontier(
         alpha=alpha,
         beta=beta,
     )
-    grid = [
-        (spec, kind, level)
-        for spec in protocols
-        for kind in kinds
-        for level in levels
-    ]
-    cell_seeds = spawn_seeds(seed, len(grid))
-    cells: list[FrontierCell] = []
-    for (spec, kind, level), cell_seed in zip(grid, cell_seeds):
-        certificate = certifier.certify(
-            claim,
-            "repro.experiments.protocol_frontier:_frontier_chaos_once",
-            {
-                "kind": kind,
-                "intensity": level,
-                "spec": spec,
-                "side": side,
-                "max_rounds": max_rounds,
-                "backend": opts.backend,
-            },
-            label=f"frontier {spec.name} {kind} intensity={level}",
-            base_seed=cell_seed,
-        )
-        cells.append(
+    certified, thresholds = certify_cells(
+        opts.make_runner(),
+        claim,
+        "repro.experiments.protocol_frontier:_frontier_chaos_once",
+        [
+            (spec, kind, level)
+            for spec in protocols
+            for kind in kinds
+            for level in levels
+        ],
+        params=lambda cell: {
+            "kind": cell[1],
+            "intensity": cell[2],
+            "spec": cell[0],
+            "side": side,
+            "max_rounds": max_rounds,
+            "backend": opts.backend,
+        },
+        label=lambda cell: (
+            f"frontier {cell[0].name} {cell[1]} intensity={cell[2]}"
+        ),
+        seed=seed,
+        batch_size=batch_size,
+        max_replicates=max_replicates,
+    )
+    nested: dict[str, dict[str, float | None]] = {}
+    for (spec, kind), best in thresholds.items():
+        nested.setdefault(spec.name, {})[kind] = best
+    return FrontierEnvelope(
+        cells=tuple(
             FrontierCell(
                 protocol=spec.name,
                 kind=kind,
                 intensity=level,
                 certificate=certificate,
             )
-        )
-    thresholds: dict[str, dict[str, float | None]] = {}
-    for spec in protocols:
-        per_kind: dict[str, float | None] = {}
-        for kind in kinds:
-            accepted = [
-                cell.intensity
-                for cell in cells
-                if cell.protocol == spec.name
-                and cell.kind == kind
-                and cell.verdict is Verdict.ACCEPT
-            ]
-            per_kind[kind] = max(accepted) if accepted else None
-        thresholds[spec.name] = per_kind
-    return FrontierEnvelope(
-        cells=tuple(cells),
+            for (spec, kind, level), certificate in certified
+        ),
         coverage_target=coverage_target,
         claim=claim,
-        thresholds=thresholds,
+        thresholds=nested,
     )
 
 
 def format_envelope(envelope: FrontierEnvelope) -> str:
     """Render the per-protocol certified envelopes as a text report."""
-    claim = envelope.claim
-    lines = [
+    return format_certified(
         "certified protocol-frontier envelope",
-        f"  claim per cell: P(coverage >= {envelope.coverage_target}) "
-        f">= {claim.target} (vs <= {claim.p0:g}, "
-        f"alpha={claim.alpha}, beta={claim.beta})",
-        "",
-        f"  {'protocol':<30} {'scenario':<14} {'intensity':>9} "
-        f"{'verdict':>9} {'replicates':>10}",
-    ]
-    for cell in envelope.cells:
-        certificate = cell.certificate
-        lines.append(
-            f"  {cell.protocol:<30} {cell.kind:<14} {cell.intensity:>9.2f} "
-            f"{certificate.verdict.value:>9} "
-            f"{certificate.n_observed:>4}/{certificate.budget:<5}"
-        )
-    lines.append("")
-    lines.append("  certified thresholds (largest accepted intensity):")
-    for protocol, per_kind in envelope.thresholds.items():
-        for kind, threshold in per_kind.items():
-            shown = "none accepted" if threshold is None else f"{threshold:.2f}"
-            lines.append(f"    {protocol:<30} {kind:<14} {shown}")
-    return "\n".join(lines) + "\n"
+        f"coverage >= {envelope.coverage_target}",
+        envelope.claim,
+        (("protocol", 30), ("scenario", 14)),
+        [
+            ((cell.protocol, cell.kind, cell.intensity), cell.certificate, "")
+            for cell in envelope.cells
+        ],
+        "certified thresholds (largest accepted intensity)",
+        [
+            (protocol, kind, best)
+            for protocol, per_kind in envelope.thresholds.items()
+            for kind, best in per_kind.items()
+        ],
+    )

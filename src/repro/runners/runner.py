@@ -257,11 +257,6 @@ class SweepRunner:
             is resubmitted (the stuck worker is abandoned to finish or
             die on its own).  ``None`` disables timeouts.  The serial
             path cannot preempt a running task and ignores this knob.
-        retry_seed: seed of the dedicated RNG behind the backoff jitter.
-            Defaults to ``base_seed``, so a seeded sweep's retry timing
-            is reproducible; it never touches the module-global
-            :mod:`random` state (and simulation results never depend on
-            it either way).
         max_pool_rebuilds: worker-pool breaks (``BrokenProcessPool``)
             tolerated per batch before the supervisor declares the pool
             unhealthy and degrades to serial in-process execution
@@ -294,7 +289,6 @@ class SweepRunner:
         retry_backoff_s: float = 0.5,
         retry_jitter: float = 0.25,
         task_timeout_s: float | None = None,
-        retry_seed: int | None = None,
         max_pool_rebuilds: int = 5,
         rebuild_backoff_s: float = 0.5,
         db: "ResultsDB | str | None" = None,
@@ -331,12 +325,11 @@ class SweepRunner:
         self.task_timeout_s = task_timeout_s
         self.max_pool_rebuilds = max_pool_rebuilds
         self.rebuild_backoff_s = rebuild_backoff_s
-        # Jitter draws come from a dedicated, seedable stream: retry
-        # timing is reproducible for seeded sweeps and never perturbs
-        # (or is perturbed by) the module-global `random` state.
-        self._retry_rng = random.Random(
-            retry_seed if retry_seed is not None else base_seed
-        )
+        # Jitter draws come from a dedicated stream seeded by
+        # `base_seed`: retry timing is reproducible for seeded sweeps
+        # and never perturbs (or is perturbed by) the module-global
+        # `random` state.
+        self._retry_rng = random.Random(base_seed)
         if db is not None and not hasattr(db, "record_task"):
             from repro.service.db import as_results_db
 
@@ -525,7 +518,7 @@ class SweepRunner:
     def _backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with uniform jitter for retry `attempt`.
 
-        Jitter draws come from the runner's dedicated ``retry_seed``
+        Jitter draws come from the runner's dedicated ``base_seed``-seeded
         stream — never the module-global :mod:`random` — so retry timing
         is reproducible for seeded sweeps (the historical global draw
         made retrying runs under ``task_timeout_s`` time-dependent).

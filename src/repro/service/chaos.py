@@ -499,11 +499,11 @@ def certify_service_envelope(
     For every ``(injector, intensity)`` cell, certifies the Bernoulli
     claim "P(a disturbed campaign completes bit-identically with zero
     lost tasks) >= `target`" via Wald's SPRT over adaptive batches of
-    full chaos campaigns — the execution-layer analogue of
-    :func:`repro.experiments.certify.certify_chaos_envelope`.  Campaign
-    replicates run serially in the coordinating process (each one owns
-    its own attacked worker pool — nesting pools would perturb the very
-    layer under test).
+    full chaos campaigns — one :func:`repro.stats.certify_cells` grid,
+    plus one direct probe campaign per cell at the cell's seed root.
+    Campaign replicates run serially in the coordinating process (each
+    one owns its own attacked worker pool — nesting pools would perturb
+    the very layer under test).
 
     Args:
         injectors: injection axes to certify (see :data:`INJECTORS`).
@@ -532,16 +532,10 @@ def certify_service_envelope(
     """
     # Deferred: repro.stats imports this package's db module; importing
     # it at module scope would cycle through repro.service.__init__.
-    from repro.stats import BernoulliClaim, CertificationRunner, Verdict
+    from repro.stats import BernoulliClaim, certify_cells
 
     for injector in injectors:
         spec_for(injector, 0.0)  # validate axes before paying for runs
-    # The outer runner is strictly serial: each replicate builds (and
-    # attacks) its own inner pool.
-    outer = SweepRunner(n_workers=1, db=db)
-    certifier = CertificationRunner(
-        outer, batch_size=batch_size, max_replicates=max_replicates
-    )
     claim = BernoulliClaim(
         metric="service_intact",
         target=target,
@@ -549,13 +543,11 @@ def certify_service_envelope(
         alpha=alpha,
         beta=beta,
     )
-    grid = [(injector, level) for injector in injectors for level in levels]
-    cell_seeds = spawn_seeds(seed, len(grid))
-    cells: list[ServiceCell] = []
-    for (injector, level), cell_seed in zip(grid, cell_seeds):
-        params = {
-            "injector": injector,
-            "intensity": level,
+
+    def params(cell: tuple) -> dict[str, Any]:
+        return {
+            "injector": cell[0],
+            "intensity": cell[1],
             "n_tasks": n_tasks,
             "side": side,
             "max_rounds": max_rounds,
@@ -565,66 +557,55 @@ def certify_service_envelope(
             "max_attempts": max_attempts,
             "backend": backend,
         }
-        label = f"chaos-service {injector} intensity={level}"
-        certificate = certifier.certify(
-            claim,
-            "repro.service.chaos:_campaign_replicate",
-            params,
-            label=label,
-            base_seed=cell_seed,
-        )
-        probe = _campaign_replicate(seed=int(cell_seed), **params)
-        cells.append(
-            ServiceCell(
-                injector=injector,
-                intensity=level,
-                certificate=certificate,
-                probe=probe,
-            )
-        )
-    thresholds: dict[str, float | None] = {}
-    for injector in injectors:
-        accepted = [
-            cell.intensity
-            for cell in cells
-            if cell.injector == injector
-            and cell.certificate.verdict is Verdict.ACCEPT
-        ]
-        thresholds[injector] = max(accepted) if accepted else None
+
+    # The outer runner is strictly serial: each replicate builds (and
+    # attacks) its own inner pool.
+    certified, thresholds = certify_cells(
+        SweepRunner(n_workers=1, db=db),
+        claim,
+        "repro.service.chaos:_campaign_replicate",
+        [(injector, level) for injector in injectors for level in levels],
+        params=params,
+        label=lambda cell: f"chaos-service {cell[0]} intensity={cell[1]}",
+        seed=seed,
+        batch_size=batch_size,
+        max_replicates=max_replicates,
+    )
     return ServiceEnvelope(
-        cells=tuple(cells), claim=claim, thresholds=thresholds
+        cells=tuple(
+            ServiceCell(
+                *cell,
+                certificate,
+                _campaign_replicate(seed=certificate.base_seed, **params(cell)),
+            )
+            for cell, certificate in certified
+        ),
+        claim=claim,
+        thresholds={name: best for (name,), best in thresholds.items()},
     )
 
 
 def format_service_envelope(envelope: ServiceEnvelope) -> str:
     """Render a certified service envelope as the plain-text report."""
-    claim = envelope.claim
-    lines = [
+    from repro.stats import format_certified
+
+    report = format_certified(
         "certified service tolerance envelope",
-        f"  claim per cell: P(campaign bit-identical, zero lost tasks) "
-        f">= {claim.target} (vs <= {claim.p0:g}, "
-        f"alpha={claim.alpha}, beta={claim.beta})",
-        "",
-        f"  {'injector':<16} {'intensity':>9} {'verdict':>9} "
-        f"{'replicates':>10} {'strikes':>7} {'rebuilds':>8} {'lost':>5}",
-    ]
-    total_lost = 0
-    for cell in envelope.cells:
-        certificate = cell.certificate
-        probe = cell.probe
-        total_lost += probe.lost
-        lines.append(
-            f"  {cell.injector:<16} {cell.intensity:>9.2f} "
-            f"{certificate.verdict.value:>9} "
-            f"{certificate.n_observed:>4}/{certificate.budget:<5} "
-            f"{probe.strikes:>7} {probe.pool_rebuilds:>8} {probe.lost:>5}"
-        )
-    lines.append("")
-    lines.append(
-        "  certified service thresholds (largest accepted intensity):"
+        "campaign bit-identical, zero lost tasks",
+        envelope.claim,
+        (("injector", 16),),
+        [
+            (
+                (cell.injector, cell.intensity),
+                cell.certificate,
+                f" {cell.probe.strikes:>7} {cell.probe.pool_rebuilds:>8} "
+                f"{cell.probe.lost:>5}",
+            )
+            for cell in envelope.cells
+        ],
+        "certified service thresholds (largest accepted intensity)",
+        envelope.thresholds.items(),
+        extra_header=f" {'strikes':>7} {'rebuilds':>8} {'lost':>5}",
     )
-    for injector, threshold in envelope.thresholds.items():
-        shown = "none accepted" if threshold is None else f"{threshold:.2f}"
-        lines.append(f"    {injector:<16} {shown}")
-    lines.append(f"  lost tasks: {total_lost}")
-    return "\n".join(lines) + "\n"
+    total_lost = sum(cell.probe.lost for cell in envelope.cells)
+    return f"{report}  lost tasks: {total_lost}\n"

@@ -15,10 +15,16 @@ count and the full decision trajectory — deterministic given a seed,
 bit-identical across worker counts and batch sizes, recorded into the
 :class:`repro.service.ResultsDB` ``certificates`` table when a store is
 attached.  ``repro certify`` re-derives the chaos tolerance envelope as
-certified thresholds; see ``docs/stats.md``.
+certified thresholds through :func:`certify_cells`, the one kernel every
+certified envelope is written on; see ``docs/stats.md``.
 """
 
-from repro.stats.certify import Certificate, CertificationRunner
+from repro.stats.certify import (
+    Certificate,
+    CertificationRunner,
+    certify_cells,
+    format_certified,
+)
 from repro.stats.claims import (
     CLAIM_REGISTRY,
     BernoulliClaim,
@@ -43,6 +49,8 @@ __all__ = [
     "TrajectoryPoint",
     "Verdict",
     "build_claim",
+    "certify_cells",
     "fixed_sample_size",
+    "format_certified",
     "register_claim",
 ]

@@ -20,9 +20,8 @@ Determinism contract:
   completion order, so the decision trajectory — and therefore the
   :class:`Certificate` — is **bit-identical across worker counts and
   batch sizes**.  Larger batches may *execute* a few replicates past
-  the stopping point (overrun is reported via the runner's counters and
-  the ``n_executed`` return of :meth:`CertificationRunner.certify_detail`),
-  but never consume them.
+  the stopping point (the overrun shows in the runner's
+  ``tasks_executed`` counter), but never consume them.
 
 With a :class:`repro.service.ResultsDB` attached, every replicate is
 written through as an ordinary task row under one campaign row spanning
@@ -34,7 +33,7 @@ table with its full decision trajectory (``repro db query`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.runners import SimTask, SweepRunner, spawn_seeds
 from repro.stats.claims import Claim, TrajectoryPoint, Verdict
@@ -43,7 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.service.db import ResultsDB
     from repro.service.jobs import JobQueue
 
-__all__ = ["Certificate", "CertificationRunner"]
+__all__ = [
+    "Certificate",
+    "CertificationRunner",
+    "certify_cells",
+    "format_certified",
+]
 
 
 @dataclass(frozen=True)
@@ -102,46 +106,81 @@ class Certificate:
 
 
 class _Decision:
-    """The shared observation-consumption core of sync and async paths.
+    """One certification in flight: the core of the sync and async paths.
 
-    Holds the fresh sequential test plus the trajectory, and consumes
-    one ordered batch of task outcomes at a time — stopping mid-batch
-    the moment the verdict decides, so batch size never changes what
-    the test sees.
+    Plans the replicate batches (every seed spawned up front, a function
+    of the replicate index only) and consumes their outcomes in
+    replicate order, stopping mid-batch the moment the verdict decides —
+    so batch size never changes what the sequential test sees.
     """
 
-    def __init__(self, claim: Claim) -> None:
+    def __init__(
+        self,
+        certifier: "CertificationRunner",
+        claim: Claim,
+        fn: Callable[..., Any] | str,
+        params: Mapping[str, Any] | None,
+        label: str,
+        base_seed: int | None,
+    ) -> None:
         from repro.metrics import extract_statistic
 
+        if not isinstance(fn, str):
+            fn = SimTask.call(fn).fn  # validates module-level picklability
         self.claim = claim
         self.test = claim.test()
         self.trajectory: list[TrajectoryPoint] = []
         self._extract = extract_statistic
+        self._fn = fn
+        self._params = dict(params or {})
+        self.label = label
+        self.budget = certifier.max_replicates
+        self._batch_size = certifier.batch_size
+        self.base_seed = certifier.base_seed if base_seed is None else base_seed
+        self._seeds = (
+            None
+            if self.base_seed is None
+            else spawn_seeds(self.base_seed, self.budget)
+        )
 
-    @property
-    def decided(self) -> bool:
-        return self.test.verdict.decided
+    def batches(self) -> Iterator[tuple[int, int, list[SimTask]]]:
+        """Yield ``(start, stop, tasks)`` replicate batches until decided.
+
+        The caller runs each batch and feeds the ordered outcomes to
+        :meth:`consume` before asking for the next one.
+        """
+        for start in range(0, self.budget, self._batch_size):
+            if self.test.verdict.decided:
+                return
+            stop = min(start + self._batch_size, self.budget)
+            yield start, stop, [
+                SimTask(
+                    fn=self._fn,
+                    params=dict(self._params),
+                    seed=self._seeds[i] if self._seeds is not None else None,
+                    label=f"{self.label} rep={i}" if self.label else f"rep={i}",
+                )
+                for i in range(start, stop)
+            ]
 
     def consume(self, outcomes: list[Any]) -> None:
         """Feed `outcomes` (in replicate order) until decided."""
         for outcome in outcomes:
-            if self.decided:
+            if self.test.verdict.decided:
                 break
             value = self._extract(self.claim.metric, outcome)
             self.trajectory.append(self.test.update(value))
 
-    def certificate(
-        self, *, budget: int, base_seed: int | None, label: str
-    ) -> Certificate:
+    def certificate(self) -> Certificate:
         """Freeze the current state into a :class:`Certificate`."""
         return Certificate(
             claim=self.claim,
             verdict=self.test.verdict,
             n_observed=len(self.trajectory),
-            budget=budget,
-            base_seed=base_seed,
+            budget=self.budget,
+            base_seed=self.base_seed,
             trajectory=tuple(self.trajectory),
-            label=label,
+            label=self.label,
         )
 
 
@@ -195,36 +234,6 @@ class CertificationRunner:
             self.runner.db = db
         self.db = db if db is not None else self.runner.db
 
-    # ------------------------------------------------------------- planning
-
-    def _tasks(
-        self,
-        fn: Callable[..., Any] | str,
-        params: Mapping[str, Any],
-        seeds: list[int] | None,
-        start: int,
-        stop: int,
-        label: str,
-    ) -> list[SimTask]:
-        """Replicate tasks `start..stop`, seeded by replicate index."""
-        if not isinstance(fn, str):
-            fn = SimTask.call(fn).fn  # validates module-level picklability
-        return [
-            SimTask(
-                fn=fn,
-                params=dict(params),
-                seed=seeds[i] if seeds is not None else None,
-                label=f"{label} rep={i}" if label else f"rep={i}",
-            )
-            for i in range(start, stop)
-        ]
-
-    def _seeds(self, base_seed: int | None) -> list[int] | None:
-        """Every replicate seed up front, a function of index only."""
-        if base_seed is None:
-            return None
-        return spawn_seeds(base_seed, self.max_replicates)
-
     # ------------------------------------------------------------------ api
 
     def certify(
@@ -254,11 +263,7 @@ class CertificationRunner:
             base_seed: overrides the runner-level replicate seed root.
             run_label: campaign-row label (defaults to `label`).
         """
-        params = dict(params or {})
-        seed_root = self.base_seed if base_seed is None else base_seed
-        seeds = self._seeds(seed_root)
-        decision = _Decision(claim)
-
+        decision = _Decision(self, claim, fn, params, label, base_seed)
         db = self.db
         run_id = (
             db.begin_run(
@@ -270,11 +275,7 @@ class CertificationRunner:
         )
         executed = 0
         try:
-            for start in range(0, self.max_replicates, self.batch_size):
-                if decision.decided:
-                    break
-                stop = min(start + self.batch_size, self.max_replicates)
-                batch = self._tasks(fn, params, seeds, start, stop, label)
+            for start, stop, batch in decision.batches():
                 outcomes = self.runner.run(
                     batch, run_id=run_id, index_base=start
                 )
@@ -284,9 +285,7 @@ class CertificationRunner:
             if db is not None:
                 db.finish_run(run_id, status="failed", n_tasks=executed)
             raise
-        certificate = decision.certificate(
-            budget=self.max_replicates, base_seed=seed_root, label=label
-        )
+        certificate = decision.certificate()
         if db is not None:
             db.record_certificate(certificate, run_id=run_id)
             db.finish_run(run_id, status="completed", n_tasks=executed)
@@ -316,25 +315,15 @@ class CertificationRunner:
         when it has one; each batch keeps the job queue's own one-row-
         per-job campaign accounting.
         """
-        params = dict(params or {})
-        seed_root = self.base_seed if base_seed is None else base_seed
-        seeds = self._seeds(seed_root)
-        decision = _Decision(claim)
-
-        for start in range(0, self.max_replicates, self.batch_size):
-            if decision.decided:
-                break
-            stop = min(start + self.batch_size, self.max_replicates)
-            batch = self._tasks(fn, params, seeds, start, stop, label)
+        decision = _Decision(self, claim, fn, params, label, base_seed)
+        for start, stop, batch in decision.batches():
             job_id = await queue.submit(
                 batch,
                 priority=priority,
                 label=f"{label or 'certify'} batch {start}-{stop - 1}",
             )
             decision.consume(await queue.result(job_id))
-        certificate = decision.certificate(
-            budget=self.max_replicates, base_seed=seed_root, label=label
-        )
+        certificate = decision.certificate()
         db = queue.runner.db if queue.runner.db is not None else self.db
         if db is not None:
             db.record_certificate(certificate)
@@ -346,3 +335,116 @@ class CertificationRunner:
             f"max_replicates={self.max_replicates}, "
             f"base_seed={self.base_seed})"
         )
+
+
+def certify_cells(
+    runner: SweepRunner,
+    claim: Claim,
+    fn: Callable[..., Any] | str,
+    cells: Iterable[tuple],
+    *,
+    params: Callable[[tuple], Mapping[str, Any]],
+    label: Callable[[tuple], str],
+    seed: int,
+    batch_size: int,
+    max_replicates: int,
+) -> tuple[list[tuple[tuple, Certificate]], dict[tuple, float | None]]:
+    """Certify `claim` on every cell of an envelope grid, in grid order.
+
+    The certification twin of
+    :func:`repro.experiments.common.sweep_cells`: a cell is a tuple
+    ``(axis..., intensity)``, cell *i* of *n* draws its replicate seed
+    root from ``spawn_seeds(seed, n)[i]`` (readable back as its
+    certificate's ``base_seed``), and every cell is one
+    :meth:`CertificationRunner.certify` call on `runner` — so the whole
+    envelope is a pure function of ``(seed, grid, claim)``,
+    bit-identical across worker counts and batch sizes.
+
+    Args:
+        runner: the sweep runner replicates execute on (its cache,
+            database and retry settings apply to every cell).
+        claim: the intensity-independent claim template.
+        fn: the replicate task function, as for ``certify``.
+        cells: the grid, in presentation order.
+        params: a cell's task parameters (everything but ``seed``).
+        label: a cell's display tag (tasks, certificate, campaign row).
+        seed: envelope seed root.
+        batch_size: replicates per sweep batch (throughput only).
+        max_replicates: per-cell replicate budget.
+
+    Returns:
+        The ``(cell, certificate)`` pairs in grid order, and per axis
+        ``cell[:-1]`` (first-seen order) the largest intensity whose
+        claim was **accepted** — ``None`` when no level certified.
+    """
+    certifier = CertificationRunner(
+        runner, batch_size=batch_size, max_replicates=max_replicates
+    )
+    cells = list(cells)
+    certified = [
+        (
+            cell,
+            certifier.certify(
+                claim, fn, params(cell), label=label(cell), base_seed=cell_seed
+            ),
+        )
+        for cell, cell_seed in zip(cells, spawn_seeds(seed, len(cells)))
+    ]
+    thresholds: dict[tuple, float | None] = {}
+    for cell, certificate in certified:
+        axis, intensity = cell[:-1], cell[-1]
+        best = thresholds.setdefault(axis, None)
+        if certificate.verdict is Verdict.ACCEPT and (
+            best is None or intensity > best
+        ):
+            thresholds[axis] = intensity
+    return certified, thresholds
+
+
+def format_certified(
+    title: str,
+    event: str,
+    claim: Any,
+    axes: tuple[tuple[str, int], ...],
+    rows: Iterable[tuple[tuple, Certificate, str]],
+    footer: str,
+    thresholds: Iterable[tuple],
+    extra_header: str = "",
+) -> str:
+    """Render a certified envelope as the shared plain-text report.
+
+    Args:
+        title: first line of the report.
+        event: the certified per-replicate event, as it reads inside
+            ``P(...)`` on the "claim per cell" line.
+        claim: the Bernoulli claim template every cell ran.
+        axes: ``(heading, width)`` of each leading axis column.
+        rows: per cell, its ``(axis..., intensity)`` tuple, its
+            certificate and the harness's own trailing columns,
+            preformatted.
+        footer: heading of the threshold block.
+        thresholds: ``(axis..., largest accepted intensity)`` rows.
+        extra_header: headings of the trailing columns.
+    """
+
+    def lead(values: Iterable[Any]) -> str:
+        return " ".join(f"{v:<{width}}" for v, (_, width) in zip(values, axes))
+
+    lines = [
+        title,
+        f"  claim per cell: P({event}) >= {claim.target} "
+        f"(vs <= {claim.p0:g}, alpha={claim.alpha}, beta={claim.beta})",
+        "",
+        f"  {lead(name for name, _ in axes)} {'intensity':>9} "
+        f"{'verdict':>9} {'replicates':>10}{extra_header}",
+    ]
+    for (*axis, intensity), certificate, extra in rows:
+        lines.append(
+            f"  {lead(axis)} {intensity:>9.2f} {certificate.verdict.value:>9} "
+            f"{certificate.n_observed:>4}/{certificate.budget:<5}{extra}"
+        )
+    lines += ["", f"  {footer}:"]
+    for *axis, threshold in thresholds:
+        shown = "none accepted" if threshold is None else f"{threshold:.2f}"
+        lines.append(f"    {lead(axis)} {shown}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
@@ -416,3 +421,127 @@ class TestPolicies:
     def test_policies_requires_an_action(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["policies"])
+
+
+#: sha256 of every parser's ``--help`` at COLUMNS=80, recorded at the
+#: last commit before the flag blocks moved into shared helpers.  A CLI
+#: refactor must leave them alone; a deliberate wording change
+#: re-records exactly the parsers it touched.
+HELP_PINS = {
+    (): "b3ae40ac4fa5c73e1a6a899f728094de6014248cfeb1fd68bf3b95bd2639ed46",
+    ("spread",):
+        "cd01d251240d055730667141d3d504b8cbc11fa3f36678809903bea2315dd1b2",
+    ("probe",):
+        "94c5ea410843ed26827ee8bfe4304977815f76ad2e7841fee881dc2ae2991af3",
+    ("mp3",):
+        "a65b6f7454a372178cc2787a9ecd8bf278870779856da489eecf118b7c2381af",
+    ("figure",):
+        "50baba4a3d828fc701f6f44ce3aa062bc98b146e8fea30469102e2c3430f0475",
+    ("profile",):
+        "a01d7422240b2e76c6cccf19b59f077f583fa6e29a481beee212e92e687375c0",
+    ("chaos",):
+        "036e9b6a5cb44189bed604c57959f82f4259aa58e3b879a6c8a1ca33135a2464",
+    ("certify",):
+        "f34e4286622f705482111bf53fa3e7b1772af9eb7f27ddf92f3ebf3ea04e6839",
+    ("chaos-service",):
+        "801306e2a839a583c71aa8fa14a07a8778ff37394504304119fd724ad95e5c69",
+    ("frontier",):
+        "ed2a8e99d43348586d14d4f600c59697db8771b1b5b79c2e90e5449c2464731f",
+    ("policies", "compare"):
+        "338dbb2bd350e96352b37729df6ffcd0c1af776df1f116de0318f1d9cdfa6836",
+    ("policies", "list"):
+        "816b8a0389ea90b6edb34279274ddd5f1d8afb2ea53f67fac2b954f32ff1c2dd",
+    ("db", "query"):
+        "8b443ce4a35bb9d8f298b631b05097072b5e0edd108a1de357a41cdc5a6bc36a",
+    ("db", "export"):
+        "89ac38d1e165ab03b4fe1d19fbf6dd4dfd67df9ddf6506b60e83d79574b5c832",
+    ("db", "gc"):
+        "7f6b3d56c3e681b26efcdf8b5e8ca399cada38f0850e55c92ae544325a7ed9ed",
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13),
+    reason="digests recorded with the 3.10-3.12 argparse help formatter",
+)
+@pytest.mark.parametrize("path", sorted(HELP_PINS), ids=" ".join)
+def test_help_text_is_pinned(path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*path, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_PINS[path]
+
+
+class TestUpFrontValidation:
+    """Impossible arguments are usage errors before anything simulates."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["certify", "--alpha", "2"], "alpha must be in (0, 1)"),
+            (
+                ["certify", "--target", "0.1", "--indifference", "0.2"],
+                "indifference must be in (0, target=0.1)",
+            ),
+            (["chaos-service", "--beta", "0"], "beta must be in (0, 1)"),
+            (["spread", "--repetitions", "0"], "must be >= 1, got 0"),
+            (["probe", "--trials", "0"], "must be >= 1, got 0"),
+            (["probe", "--ttl", "0"], "must be >= 1, got 0"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_exit_status_2_and_one_line_on_stderr(
+        self, argv, message, capsys, monkeypatch
+    ):
+        def simulated(*args, **kwargs):
+            raise AssertionError("validation must come before any run")
+
+        monkeypatch.setattr("repro.runners.SweepRunner.run", simulated)
+        monkeypatch.setattr("repro.noc.engine.NocSimulator.run", simulated)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: repro {argv[0]} ")
+        assert message in captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.err
+
+    def test_building_the_parser_does_not_import_the_stats_layer(self):
+        code = (
+            "import sys; from repro.cli import build_parser; build_parser(); "
+            "sys.exit('repro.stats' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_probe_runs_its_campaign_once(capsys, monkeypatch):
+    import repro.core.analysis as analysis
+
+    seeds = []
+    probe_once = analysis._probe_once
+
+    def counting(*args):
+        seeds.append(args[-1])
+        return probe_once(*args)
+
+    monkeypatch.setattr(analysis, "_probe_once", counting)
+    argv = ["probe", "--side", "3", "--dst", "8", "--ttl", "8", "--trials", "20"]
+    assert main(argv) == 0
+    assert seeds == list(range(20))
+    assert "delivery probability: 0.900" in capsys.readouterr().out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (docs/operations.md): chaos-service's "
+    "set_defaults(workers=4, max_attempts=5) mutates the shared execution "
+    "parent's actions, so every command parses to 4 / 5; fixed alone in "
+    "its own PR because it moves cli_suite's wall time",
+)
+def test_execution_defaults_match_the_help_text():
+    args = build_parser().parse_args(["spread"])
+    assert (args.workers, args.max_attempts) == (1, 1)
