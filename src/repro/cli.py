@@ -723,6 +723,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not value >= 0:
@@ -853,13 +860,13 @@ def _topology_flags(parser: argparse.ArgumentParser, side: int) -> None:
         "--topology", choices=("mesh", "torus", "complete"), default="mesh"
     )
     parser.add_argument("--side", type=_positive_int, default=side)
-    parser.add_argument("--p", type=float, default=0.5)
+    parser.add_argument("--p", type=_probability, default=0.5)
 
 
 def _fault_flags(parser: argparse.ArgumentParser) -> None:
     """The static fault levels read back by :func:`_fault_config`."""
-    parser.add_argument("--upset", type=float, default=0.0)
-    parser.add_argument("--overflow", type=float, default=0.0)
+    parser.add_argument("--upset", type=_probability, default=0.0)
+    parser.add_argument("--overflow", type=_probability, default=0.0)
     parser.add_argument("--sigma", type=float, default=0.0)
 
 
@@ -889,7 +896,7 @@ def _chaos_grid_flags(
         help="intensity grid per axis (default: 0 .. 1.0)",
     )
     parser.add_argument("--side", type=_positive_int, default=4)
-    parser.add_argument("--p", type=float, default=0.75)
+    parser.add_argument("--p", type=_probability, default=0.75)
     if repetitions is not None:
         parser.add_argument(
             "--repetitions", type=_positive_int, default=repetitions
@@ -899,6 +906,50 @@ def _chaos_grid_flags(
     parser.add_argument(
         "--coverage-target", type=float, default=0.99, help=coverage_help
     )
+    _add_check(parser, lambda args: _check_scenarios(args.kinds, args.levels))
+
+
+def _add_check(parser: argparse.ArgumentParser, rule) -> None:
+    """Run `rule(args)` on the parsed arguments before the command does.
+
+    A ``ValueError`` from `rule` becomes a usage error of `parser`, so an
+    impossible value exits 2 up front instead of failing (and being
+    retried) inside the first simulated cell.  :func:`main` runs the
+    parser's ``checks`` in declaration order.
+    """
+
+    def check(args: argparse.Namespace) -> None:
+        try:
+            rule(args)
+        except ValueError as error:
+            parser.error(str(error))
+
+    parser.set_defaults(checks=(*(parser.get_default("checks") or ()), check))
+
+
+def _check_scenarios(kinds: Sequence[str], levels: Sequence[float]) -> None:
+    """Build every ``(kind, level)`` scenario: its spec owns the rule."""
+    from repro.experiments.chaos import scenario_for
+
+    for kind in kinds:
+        for level in levels:
+            scenario_for(kind, level)
+
+
+def _check_probe_tiles(args: argparse.Namespace) -> None:
+    n_tiles = args.side * args.side
+    for flag, tile in (("--src", args.src), ("--dst", args.dst)):
+        if not 0 <= tile < n_tiles:
+            raise ValueError(
+                f"argument {flag}: tile {tile} is not on a {n_tiles}-tile "
+                f"{args.topology} (side {args.side})"
+            )
+
+
+def _check_frontier_levels(args: argparse.Namespace) -> None:
+    for upset in args.upsets:
+        FaultConfig(p_upset=upset)
+    _check_scenarios(args.certify_kinds, args.certify_levels)
 
 
 def _claim_flags(
@@ -911,9 +962,8 @@ def _claim_flags(
 ) -> None:
     """The SPRT claim quartet plus the replicate budget pair.
 
-    :func:`main` runs the parser's ``check`` default on the parsed
-    arguments, so an impossible claim is a usage error of this command,
-    not a traceback out of the first certified cell.
+    An impossible claim is a usage error of this command, not a
+    traceback out of the first certified cell.
     """
     parser.add_argument(
         "--target", type=float, default=0.9,
@@ -952,17 +1002,14 @@ def _claim_flags(
         # parser-build time, keeps `repro --help` cheap.
         from repro.stats import BernoulliClaim
 
-        try:
-            BernoulliClaim(
-                target=args.target,
-                indifference=args.indifference,
-                alpha=args.alpha,
-                beta=args.beta,
-            )
-        except ValueError as error:
-            parser.error(str(error))
+        BernoulliClaim(
+            target=args.target,
+            indifference=args.indifference,
+            alpha=args.alpha,
+            beta=args.beta,
+        )
 
-    parser.set_defaults(check=check)
+    _add_check(parser, check)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1007,6 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also search the minimum TTL for this delivery probability",
     )
     _fault_flags(probe)
+    _add_check(probe, _check_probe_tiles)
     probe.set_defaults(handler=cmd_probe)
 
     mp3 = subparsers.add_parser(
@@ -1014,11 +1062,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the Fig 4-7 parallel encoder under faults",
         parents=[execution, backend],
     )
-    mp3.add_argument("--frames", type=int, default=6)
-    mp3.add_argument("--granule", type=int, default=288)
+    mp3.add_argument("--frames", type=_positive_int, default=6)
+    mp3.add_argument("--granule", type=_positive_int, default=288)
     mp3.add_argument("--bitrate", type=int, default=192_000)
-    mp3.add_argument("--p", type=float, default=0.5)
-    mp3.add_argument("--max-rounds", type=int, default=2000)
+    mp3.add_argument("--p", type=_probability, default=0.5)
+    mp3.add_argument("--max-rounds", type=_positive_int, default=2000)
     mp3.add_argument("--seed", type=int, default=0)
     _fault_flags(mp3)
     mp3.set_defaults(handler=cmd_mp3)
@@ -1107,7 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tasks per replicate campaign (default: 6)",
     )
     chaos_service.add_argument("--side", type=_positive_int, default=3)
-    chaos_service.add_argument("--p", type=float, default=0.75)
+    chaos_service.add_argument("--p", type=_probability, default=0.75)
     chaos_service.add_argument("--seed", type=int, default=0)
     chaos_service.add_argument(
         "--max-rounds", type=_positive_int, default=24
@@ -1200,6 +1248,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="per-cell replicate budget for --certify (default: 64)",
     )
+    _add_check(frontier, _check_frontier_levels)
     frontier.set_defaults(handler=cmd_frontier)
 
     policies = subparsers.add_parser(
@@ -1297,8 +1346,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "check"):
-        args.check(args)
+    for check in getattr(args, "checks", ()):
+        check(args)
     return args.handler(args)
 
 

@@ -25,7 +25,6 @@ from repro.core.theory import (
     rounds_until_informed,
     simulate_rumor_spread,
 )
-from repro.core.tuning import TradeoffPoint, sweep_forwarding_probability
 
 __all__ = [
     "BROADCAST",
@@ -39,8 +38,6 @@ __all__ = [
     "recommended_ttl",
     "rounds_until_informed",
     "simulate_rumor_spread",
-    "TradeoffPoint",
-    "sweep_forwarding_probability",
     "delivery_probability",
     "minimum_ttl",
     "latency_profile",

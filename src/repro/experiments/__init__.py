@@ -63,10 +63,8 @@ from repro.experiments import (
     grid_spread,
     islands,
     link_crashes,
-    plots,
     policy_compare,
     protocol_frontier,
-    report,
 )
 
 __all__ = [
@@ -84,8 +82,6 @@ __all__ = [
     "grid_spread",
     "islands",
     "link_crashes",
-    "plots",
     "policy_compare",
     "protocol_frontier",
-    "report",
 ]

@@ -41,7 +41,7 @@ See ``docs/faults.md`` for the full model and worked examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -501,11 +501,3 @@ def scenario_from_kind(kind: str, **params: object) -> ScenarioSpec:
             f"unknown scenario kind {kind!r}; known kinds: {known}"
         ) from None
     return cls(**params)  # type: ignore[arg-type]
-
-
-def iter_flat(spec: ScenarioSpec) -> Iterable[ScenarioSpec]:
-    """Yield `spec` and, for composites, every nested member."""
-    yield spec
-    if isinstance(spec, Composite):
-        for member in spec.scenarios:
-            yield from iter_flat(member)

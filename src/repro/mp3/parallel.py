@@ -361,10 +361,6 @@ class OutputCore(IPCore):
         return len(self.frames)
 
     @property
-    def frames_lost(self) -> int:
-        return self.n_frames - len(self.frames)
-
-    @property
     def complete(self) -> bool:
         return len(self.frames) + self._missing_accounted() >= self.n_frames
 

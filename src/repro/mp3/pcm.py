@@ -113,7 +113,3 @@ class PcmSource:
     def all_frames(self) -> np.ndarray:
         """(n_frames, granule) view of the whole signal."""
         return self._frames
-
-    @property
-    def signal(self) -> np.ndarray:
-        return self._frames.reshape(-1)

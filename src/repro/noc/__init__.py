@@ -21,13 +21,6 @@ from repro.noc.clock import ClockDomain
 from repro.noc.config import SimConfig
 from repro.noc.tile import IPCore, Tile, TileState
 from repro.noc.engine import NocSimulator, SimulationResult
-from repro.noc.mapping import (
-    CommunicationGraph,
-    anneal_mapping,
-    greedy_mapping,
-    mapping_cost,
-    random_mapping,
-)
 from repro.noc.routing import XYRoutingProtocol
 from repro.noc.stats import NetworkStats
 from repro.noc.trace import Observer, TraceRecorder, render_spread
@@ -48,11 +41,6 @@ __all__ = [
     "SimConfig",
     "SimulationResult",
     "XYRoutingProtocol",
-    "CommunicationGraph",
-    "mapping_cost",
-    "random_mapping",
-    "greedy_mapping",
-    "anneal_mapping",
     "NetworkStats",
     "Observer",
     "TraceRecorder",

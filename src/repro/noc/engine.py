@@ -475,10 +475,6 @@ class NocSimulator:
                 tile.crash()
         self.active_scenario_phases = effect.active
 
-    @property
-    def mounted_tiles(self) -> list[int]:
-        return list(self._mounted)
-
     def application_complete(self) -> bool:
         """All mounted, *live* IPs report completion.
 
@@ -831,10 +827,6 @@ class NocSimulator:
     def informed_tiles(self) -> list[int]:
         """Tiles that have buffered or originated at least one message."""
         return [tid for tid, tile in self.tiles.items() if tile.informed]
-
-    def tile(self, tile_id: int) -> Tile:
-        self.topology.validate_tile(tile_id)
-        return self.tiles[tile_id]
 
 
 register_backend(OBJECT_BACKEND)(NocSimulator)

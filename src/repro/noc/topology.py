@@ -60,10 +60,6 @@ class Topology(ABC):
     def degree(self, tile_id: int) -> int:
         return len(self.neighbors(tile_id))
 
-    @property
-    def max_degree(self) -> int:
-        return max(self.degree(tid) for tid in self.tile_ids)
-
     def validate_tile(self, tile_id: int) -> None:
         if not 0 <= tile_id < self.n_tiles:
             raise ValueError(

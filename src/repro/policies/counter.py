@@ -86,10 +86,6 @@ class CounterGossipPolicy(ForwardingPolicy):
 
     # ------------------------------------------------------------- decisions
 
-    def duplicates_seen(self, tile_id: int, key: tuple[int, int]) -> int:
-        """Intact duplicate copies of `key` received at `tile_id` so far."""
-        return self._termination.duplicates_seen(tile_id, key)
-
     def is_silenced(self, tile_id: int, key: tuple[int, int]) -> bool:
         """Has `tile_id` written the death certificate for `key`?"""
         return self._termination.is_silenced(tile_id, key)

@@ -81,10 +81,6 @@ class FeedbackTermination:
         """Has `tile_id` written the death certificate for `key`?"""
         return self.duplicates_seen(tile_id, key) >= self.k
 
-    def any_observed(self) -> bool:
-        """Fast-path guard: has any duplicate been observed at all?"""
-        return bool(self._duplicates)
-
     def silenced_rows(
         self,
         tile_ids: np.ndarray,

@@ -55,11 +55,6 @@ class ResultCache:
         """Where a corrupt entry for `key` is moved for inspection."""
         return self.root / f"{key}{_QUARANTINE_SUFFIX}"
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """Return the cached result for `key`, or `default`."""
-        value = self._load(key)
-        return default if value is _MISS else value
-
     def __contains__(self, key: str) -> bool:
         return self._load(key) is not _MISS
 

@@ -518,6 +518,40 @@ class TestUpFrontValidation:
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+#: Out-of-range values that used to simulate (and be retried) before
+#: failing; each must now be a usage error in a fresh process.
+BAD_FLAGS = [
+    ["chaos", "--levels", "2"],
+    ["certify", "--levels", "2"],
+    ["frontier", "--upsets", "2"],
+    ["frontier", "--certify-levels", "2"],
+    ["spread", "--p", "2"],
+    ["probe", "--src", "99"],
+    ["probe", "--dst", "99"],
+    ["probe", "--upset", "3"],
+    ["probe", "--overflow", "3"],
+    ["mp3", "--frames", "0"],
+    ["mp3", "--granule", "0"],
+    ["mp3", "--max-rounds", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS, ids=" ".join)
+def test_bad_flag_is_a_prompt_usage_error(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"usage: repro {argv[0]} ")
+    assert result.stderr.splitlines()[-1].startswith(f"repro {argv[0]}: error:")
+
+
 def test_probe_runs_its_campaign_once(capsys, monkeypatch):
     import repro.core.analysis as analysis
 

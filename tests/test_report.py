@@ -1,91 +1,8 @@
-"""Tests for the experiment tabulation helpers and stats bookkeeping."""
-
-import csv
-import dataclasses
-import io
+"""Tests for the NoC statistics bookkeeping."""
 
 import pytest
 
-from repro.experiments.report import to_csv, to_markdown
 from repro.noc.stats import NetworkStats
-
-
-@dataclasses.dataclass(frozen=True)
-class _Point:
-    name: str
-    value: float
-    count: int
-
-
-RECORDS = [
-    _Point("alpha", 1.23456, 3),
-    _Point("beta", 1.5e-7, 0),
-    _Point("gamma", 123456.0, 42),
-]
-
-
-class TestCsv:
-    def test_header_and_rows(self):
-        text = to_csv(RECORDS)
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["name", "value", "count"]
-        assert len(rows) == 4
-        assert rows[1][0] == "alpha"
-
-    def test_writes_file(self, tmp_path):
-        path = tmp_path / "out.csv"
-        text = to_csv(RECORDS, str(path))
-        assert path.read_text() == text
-
-    def test_scientific_formatting(self):
-        text = to_csv(RECORDS)
-        assert "1.500e-07" in text
-        assert "1.235e+05" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            to_csv([])
-
-    def test_non_dataclass_rejected(self):
-        with pytest.raises(TypeError):
-            to_csv([{"a": 1}])
-
-    def test_mixed_types_rejected(self):
-        @dataclasses.dataclass(frozen=True)
-        class _Other:
-            name: str
-
-        with pytest.raises(TypeError, match="mixed"):
-            to_csv([RECORDS[0], _Other("x")])
-
-
-class TestMarkdown:
-    def test_table_shape(self):
-        table = to_markdown(RECORDS)
-        lines = table.strip().splitlines()
-        assert lines[0] == "| name | value | count |"
-        assert lines[1] == "|---|---|---|"
-        assert len(lines) == 5
-
-    def test_column_subset_and_order(self):
-        table = to_markdown(RECORDS, columns=["count", "name"])
-        assert table.splitlines()[0] == "| count | name |"
-        assert "| 3 | alpha |" in table
-
-    def test_unknown_column_rejected(self):
-        with pytest.raises(ValueError, match="unknown columns"):
-            to_markdown(RECORDS, columns=["nope"])
-
-    def test_title(self):
-        table = to_markdown(RECORDS, title="Fig X")
-        assert table.startswith("**Fig X**")
-
-    def test_real_experiment_records(self):
-        from repro.experiments import fig3_1
-
-        curve = fig3_1.run(n=64, repetitions=2)
-        table = to_markdown([curve], columns=["n", "rounds_to_all"])
-        assert "| 64 |" in table
 
 
 class TestNetworkStats:
