@@ -25,9 +25,11 @@ Stream discipline (matching the object engine draw for draw):
 * **send** — per (packet, port) decision draws exactly when the policy's
   effective row probability is in (0, 1), as one block per packet, then
   one upset uniform per transmission over a live link when
-  ``p_upset > 0``.  Upset corruption draws interleave mid-stream, so the
-  upset path draws from a *pool* and rewinds/advances the PCG64 bit
-  generator to keep the stream position exact around each corruption.
+  ``p_upset > 0``.  Corruption draws interleave mid-stream but are never
+  pool doubles, so the doubles a round consumes form one *virtual*
+  stream: the upset path scans positions in it out of a growing
+  pre-drawn *pool*, rewinding/advancing the PCG64 bit generator around
+  each corruption, then emits the round as one matrix.
 * **push-pull** — at ``p_upset == 0`` the policy draws a whole round's
   push ports (send) and pull targets (pull) from one uint32 block that
   consumes exactly what the per-row ``choice`` / ``integers`` calls
@@ -45,9 +47,11 @@ different answer):
 
 Configurations that are supported but fall back to slower exact paths:
 
-* bounded ``buffer_capacity`` or IPs overriding ``on_receive`` run the
-  receive phase event-by-event (eviction order and hook interleaving are
-  sequential semantics);
+* IPs overriding ``on_receive``, and ``buffer_mode="relay"`` with a
+  ``buffer_capacity``, run the receive phase event-by-event (hook
+  interleaving, and relay's re-insertion of a copy evicted earlier in the
+  same round, are sequential semantics); bounded retain buffers evict in
+  one batch;
 * policies without a :meth:`ForwardingPolicy.decide_batch` (or whose
   hook returns None for the round), and ``decide_batch`` matrices under
   ``p_upset > 0``, send row by row through one scalar walker that drives
@@ -61,11 +65,10 @@ Observer ordering is a contract with three clauses, enforced by
 ``tests/test_observer_ordering.py``: on every path (a) each per-kind
 subsequence of hook calls and (b) each round's multiset of events equal
 the object engine's; (c) the *full* sequence is equal in rounds whose
-receive ran event-ordered and whose send ran through the scalar walker
-or the upset pool.  Only the vectorised receive and the draw-free
-batched emit (send and pull) regroup a round's events by kind.  Stats,
-series and all :class:`repro.metrics.MetricsCollector` output are
-identical always.
+receive ran event-ordered.  Only the vectorised receive regroups a
+round's events by kind; every send and pull emit replays its hooks in
+(row, port) order, the object engine's.  Stats, series and all
+:class:`repro.metrics.MetricsCollector` output are identical always.
 IPs must not rely on object identity of buffered packets (the fast
 engine materialises equal-valued packets on demand and tracks TTL/hops
 in arrays).
@@ -75,6 +78,7 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
+from itertools import compress
 
 import numpy as np
 
@@ -656,31 +660,29 @@ class FastNocSimulator(NocSimulator):
                     alt[offset + i] = packet
                 offset += c.dst.size
         total = dst.size
-        ordered = (
-            self.config.buffer_capacity is not None or self._receive_hooks
-        )
-        if ordered or self.fault_config.p_overflow > 0.0:
+        capacity = self.config.buffer_capacity
+        ordered = self._receive_hooks or (self._relay and capacity is not None)
+        draws = capacity is None and self.fault_config.p_overflow > 0.0
+        if ordered or draws or self.observer is not None:
             # Group events by destination in first-arrival order — the
             # object engine's arrival-map iteration order (dict key
-            # insertion).  The draw-free vectorized path skips this:
-            # inserts, deliveries, duplicates and insert stamps only
-            # compare events of the *same* tile, whose relative order the
-            # emission-ordered arrays already preserve.
-            uniq, first = np.unique(dst, return_index=True)
-            if uniq.size > 1:
-                rank = np.empty(uniq.size, dtype=np.int64)
-                rank[np.argsort(first, kind="stable")] = np.arange(uniq.size)
-                perm = np.argsort(
-                    rank[np.searchsorted(uniq, dst)], kind="stable"
-                )
-                if not np.array_equal(perm, np.arange(total)):
-                    dst, mid = dst[perm], mid[perm]
-                    ttl, hop = ttl[perm], hop[perm]
-                    upset, intact = upset[perm], intact[perm]
-                    if alt:
-                        inverse = np.empty(total, dtype=np.int64)
-                        inverse[perm] = np.arange(total)
-                        alt = {int(inverse[i]): p for i, p in alt.items()}
+            # insertion), which overflow draws and each kind's observer
+            # events follow.  Otherwise the vectorized path skips this:
+            # inserts, deliveries, duplicates, insert stamps and evictions
+            # only compare events of the *same* tile, whose relative order
+            # the emission-ordered arrays already preserve.
+            position = np.arange(total)
+            first = np.full(self._alive.size, total, dtype=np.int64)
+            np.minimum.at(first, dst, position)
+            perm = np.argsort(first[dst], kind="stable")
+            if not np.array_equal(perm, position):
+                dst, mid = dst[perm], mid[perm]
+                ttl, hop = ttl[perm], hop[perm]
+                upset, intact = upset[perm], intact[perm]
+                if alt:
+                    inverse = np.empty(total, dtype=np.int64)
+                    inverse[perm] = position
+                    alt = {int(inverse[i]): p for i, p in alt.items()}
         if ordered:
             self.engine_paths["receive.ordered"] += 1
             self._receive_ordered(
@@ -698,9 +700,11 @@ class FastNocSimulator(NocSimulator):
         stats = self.stats
         observer = self.observer
         total = dst.size
+        capacity = self.config.buffer_capacity
         p_overflow = self.fault_config.p_overflow
         survivors = None
-        if p_overflow > 0.0:
+        # Modelled buffers replace the overflow Bernoulli (object engine).
+        if capacity is None and p_overflow > 0.0:
             dropped = self.rng.random(total) < p_overflow
             n_dropped = int(np.count_nonzero(dropped))
             if n_dropped:
@@ -809,6 +813,10 @@ class FastNocSimulator(NocSimulator):
                         self._alt_packets[slot] = packet
                     elif self._alt_packets:
                         self._alt_packets.pop(slot, None)
+            if capacity is not None:
+                # After the alt loop, so a copy evicted in its own round
+                # drops its alt packet too.
+                self._evict_overflow(capacity)
         if deliveries.size == 0:
             return
         deliveries.sort()
@@ -829,10 +837,37 @@ class FastNocSimulator(NocSimulator):
         # No ip.on_receive calls here: the vectorized path only runs when
         # no mounted IP overrides on_receive (RelayCore's hook is a no-op).
 
+    def _evict_overflow(self, capacity: int) -> None:
+        """Evict, at once, what a round's inserts pushed past `capacity`.
+
+        One by one, each insert takes the largest stamp so far and each
+        eviction removes the smallest, so a tile ends the round holding
+        its `capacity` largest ``_iseq`` stamps.  (Relay buffers dedup
+        against the buffer itself and stay on the ordered path.)
+        """
+        over = np.nonzero(self._buflen > capacity)[0]
+        if over.size == 0:
+            return
+        stamps = np.where(
+            self._buffered[over], self._iseq[over], np.iinfo(np.int64).max
+        )
+        oldest = np.argsort(stamps, axis=1, kind="stable")
+        excess = self._buflen[over] - capacity
+        rows, rank = np.nonzero(
+            np.arange(oldest.shape[1])[None, :] < excess[:, None]
+        )
+        t_out = over[rows]
+        m_out = oldest[rows, rank]
+        self._buffered[t_out, m_out] = False
+        self._buflen[over] = capacity
+        if self._alt_packets:
+            for slot in zip(t_out.tolist(), m_out.tolist()):
+                self._alt_packets.pop(slot, None)
+
     def _receive_ordered(
         self, round_index, dst, mid, ttl, hop, upset, intact, alt
     ) -> None:
-        """Event-ordered receive: bounded buffers and on_receive hooks.
+        """Event-ordered receive: on_receive hooks and bounded relay buffers.
 
         Replays the object engine's per-arrival sequence exactly —
         scalar overflow draws, eviction order, hook interleaving — on
@@ -1064,103 +1099,111 @@ class FastNocSimulator(NocSimulator):
         self._emit_transmit_matrix(round_index, t_arr, m_arr, transmit, link_ok)
 
     def _emit_transmit_matrix(
-        self, round_index, t_arr, m_arr, transmit, link_ok, lead=None
+        self, round_index, t_arr, m_arr, transmit, link_ok, lead=None,
+        upsets=None,
     ) -> None:
-        """Emit a precomputed (row, port) transmit mask (no upset draws).
+        """Emit a precomputed (row, port) transmit mask.
 
         `lead`, when given, is a pair ``(first_row, joules)``: energy
         charged outside the mask that the object engine adds just before
         the transmissions of rows ``first_row[i]`` onwards (a pull
-        request ahead of its responses).
+        request ahead of its responses).  `upsets`, when given, is a pair
+        ``(mask, copies)``: the (row, port) entries whose upset draw hit
+        and their corrupted copies, in (row, port) order.  Observer and
+        ``policy.on_dead_link`` hooks fire last, in (row, port) order —
+        the object engine's; neither draws from the stream.
         """
         stats = self.stats
         observer = self.observer
         if lead is None and not transmit.any():
             return
-        links_ok = link_ok[t_arr]
-        live = transmit & links_ok
-        n_dead = int(np.count_nonzero(transmit)) - int(
-            np.count_nonzero(live)
-        )
-        if n_dead:
-            dead = transmit & ~links_ok
-            stats.transmissions_attempted += n_dead
-            stats.dead_link_drops += n_dead
-            if self._dead_hook or observer is not None:
-                dead_rows, dead_ports = np.nonzero(dead)
-                for row, port in zip(
-                    dead_rows.tolist(), dead_ports.tolist()
-                ):
-                    src = int(t_arr[row])
-                    neighbor = int(self._nbr[src, port])
-                    if self._dead_hook:
-                        self.policy.on_dead_link(src, neighbor, round_index)
-                    if observer is not None:
-                        observer.on_dead_link_drop(
-                            round_index, src, neighbor
-                        )
-        n_live = int(np.count_nonzero(live))
-        if lead is None and n_live == 0:
-            return
+        live = transmit & link_ok[t_arr]
         rows, ports = np.nonzero(live)
-        srcs = t_arr[rows]
-        dsts = self._nbr[srcs, ports]
-        mids = m_arr[rows]
-        sizes = self._msg_bits[mids]
-        # ufunc accumulate rounds every running sum left to right, which
-        # keeps energy_j bit-identical to the object engine's per-event
-        # "+=" chain (np.sum's pairwise reassociation would not).
-        increments = np.empty(n_live + 1, dtype=np.float64)
-        increments[0] = stats.energy_j
-        np.multiply(sizes, self._epb[srcs, ports], out=increments[1:])
-        if lead is not None:
-            first_row, joules = lead
-            increments = np.insert(
-                increments, np.searchsorted(rows, first_row) + 1, joules
-            )
-        stats.energy_j = float(np.add.accumulate(increments)[-1])
-        if n_live == 0:
-            return
-        stats.transmissions_attempted += n_live
-        stats.transmissions_delivered += n_live
-        stats.bits_transmitted += int(sizes.sum())
-        stats.per_round_transmissions[round_index] += n_live
-        hops = self._hop[srcs, mids] + 1
-        ttls = self._ttl[srcs, mids]
+        n_live = int(rows.size)
+        n_dead = int(np.count_nonzero(transmit)) - n_live
+        stats.transmissions_attempted += n_dead + n_live
+        stats.dead_link_drops += n_dead
+        if lead is not None or n_live:
+            srcs = t_arr[rows]
+            mids = m_arr[rows]
+            sizes = self._msg_bits[mids]
+            # ufunc accumulate rounds every running sum left to right,
+            # which keeps energy_j bit-identical to the object engine's
+            # per-event "+=" chain (np.sum's pairwise reassociation
+            # would not).
+            increments = np.empty(n_live + 1, dtype=np.float64)
+            increments[0] = stats.energy_j
+            np.multiply(sizes, self._epb[srcs, ports], out=increments[1:])
+            if lead is not None:
+                first_row, joules = lead
+                increments = np.insert(
+                    increments, np.searchsorted(rows, first_row) + 1, joules
+                )
+            stats.energy_j = float(np.add.accumulate(increments)[-1])
         alt_events: dict[int, Packet] = {}
-        if self._alt_packets:
-            get_alt = self._alt_packets.get
-            src_l = srcs.tolist()
-            mid_l = mids.tolist()
-            for i in range(n_live):
-                packet = get_alt((src_l[i], mid_l[i]))
-                if packet is not None:
-                    alt_events[i] = packet
-        upsets = np.zeros(n_live, dtype=bool)
-        intact = np.ones(n_live, dtype=bool)
-        if self._uniform_delay:
-            self._pending.setdefault(round_index + 1, []).append(
-                _ArrivalChunk(
-                    dsts, mids, ttls, hops, upsets, intact, alt_events
+        if n_live:
+            stats.transmissions_delivered += n_live
+            stats.bits_transmitted += int(sizes.sum())
+            stats.per_round_transmissions[round_index] += n_live
+            dsts = self._nbr[srcs, ports]
+            hops = self._hop[srcs, mids] + 1
+            ttls = self._ttl[srcs, mids]
+            if self._alt_packets:
+                get_alt = self._alt_packets.get
+                for i, slot in enumerate(zip(srcs.tolist(), mids.tolist())):
+                    packet = get_alt(slot)
+                    if packet is not None:
+                        alt_events[i] = packet
+            intact = np.ones(n_live, dtype=bool)
+            if upsets is None:
+                upset = np.zeros(n_live, dtype=bool)
+            else:
+                mask, copies = upsets
+                upset = mask[rows, ports]
+                stats.upsets_injected += len(copies)
+                for i, copy in zip(np.nonzero(upset)[0].tolist(), copies):
+                    alt_events[i] = copy
+                    intact[i] = copy.is_intact()
+            if self._uniform_delay:
+                self._pending.setdefault(round_index + 1, []).append(
+                    _ArrivalChunk(
+                        dsts, mids, ttls, hops, upset, intact, alt_events
+                    )
                 )
-            )
-        else:
-            delays = self._delay[srcs, ports]
-            self._emit_delayed(
-                round_index, delays, dsts, mids, ttls, hops, upsets, intact,
-                alt_events,
-            )
-        if observer is not None:
-            for i in range(n_live):
-                observer.on_transmission(
-                    round_index,
-                    int(srcs[i]),
-                    int(dsts[i]),
-                    self._event_packet(
-                        int(mids[i]), int(ttls[i]), int(hops[i]),
-                        alt_events.get(i),
-                    ),
+            else:
+                self._emit_delayed(
+                    round_index, self._delay[srcs, ports], dsts, mids, ttls,
+                    hops, upset, intact, alt_events,
                 )
+        if observer is None and not (n_dead and self._dead_hook):
+            return
+        # Hooks only: without an observer just the dead entries fire.
+        entries = transmit if observer is not None else transmit & ~live
+        e_rows, e_ports = np.nonzero(entries)
+        src_l = t_arr.tolist()
+        neighbors = self._neighbors
+        if n_live and observer is not None:
+            mid_l, ttl_l, hop_l = mids.tolist(), ttls.tolist(), hops.tolist()
+            upset_l = upset.tolist()
+        i = 0
+        for row, port, ok in zip(
+            e_rows.tolist(), e_ports.tolist(), live[e_rows, e_ports].tolist()
+        ):
+            src = src_l[row]
+            neighbor = neighbors[src][port]
+            if not ok:
+                if self._dead_hook:
+                    self.policy.on_dead_link(src, neighbor, round_index)
+                if observer is not None:
+                    observer.on_dead_link_drop(round_index, src, neighbor)
+                continue
+            packet = alt_events.get(i)
+            if upset_l[i]:
+                observer.on_upset_injected(round_index, src, neighbor, packet)
+            else:
+                packet = self._event_packet(mid_l[i], ttl_l[i], hop_l[i], packet)
+            observer.on_transmission(round_index, src, neighbor, packet)
+            i += 1
 
     def _send_rows_matrix(
         self, round_index, t_arr, m_arr, p_mat, link_ok
@@ -1242,133 +1285,113 @@ class FastNocSimulator(NocSimulator):
     def _send_rows_pooled(
         self, round_index, t_arr, m_arr, p_row, link_ok
     ) -> None:
-        """Send with p_upset > 0: walk decision+upset uniforms out of a
-        growing pre-drawn pool, rewinding the bit generator around each
-        genuine corruption draw so the stream position stays exact.
+        """Send with p_upset > 0: a scan over stream positions, one emit.
 
-        The pool starts at ``_POOL_CHUNK`` doubles after every anchor and
-        doubles per refill, so a round pre-draws O(consumed + chunk x
-        corruptions) uniforms however many packets are corrupted.
+        Corruption draws are never pool doubles, so the doubles a round
+        consumes form one *virtual* stream: row r's decision doubles (one
+        per port when 0 < p < 1) start at ``starts[r]`` and its upset
+        doubles (one per live transmitting port) follow.  The scan reads
+        them from a growing pre-drawn pool — ``_POOL_CHUNK`` doubles
+        after every anchor, doubling per refill, so a round pre-draws
+        O(consumed + chunk x corruptions) — and walks only positions.  At
+        an upset double below ``p_upset`` it rewinds the bit generator to
+        the logical position, lets the error model corrupt the copy from
+        the live stream, re-anchors and starts a fresh pool.  The masks
+        are then computed from the consumed doubles and emitted at once.
         """
-        stats = self.stats
-        observer = self.observer
         paths = self.engine_paths
         p_upset = float(self.fault_config.p_upset)
-        neighbors_of = self._neighbors
-        alt_packets = self._alt_packets
-        link_ok_l = link_ok.tolist()
-        delay_l = self._delay.tolist()
-        epb_l = self._epb.tolist()
+        jj = np.arange(self._max_deg)
+        deg = self._deg[t_arr]
+        valid = jj[None, :] < deg[:, None]
+        live_ports = valid & link_ok[t_arr]
+        full = p_row >= 1.0
+        draw = ~full & (p_row > 0.0)
+        n_dec = np.where(draw, deg, 0)
+        n_full = np.where(full, live_ports.sum(axis=1), 0)
+        busy = np.nonzero(n_dec + n_full)[0]
         random = self.rng.random
         bit_generator = self.rng.bit_generator
         anchor = bit_generator.state
         pool: list[float] = []
         have = used = 0
         block = _POOL_CHUNK
-        builders: dict[int, _ChunkBuilder] = {}
-        energy = stats.energy_j
-        n_live = n_dead = bits_sent = 0
-        for tile_id, mid, p, ttl0, hop1, size_bits in zip(
-            t_arr.tolist(),
-            m_arr.tolist(),
-            p_row.tolist(),
-            self._ttl[t_arr, m_arr].tolist(),
-            (self._hop[t_arr, m_arr] + 1).tolist(),
-            self._msg_bits[m_arr].tolist(),
+        consumed: list[float] = []
+        starts: list[int] = []
+        copies: list[Packet] = []
+        for row, p, n_draws, k, ok in zip(
+            busy.tolist(),
+            p_row[busy].tolist(),
+            n_dec[busy].tolist(),
+            n_full[busy].tolist(),
+            live_ports[busy].tolist(),
         ):
-            if p <= 0.0:
-                continue
-            neighbors = neighbors_of[tile_id]
-            if p >= 1.0:
-                ports = range(len(neighbors))
-            else:
-                n_ports = len(neighbors)
-                while used + n_ports > have:
+            if n_draws:
+                while used + n_draws > have:
                     pool += random(block).tolist()
                     have += block
                     block *= 2
-                ports = [
-                    port
-                    for port, draw in enumerate(pool[used : used + n_ports])
-                    if draw < p
-                ]
-                used += n_ports
-            alt_src = alt_packets.get((tile_id, mid)) if alt_packets else None
-            ok_row = link_ok_l[tile_id]
-            delay_row = delay_l[tile_id]
-            epb_row = epb_l[tile_id]
-            for port in ports:
-                neighbor = neighbors[port]
-                if not ok_row[port]:
-                    n_dead += 1
-                    self.policy.on_dead_link(tile_id, neighbor, round_index)
-                    if observer is not None:
-                        observer.on_dead_link_drop(
-                            round_index, tile_id, neighbor
-                        )
-                    continue
+                starts.append(len(consumed) + used)
+                k = sum(map(p.__gt__, compress(pool[used : used + n_draws], ok)))
+                used += n_draws
+            while k:
                 if used == have:
                     pool += random(block).tolist()
                     have += block
                     block *= 2
-                draw = pool[used]
-                used += 1
-                if draw < p_upset:
-                    # Corruption draws must come from the live stream:
-                    # rewind to the logical position, let the error model
-                    # draw, then re-anchor and start a fresh small pool.
-                    self._rewind(bit_generator, anchor, used)
-                    stats.upsets_injected += 1
-                    copy = self._event_packet(mid, ttl0, hop1, alt_src)
-                    copy = copy.scrambled(
-                        self.injector.corrupt(copy.codeword)
-                    )
-                    if observer is not None:
-                        observer.on_upset_injected(
-                            round_index, tile_id, neighbor, copy
-                        )
-                    event = (True, copy.is_intact(), copy)
-                    anchor = bit_generator.state
-                    paths["pool.doubles_drawn"] += have
-                    paths["pool.doubles_used"] += used
-                    paths["pool.reanchors"] += 1
-                    pool = []
-                    have = used = 0
-                    block = _POOL_CHUNK
-                else:
-                    event = (False, True, alt_src)
-                arrival = round_index + delay_row[port]
-                builder = builders.get(arrival)
-                if builder is None:
-                    builder = builders[arrival] = _ChunkBuilder()
-                builder.add(neighbor, mid, ttl0, hop1, *event)
-                bits_sent += size_bits
-                energy += size_bits * epb_row[port]
-                n_live += 1
-                if observer is not None:
-                    was_upset, _, alt_packet = event
-                    observer.on_transmission(
-                        round_index,
-                        tile_id,
-                        neighbor,
-                        alt_packet
-                        if was_upset
-                        else self._event_packet(mid, ttl0, hop1, alt_packet),
-                    )
-        stats.transmissions_attempted += n_live + n_dead
-        stats.dead_link_drops += n_dead
-        stats.transmissions_delivered += n_live
-        stats.bits_transmitted += bits_sent
-        stats.energy_j = energy
-        if n_live:
-            stats.per_round_transmissions[round_index] += n_live
+                window = pool[used : used + k]
+                if min(window) >= p_upset:
+                    used += len(window)
+                    k -= len(window)
+                    continue
+                hit = next(i for i, x in enumerate(window) if x < p_upset) + 1
+                used += hit
+                k -= hit
+                # Corruption draws come from the live stream: rewind to
+                # the logical position, corrupt, re-anchor, and keep the
+                # consumed prefix of the pool as part of the stream.
+                self._rewind(bit_generator, anchor, used)
+                tile_id, mid = int(t_arr[row]), int(m_arr[row])
+                copy = self._event_packet(
+                    mid,
+                    int(self._ttl[tile_id, mid]),
+                    int(self._hop[tile_id, mid]) + 1,
+                    self._alt_packets.get((tile_id, mid)),
+                )
+                copies.append(
+                    copy.scrambled(self.injector.corrupt(copy.codeword))
+                )
+                anchor = bit_generator.state
+                paths["pool.doubles_drawn"] += have
+                paths["pool.doubles_used"] += used
+                paths["pool.reanchors"] += 1
+                consumed += pool[:used]
+                pool = []
+                have = used = 0
+                block = _POOL_CHUNK
         if have:
             # Leave the generator exactly where the object engine's would be.
             self._rewind(bit_generator, anchor, used)
         paths["pool.doubles_drawn"] += have
         paths["pool.doubles_used"] += used
-        for arrival, builder in builders.items():
-            self._pending.setdefault(arrival, []).append(builder.chunk())
+        consumed += pool[:used]
+        stream = np.asarray(consumed, dtype=np.float64)
+        transmit = full[:, None] & valid
+        is_decision = np.zeros(stream.size, dtype=bool)
+        if starts:
+            rows = np.nonzero(draw)[0]
+            at = np.asarray(starts)[:, None] + jj[None, :]
+            ports = valid[rows]
+            transmit[rows] = ports & (
+                stream[np.where(ports, at, 0)] < p_row[rows, None]
+            )
+            is_decision[at[ports]] = True
+        upset = np.zeros_like(transmit)
+        upset[transmit & live_ports] = stream[~is_decision] < p_upset
+        self._emit_transmit_matrix(
+            round_index, t_arr, m_arr, transmit, link_ok,
+            upsets=(upset, copies),
+        )
 
     def _flush_latched(self) -> None:
         """Turn the copies `_transmit` latched into pending chunks.

@@ -337,3 +337,41 @@ def test_pull_stays_scalar_where_a_response_has_no_port_back() -> None:
     assert sim.engine_paths["pull.vectorized"] == 0
     assert sim.engine_paths["pull.sequential"] > 0
     assert sim.engine_paths["send.matrix"] > 0
+
+
+# ------------------------------------------------------- batched eviction
+
+
+def test_batched_eviction_leaves_no_alt_packet_behind() -> None:
+    """A copy evicted in the round it arrived must drop its alt packet.
+
+    A CRC-8 lets escaped scrambles into buffers as alt packets; with one
+    one slot per tile and twelve sources, rounds evict their own inserts.
+    After every receive phase each alt packet belongs to a buffered slot.
+    """
+    from repro.crc import CRC8
+
+    config = SimConfig(
+        Mesh2D(6, 6),
+        StochasticProtocol(0.7),
+        FaultConfig(p_upset=0.8),
+        default_ttl=30,
+        buffer_capacity=1,
+        crc=CRC8,
+        backend=FAST_BACKEND,
+    )
+    sim = NocSimulator.from_config(config, seed=18)
+    for tile in range(0, 36, 3):
+        sim.mount(tile, _Rumor())
+    receive = sim._receive_phase
+    stale = []
+
+    def checked(round_index: int) -> None:
+        receive(round_index)
+        stale.extend(k for k in sim._alt_packets if not sim._buffered[k])
+
+    sim._receive_phase = checked
+    result = sim.run(30, until=lambda s: False)
+    assert result.stats.upsets_escaped > 0
+    assert stale == []
+    assert sim.engine_paths["receive.ordered"] == 0

@@ -108,7 +108,7 @@ def _cells(draw) -> dict:
         "topology": topology,
         "protocol": draw(_protocols()),
         "fault": draw(_fault_configs()),
-        "buffer_capacity": draw(st.sampled_from([None, 2, 4])),
+        "buffer_capacity": draw(st.sampled_from([None, 1, 2, 4])),
         "buffer_mode": draw(st.sampled_from(["retain", "relay"])),
         "seed": draw(st.integers(0, 2**16)),
         "tile_crashes": tile_crashes,

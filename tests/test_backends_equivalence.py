@@ -31,6 +31,7 @@ import pytest
 
 from repro.core.packet import BROADCAST
 from repro.core.protocol import StochasticProtocol
+from repro.crc import CRC8
 from repro.faults import (
     BurstUpsets,
     Composite,
@@ -81,6 +82,12 @@ class _Responder(IPCore):
     def on_receive(self, ctx: TileContext, packet) -> None:
         if packet.payload != b"ack":
             ctx.send(packet.source, b"ack")
+
+
+def _sources(n_tiles: int, count: int) -> tuple:
+    """Mount factories for `count` broadcast sources spread over the grid."""
+    step = n_tiles // count
+    return tuple((tile, _Seed) for tile in range(0, step * count, step))
 
 
 def _all_informed(sim: NocSimulator) -> bool:
@@ -265,6 +272,90 @@ GOLDEN_CELLS = {
         topology=Mesh2D(12, 12),
         protocol=StochasticProtocol(0.5),
         fault=FaultConfig(p_upset=0.05),
+        seed=3,
+    ),
+    # ------------------------------------- bounded buffers, batched eviction
+    # Many sources: one round inserts more keys into a tile than it holds,
+    # so the batch evicts some of that round's own inserts.
+    "capacity1-many-sources": dict(
+        topology=Mesh2D(6, 6),
+        protocol=StochasticProtocol(0.6),
+        config={"buffer_capacity": 1},
+        mounts=_sources(36, 8),
+        seed=1,
+    ),
+    "capacity2-many-sources": dict(
+        topology=Mesh2D(6, 6),
+        protocol=StochasticProtocol(0.6),
+        config={"buffer_capacity": 2},
+        mounts=_sources(36, 12),
+        seed=2,
+    ),
+    "capacity4-many-sources": dict(
+        topology=Mesh2D(6, 6),
+        protocol=StochasticProtocol(0.7),
+        config={"buffer_capacity": 4},
+        mounts=_sources(36, 16),
+        seed=3,
+    ),
+    # A CRC-8 lets about one scramble in 256 through: escaped copies sit
+    # in buffers as alt packets, and eviction must drop those too.
+    "capacity-upsets-crc8": dict(
+        topology=Mesh2D(6, 6),
+        protocol=StochasticProtocol(0.7),
+        fault=FaultConfig(p_upset=0.8),
+        config={"buffer_capacity": 2, "crc": CRC8},
+        mounts=_sources(36, 12),
+        seed=7,
+    ),
+    # Modelled buffers replace the overflow Bernoulli: nothing is drawn.
+    "capacity-overflow": dict(
+        topology=Mesh2D(6, 6),
+        protocol=StochasticProtocol(0.6),
+        fault=FaultConfig(p_overflow=0.2, p_upset=0.05),
+        config={"buffer_capacity": 2},
+        mounts=_sources(36, 8),
+        seed=5,
+    ),
+    "relay-capacity": dict(
+        topology=Mesh2D(6, 6),
+        protocol=StochasticProtocol(0.6),
+        fault=FaultConfig(p_upset=0.05),
+        config={"buffer_mode": "relay", "buffer_capacity": 2},
+        mounts=_sources(36, 8),
+        seed=6,
+    ),
+    # ------------------------------------------- the pooled send's row kinds
+    "pooled-flood-rows": dict(
+        topology=Mesh2D(5, 5),
+        protocol=PolicySpec("flood", {}),
+        fault=FaultConfig(p_upset=0.15),
+        crash_plan=CrashPlan(dead_links=frozenset({(6, 7), (12, 17)})),
+        seed=1,
+    ),
+    # Tiles next to a dead link boost to p = 1 (flood rows) through
+    # on_dead_link while the rest draw their ports.
+    "pooled-adaptive-dead-links": dict(
+        topology=Mesh2D(5, 5),
+        protocol=PolicySpec(
+            "adaptive",
+            {"p_base": 0.7, "congestion_weight": 0.0, "fault_boost": 0.8},
+        ),
+        fault=FaultConfig(p_upset=0.1),
+        crash_plan=CrashPlan(
+            dead_links=frozenset({(6, 7), (7, 12), (12, 13), (18, 19)})
+        ),
+        link_crashes=((3, (2, 3)), (4, (16, 11))),
+        seed=2,
+    ),
+    "pooled-delays": dict(
+        topology=Mesh2D(5, 5),
+        protocol=StochasticProtocol(0.6),
+        fault=FaultConfig(p_upset=0.2),
+        config={
+            "link_delays": {(0, 1): 3, (6, 7): 2, (7, 6): 4, (12, 13): 2}
+        },
+        mounts=_sources(25, 5),
         seed=3,
     ),
     # ---------------------------------------------- dynamic fault scenarios

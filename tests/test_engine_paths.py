@@ -80,7 +80,8 @@ def test_engine_paths_repeat_exactly() -> None:
     ("overrides", "send", "receive"),
     [
         ({}, "send.vectorized", "receive.vectorized"),
-        ({"buffer_capacity": 2}, "send.vectorized", "receive.ordered"),
+        # Bounded buffers evict in one batch (see the relay row below).
+        ({"buffer_capacity": 2}, "send.vectorized", "receive.vectorized"),
         (
             # Under upsets every transmission draws between the picks:
             # push-pull's rounds stay on the scalar walker.
@@ -100,6 +101,14 @@ def test_engine_paths_repeat_exactly() -> None:
             {"protocol": PolicySpec("push_pull", {})},
             "send.matrix",
             "receive.vectorized",
+        ),
+        (
+            # Relay buffers dedup against the buffer itself, so a copy
+            # evicted earlier in the round is inserted again: bounded relay
+            # receives replay event by event.
+            {"buffer_capacity": 2, "buffer_mode": "relay"},
+            "send.vectorized",
+            "receive.ordered",
         ),
     ],
 )
@@ -122,6 +131,23 @@ def test_each_round_counts_on_the_path_that_ran(overrides, send, receive) -> Non
         assert pulled == paths[pull[send]]
     else:
         assert pulled == 0
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 4])
+def test_bounded_buffers_receive_vectorized(capacity: int) -> None:
+    """Upsets, overflow and eviction together stay off the ordered path."""
+    config = SimConfig(
+        Mesh2D(6, 6),
+        StochasticProtocol(0.6),
+        FaultConfig(p_upset=0.1, p_overflow=0.1),
+        default_ttl=60,
+        buffer_capacity=capacity,
+        backend="fast",
+    )
+    sim, result = _broadcast(config)
+    assert result.stats.upsets_injected > 0
+    assert sim.engine_paths["receive.ordered"] == 0
+    assert 0 < sim.engine_paths["receive.vectorized"] <= result.rounds
 
 
 def test_engine_paths_is_an_attribute_not_a_result() -> None:

@@ -142,6 +142,9 @@ REASONS: list[tuple[str, str]] = [
      "window switching), checked by the codec tests"),
     ("noc/backends/base.py::available_backends", "backend registry "
      "introspection (test_backend_fast.py)"),
+    ("noc/backends/fast.py::FastNocSimulator._receive_ordered", "the only "
+     "exact fast receive for on_receive IPs and bounded relay buffers, "
+     "which no user path runs on the fast backend; kept"),
     ("noc/backends/fast.py::", "fast-backend mirror of the object "
      "engine's tile API / delay and crash paths, driven by the "
      "bit-identity gates"),
