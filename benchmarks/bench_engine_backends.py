@@ -9,11 +9,13 @@ upsets (``p_upset=0.1``), where the fast backend walks a pre-drawn pool
 instead of one batched draw block, against a **>= 1.5x** floor.  Three
 policy legs follow on the 16x16 mesh.  Fault-free push-pull runs both
 halves batched (``repro/policies/sampling.py``) against a **>= 5x**
-floor.  Push-pull and ``adaptive_route`` at ``p_upset=0.1`` run the
-scalar send walker, where both engines execute the same
-per-transmission sequence (``NocSimulator._transmit``): push-pull is
-checked for equality only, ``adaptive_route`` for parity.  The policy
-floors are asserted in full mode only; ``--quick`` checks equality alone.
+floor.  Push-pull at ``p_upset=0.1`` runs the scalar send walker, where
+both engines execute the same per-transmission sequence
+(``NocSimulator._transmit``), and is checked for equality only.
+``adaptive_route`` at ``p_upset=0.1`` runs the batched send kernel (its
+0/1 decision matrix plus the upset scan) against a parity floor.  The
+policy floors are asserted in full mode only; ``--quick`` checks
+equality alone.
 
 Run standalone for the full measurement (asserts the 10x target)::
 
@@ -47,8 +49,9 @@ UPSET_P = 0.1
 UPSET_MIN_SPEEDUP = 1.5
 
 #: The policy legs: (policy kind, p_upset, full-mode speedup floor).
-#: Fault-free push-pull is batched; the two upset legs run the scalar
-#: walker (floor 0 = equality only, 1 = parity).
+#: Fault-free push-pull and upset adaptive_route run the batched send
+#: kernel; upset push-pull runs the scalar walker (floor 0 = equality
+#: only, 1 = parity).
 POLICY_LEGS = (
     ("push_pull", 0.0, 5.0),
     ("push_pull", UPSET_P, 0.0),

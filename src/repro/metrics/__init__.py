@@ -29,7 +29,7 @@ from repro.metrics.aggregate import (
     SeriesSummary,
     aggregate_metrics,
 )
-from repro.metrics.collector import MetricsCollector, run_with_metrics
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.extract import (
     EXTRACTORS,
     extract_statistic,
@@ -52,5 +52,4 @@ __all__ = [
     "aggregate_metrics",
     "extract_statistic",
     "register_extractor",
-    "run_with_metrics",
 ]

@@ -140,22 +140,3 @@ class MetricsCollector(Observer):
             )
         return RunMetrics(n_tiles=self._n_tiles, samples=tuple(self._samples))
 
-
-def run_with_metrics(simulator_builder, *, max_rounds: int = 1000, until=None):
-    """Build a simulator with a fresh collector, run it, return both.
-
-    `simulator_builder` is a callable accepting ``observer=`` and
-    returning a :class:`repro.noc.engine.NocSimulator`; the return value
-    is ``(SimulationResult, RunMetrics)``.  This is the one-liner for
-    instrumenting ad-hoc scripts::
-
-        result, metrics = run_with_metrics(
-            lambda observer: NocSimulator(topo, proto, seed=1,
-                                          observer=observer),
-            max_rounds=200,
-        )
-    """
-    collector = MetricsCollector()
-    simulator = simulator_builder(observer=collector)
-    result = simulator.run(max_rounds, until=until)
-    return result, collector.metrics()

@@ -27,9 +27,11 @@ Stream discipline (matching the object engine draw for draw):
   one upset uniform per transmission over a live link when
   ``p_upset > 0``.  Corruption draws interleave mid-stream but are never
   pool doubles, so the doubles a round consumes form one *virtual*
-  stream: the upset path scans positions in it out of a growing
+  stream: under upsets the send scans positions in it out of a growing
   pre-drawn *pool*, rewinding/advancing the PCG64 bit generator around
-  each corruption, then emits the round as one matrix.
+  each corruption.  Every ``decide_batch`` round — per-row
+  probabilities or a 0/1 matrix, with or without upsets — is then
+  emitted as one matrix.
 * **push-pull** — at ``p_upset == 0`` the policy draws a whole round's
   push ports (send) and pull targets (pull) from one uint32 block that
   consumes exactly what the per-row ``choice`` / ``integers`` calls
@@ -53,10 +55,9 @@ Configurations that are supported but fall back to slower exact paths:
   same round, are sequential semantics); bounded retain buffers evict in
   one batch;
 * policies without a :meth:`ForwardingPolicy.decide_batch` (or whose
-  hook returns None for the round), and ``decide_batch`` matrices under
-  ``p_upset > 0``, send row by row through one scalar walker that drives
-  the inherited :meth:`NocSimulator._transmit` (array-backed state, same
-  stream);
+  hook returns None for the round) send row by row through one scalar
+  walker that drives the inherited :meth:`NocSimulator._transmit`
+  (array-backed state, same stream);
 * pull phases without a :meth:`ForwardingPolicy.pull_ports_batch` mask
   — the hook is missing or declined, ``p_upset > 0``, or a link has no
   reverse port — run the inherited per-tile phase.
@@ -89,7 +90,7 @@ from repro.noc.engine import NocSimulator
 from repro.noc.tile import IPCore, RelayCore, TileContext, TileState
 from repro.policies.base import BatchDecisionView, ForwardingPolicy
 
-#: Uniforms `_send_rows_pooled` pre-draws after each anchor; every refill
+#: Uniforms `_scan_upsets` pre-draws after each anchor; every refill
 #: doubles the block.  A constant, not a setting: tests monkeypatch it to
 #: cross block boundaries on small grids.
 _POOL_CHUNK = 64
@@ -1044,59 +1045,79 @@ class FastNocSimulator(NocSimulator):
             self._send_rows_scalar(round_index, t_arr, m_arr)
             return
         p_row = np.asarray(p_row, dtype=np.float64)
-        link_ok = self._effective_link_ok()
         if p_row.ndim == 2:
             paths["send.matrix"] += 1
-            self._send_rows_matrix(round_index, t_arr, m_arr, p_row, link_ok)
-            return
-        if self.fault_config.p_upset > 0.0:
+        elif self.fault_config.p_upset > 0.0:
             paths["send.pooled"] += 1
-            self._send_rows_pooled(round_index, t_arr, m_arr, p_row, link_ok)
         else:
             paths["send.vectorized"] += 1
-            self._send_rows_vectorized(
-                round_index, t_arr, m_arr, p_row, link_ok
-            )
+        self._send_rows_batched(round_index, t_arr, m_arr, p_row)
 
-    def _send_rows_vectorized(
-        self, round_index, t_arr, m_arr, p_row, link_ok
-    ) -> None:
-        """Fully batched send: no upsets possible, one draw block total."""
-        n_rows = t_arr.size
-        max_deg = self._max_deg
-        deg = self._deg[t_arr]
+    def _send_rows_batched(self, round_index, t_arr, m_arr, p_row) -> None:
+        """Send a round from its ``decide_batch`` answer: decide, scan, emit.
+
+        `p_row` is a per-row forwarding probability (1-D) or a 0/1
+        (row, port) decision matrix (2-D).  Fixed entries — rows with
+        ``p >= 1`` and a matrix's ones — draw nothing; a row with
+        ``0 < p < 1`` draws one decision double per port.  Without upsets
+        those doubles are one ``rng.random`` block; under upsets every
+        live transmission draws one more and :meth:`_scan_upsets` reads
+        the round's doubles off the stream.  The transmit and upset masks
+        follow in numpy and are emitted at once.
+        """
+        n_rows, max_deg = t_arr.size, self._max_deg
         jj = np.arange(max_deg)
+        deg = self._deg[t_arr]
         valid = jj[None, :] < deg[:, None]
-        full = p_row >= 1.0
-        draw = ~full & (p_row > 0.0)
-        if draw.all():
-            # Homogeneous Bernoulli rows — the common case: one pooled
-            # draw block, no row masking.
-            n_draws = int(deg.sum())
-            pool = self.rng.random(n_draws)
-            offsets = np.empty(n_rows, dtype=np.int64)
-            offsets[0] = 0
-            np.cumsum(deg[:-1], out=offsets[1:])
-            gather = offsets[:, None] + jj[None, :]
-            np.minimum(gather, n_draws - 1, out=gather)
-            transmit = (pool[gather] < p_row[:, None]) & valid
-        else:
-            transmit = np.zeros((n_rows, max_deg), dtype=bool)
-            if full.any():
-                transmit[full] = valid[full]
-            if draw.any():
-                draw_deg = deg[draw]
-                n_draws = int(draw_deg.sum())
-                pool = self.rng.random(n_draws)
-                offsets = np.concatenate(
-                    ([0], np.cumsum(draw_deg[:-1]))
-                ).astype(np.int64)
-                gather = offsets[:, None] + jj[None, :]
-                np.minimum(gather, max(n_draws - 1, 0), out=gather)
-                transmit[draw] = (pool[gather] < p_row[draw, None]) & (
-                    jj[None, :] < draw_deg[:, None]
+        if p_row.ndim == 2:
+            if p_row.shape != (n_rows, max_deg):
+                raise ValueError(
+                    "2-D decide_batch must return shape (len(batch), "
+                    f"max_degree) = {(n_rows, max_deg)}, got {p_row.shape}"
                 )
-        self._emit_transmit_matrix(round_index, t_arr, m_arr, transmit, link_ok)
+            if not (((p_row == 0.0) | (p_row == 1.0)).all()):
+                raise ValueError(
+                    "2-D decide_batch matrices must be deterministic (every "
+                    "entry 0.0 or 1.0); return a 1-D per-row probability "
+                    "array or None for stochastic rules"
+                )
+            transmit = (p_row >= 1.0) & valid
+            # Every entry is fixed: no row draws a decision.
+            p_row = np.zeros(n_rows)
+        else:
+            transmit = (p_row >= 1.0)[:, None] & valid
+        draw = (p_row > 0.0) & (p_row < 1.0)
+        # Homogeneous Bernoulli rows — the common case — skip row indexing.
+        rows = slice(None) if draw.all() else np.nonzero(draw)[0]
+        link_ok = self._effective_link_ok()
+        p_upset = self.fault_config.p_upset
+        if p_upset > 0.0:
+            live = valid & link_ok[t_arr]
+            stream, starts, copies = self._scan_upsets(
+                t_arr, m_arr, p_row, np.where(draw, deg, 0),
+                np.count_nonzero(transmit & live, axis=1), live,
+            )
+        else:
+            n_dec = deg[rows]
+            stream = self.rng.random(int(n_dec.sum()))
+            starts = np.cumsum(n_dec) - n_dec
+        if starts.size:
+            at = starts[:, None] + jj[None, :]
+            ports = valid[rows]
+            transmit[rows] = ports & (
+                stream[np.where(ports, at, 0)] < p_row[rows, None]
+            )
+        upsets = None
+        if p_upset > 0.0:
+            is_upset = np.ones(stream.size, dtype=bool)
+            if starts.size:
+                is_upset[at[ports]] = False
+            upset = np.zeros_like(transmit)
+            upset[transmit & live] = stream[is_upset] < p_upset
+            upsets = (upset, copies)
+        self._emit_transmit_matrix(
+            round_index, t_arr, m_arr, transmit, link_ok, upsets=upsets
+        )
 
     def _emit_transmit_matrix(
         self, round_index, t_arr, m_arr, transmit, link_ok, lead=None,
@@ -1205,44 +1226,6 @@ class FastNocSimulator(NocSimulator):
             observer.on_transmission(round_index, src, neighbor, packet)
             i += 1
 
-    def _send_rows_matrix(
-        self, round_index, t_arr, m_arr, p_mat, link_ok
-    ) -> None:
-        """Send from a 2-D deterministic decide_batch matrix.
-
-        Entries must be exactly 0.0 or 1.0 (per-row/per-port decisions
-        with no coin flips); fractional per-port probabilities have no
-        draw-order-preserving vectorised form, so they are rejected
-        loudly rather than silently diverging from ``backend='object'``.
-        """
-        max_deg = self._max_deg
-        if p_mat.shape != (t_arr.size, max_deg):
-            raise ValueError(
-                "2-D decide_batch must return shape (len(batch), "
-                f"max_degree) = {(t_arr.size, max_deg)}, got {p_mat.shape}"
-            )
-        if not (((p_mat == 0.0) | (p_mat == 1.0)).all()):
-            raise ValueError(
-                "2-D decide_batch matrices must be deterministic (every "
-                "entry 0.0 or 1.0); return a 1-D per-row probability "
-                "array or None for stochastic rules"
-            )
-        deg = self._deg[t_arr]
-        jj = np.arange(max_deg)
-        transmit = (p_mat >= 1.0) & (jj[None, :] < deg[:, None])
-        if self.fault_config.p_upset > 0.0:
-            # Decisions are draw-free, so the only RNG consumers are the
-            # per-live-transmission upset draws — walk them scalar-wise
-            # in (row, port) order, exactly like the object engine.
-            busy = transmit.any(axis=1)
-            self._send_rows_scalar(
-                round_index, t_arr[busy], m_arr[busy], transmit[busy]
-            )
-        else:
-            self._emit_transmit_matrix(
-                round_index, t_arr, m_arr, transmit, link_ok
-            )
-
     def _emit_delayed(
         self, round_index, delays, dsts, mids, ttls, hops, upsets, intact, alt
     ) -> None:
@@ -1282,34 +1265,28 @@ class FastNocSimulator(NocSimulator):
             state["uinteger"] = anchor["uinteger"]
             bit_generator.state = state
 
-    def _send_rows_pooled(
-        self, round_index, t_arr, m_arr, p_row, link_ok
-    ) -> None:
-        """Send with p_upset > 0: a scan over stream positions, one emit.
+    def _scan_upsets(self, t_arr, m_arr, p_row, n_dec, n_fixed, live):
+        """Read a round's consumed doubles off the stream under upsets.
 
         Corruption draws are never pool doubles, so the doubles a round
-        consumes form one *virtual* stream: row r's decision doubles (one
-        per port when 0 < p < 1) start at ``starts[r]`` and its upset
-        doubles (one per live transmitting port) follow.  The scan reads
-        them from a growing pre-drawn pool — ``_POOL_CHUNK`` doubles
-        after every anchor, doubling per refill, so a round pre-draws
-        O(consumed + chunk x corruptions) — and walks only positions.  At
-        an upset double below ``p_upset`` it rewinds the bit generator to
-        the logical position, lets the error model corrupt the copy from
-        the live stream, re-anchors and starts a fresh pool.  The masks
-        are then computed from the consumed doubles and emitted at once.
+        consumes form one *virtual* stream: row r's `n_dec[r]` decision
+        doubles (one per port when 0 < p < 1) come first, then one upset
+        double per live transmitting port — `n_fixed[r]` of them for a
+        row of fixed entries.  The scan reads them from a growing
+        pre-drawn pool — ``_POOL_CHUNK`` doubles after every anchor,
+        doubling per refill, so a round pre-draws O(consumed + chunk x
+        corruptions) — and walks only positions.  At an upset double
+        below ``p_upset`` it rewinds the bit generator to the logical
+        position, lets the error model corrupt the copy from the live
+        stream, re-anchors and starts a fresh pool.
+
+        Returns ``(stream, starts, copies)``: the consumed doubles, the
+        position of each drawing row's first decision double, and the
+        corrupted copies in (row, port) order.
         """
         paths = self.engine_paths
         p_upset = float(self.fault_config.p_upset)
-        jj = np.arange(self._max_deg)
-        deg = self._deg[t_arr]
-        valid = jj[None, :] < deg[:, None]
-        live_ports = valid & link_ok[t_arr]
-        full = p_row >= 1.0
-        draw = ~full & (p_row > 0.0)
-        n_dec = np.where(draw, deg, 0)
-        n_full = np.where(full, live_ports.sum(axis=1), 0)
-        busy = np.nonzero(n_dec + n_full)[0]
+        busy = np.nonzero(n_dec + n_fixed)[0]
         random = self.rng.random
         bit_generator = self.rng.bit_generator
         anchor = bit_generator.state
@@ -1323,8 +1300,8 @@ class FastNocSimulator(NocSimulator):
             busy.tolist(),
             p_row[busy].tolist(),
             n_dec[busy].tolist(),
-            n_full[busy].tolist(),
-            live_ports[busy].tolist(),
+            n_fixed[busy].tolist(),
+            live[busy].tolist(),
         ):
             if n_draws:
                 while used + n_draws > have:
@@ -1375,22 +1352,10 @@ class FastNocSimulator(NocSimulator):
         paths["pool.doubles_drawn"] += have
         paths["pool.doubles_used"] += used
         consumed += pool[:used]
-        stream = np.asarray(consumed, dtype=np.float64)
-        transmit = full[:, None] & valid
-        is_decision = np.zeros(stream.size, dtype=bool)
-        if starts:
-            rows = np.nonzero(draw)[0]
-            at = np.asarray(starts)[:, None] + jj[None, :]
-            ports = valid[rows]
-            transmit[rows] = ports & (
-                stream[np.where(ports, at, 0)] < p_row[rows, None]
-            )
-            is_decision[at[ports]] = True
-        upset = np.zeros_like(transmit)
-        upset[transmit & live_ports] = stream[~is_decision] < p_upset
-        self._emit_transmit_matrix(
-            round_index, t_arr, m_arr, transmit, link_ok,
-            upsets=(upset, copies),
+        return (
+            np.asarray(consumed, dtype=np.float64),
+            np.asarray(starts, dtype=np.int64),
+            copies,
         )
 
     def _flush_latched(self) -> None:
@@ -1428,55 +1393,39 @@ class FastNocSimulator(NocSimulator):
             copy if non_canonical else None,
         )
 
-    def _send_rows_scalar(
-        self, round_index, t_arr, m_arr, transmit=None
-    ) -> None:
-        """Exact per-row send: each row's packet is materialised and
-        driven through the inherited :meth:`_transmit`, port by port.
+    def _send_rows_scalar(self, round_index, t_arr, m_arr) -> None:
+        """Exact per-row send for a round without a ``decide_batch`` form.
 
-        The target ports come from ``policy.decisions`` (`transmit` is
-        None: the policy has no ``decide_batch``) or from the rows of a
-        deterministic ``decide_batch`` mask walked under upsets.
+        Each row's packet is materialised, ``policy.decisions`` picks its
+        ports and the inherited :meth:`_transmit` drives each one.
         """
         capacity = self.config.buffer_capacity
         alt_packets = self._alt_packets
         sender_end = self._clock.round_end(round_index)
-        mask_rows = None if transmit is None else transmit.tolist()
-        for row, (tile_id, mid, ttl, hop, occupancy) in enumerate(
-            zip(
-                t_arr.tolist(),
-                m_arr.tolist(),
-                self._ttl[t_arr, m_arr].tolist(),
-                self._hop[t_arr, m_arr].tolist(),
-                self._buflen[t_arr].tolist(),
-            )
+        for tile_id, mid, ttl, hop, occupancy in zip(
+            t_arr.tolist(),
+            m_arr.tolist(),
+            self._ttl[t_arr, m_arr].tolist(),
+            self._hop[t_arr, m_arr].tolist(),
+            self._buflen[t_arr].tolist(),
         ):
-            neighbors = self._neighbors[tile_id]
             packet = self._event_packet(
                 mid, ttl, hop, alt_packets.get((tile_id, mid))
             )
-            if mask_rows is None:
-                targets = [
-                    decision.neighbor
-                    for decision in self.policy.decisions(
-                        packet,
-                        neighbors,
-                        self.rng,
-                        tile_id=tile_id,
-                        round_index=round_index,
-                        buffer_occupancy=occupancy,
-                        buffer_capacity=capacity,
+            for decision in self.policy.decisions(
+                packet,
+                self._neighbors[tile_id],
+                self.rng,
+                tile_id=tile_id,
+                round_index=round_index,
+                buffer_occupancy=occupancy,
+                buffer_capacity=capacity,
+            ):
+                if decision.transmit:
+                    self._transmit(
+                        round_index, tile_id, decision.neighbor, packet,
+                        sender_end,
                     )
-                    if decision.transmit
-                ]
-            else:
-                targets = [
-                    neighbors[port]
-                    for port, go in enumerate(mask_rows[row])
-                    if go
-                ]
-            for dst in targets:
-                self._transmit(round_index, tile_id, dst, packet, sender_end)
 
     def _pull_phase(self, round_index: int) -> None:
         """Batched pull half for policies with ``pull_ports_batch``.

@@ -52,7 +52,7 @@ import importlib
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.service.db import ResultsDB
@@ -459,36 +459,6 @@ class SweepRunner:
         if owns_run:
             self.db.finish_run(run_id, status="completed")
         return results
-
-    def map(
-        self,
-        fn: Callable[..., Any],
-        param_sets: Iterable[Mapping[str, Any]],
-        seeds: Sequence[int | None] | None = None,
-    ) -> list[Any]:
-        """Convenience wrapper: one task per parameter mapping.
-
-        >>> runner = SweepRunner()
-        >>> from repro.core.theory import simulate_rumor_spread
-        >>> curves = runner.map(
-        ...     simulate_rumor_spread, [{"n": 32}, {"n": 64}], seeds=[1, 2]
-        ... )
-        >>> [curve[0] for curve in curves]
-        [1, 1]
-        """
-        sets = list(param_sets)
-        if seeds is None:
-            seed_list: Sequence[int | None] = [None] * len(sets)
-        else:
-            seed_list = list(seeds)
-            if len(seed_list) != len(sets):
-                raise ValueError(
-                    f"got {len(seed_list)} seeds for {len(sets)} param sets"
-                )
-        return self.run(
-            SimTask.call(fn, seed=seed, **params)
-            for params, seed in zip(sets, seed_list)
-        )
 
     def assign_seeds(self, tasks: Iterable[SimTask]) -> list[SimTask]:
         """Fill in missing task seeds from ``base_seed``, by batch index.

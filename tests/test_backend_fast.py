@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.packet import BROADCAST
@@ -375,3 +376,30 @@ def test_batched_eviction_leaves_no_alt_packet_behind() -> None:
     assert result.stats.upsets_escaped > 0
     assert stale == []
     assert sim.engine_paths["receive.ordered"] == 0
+
+
+# ---------------------------------------------------- decision matrix shape
+
+
+@pytest.mark.parametrize("p_upset", [0.0, 0.2])
+@pytest.mark.parametrize(
+    ("matrix", "message"),
+    [
+        (lambda rows, width: np.ones((rows, width + 1)), "must return shape"),
+        (lambda rows, width: np.full((rows, width), 0.5), "must be deterministic"),
+    ],
+    ids=["wrong-shape", "fractional"],
+)
+def test_malformed_decision_matrices_are_refused(matrix, message, p_upset) -> None:
+    """A 2-D decide_batch answer must be (len(batch), max_degree) and 0/1."""
+    config = SimConfig(
+        Mesh2D(3, 3),
+        PolicySpec.of("flood"),
+        FaultConfig(p_upset=p_upset),
+        backend=FAST_BACKEND,
+    )
+    sim = NocSimulator.from_config(config, seed=1)
+    sim.mount(0, _Rumor())
+    sim.policy.decide_batch = lambda batch: matrix(len(batch), batch.max_degree)
+    with pytest.raises(ValueError, match=message):
+        sim.run(5, until=lambda s: False)

@@ -70,6 +70,9 @@ def _protocols() -> st.SearchStrategy:
             st.integers(1, 3),
             st.sampled_from([None, 2]),
         ),
+        st.sampled_from([0, 4]).map(
+            lambda detour: PolicySpec.of("adaptive_route", detour_rounds=detour)
+        ),
     )
 
 

@@ -498,6 +498,47 @@ GOLDEN_CELLS = {
         fault=FaultConfig(p_upset=0.2),
         seed=1,
     ),
+    # ------------------------------- adaptive_route: 0/1 decision matrices
+    "adaptive-route": dict(
+        topology=Mesh2D(5, 5),
+        protocol=PolicySpec.of("adaptive_route"),
+        seed=1,
+    ),
+    # Under upsets the draw-free matrix rows scan only upset doubles.
+    "adaptive-route-upsets": dict(
+        topology=Mesh2D(5, 5),
+        protocol=PolicySpec.of("adaptive_route"),
+        fault=FaultConfig(p_upset=0.2),
+        seed=2,
+    ),
+    # Dead links trigger detours: whole-row floods next to the failure.
+    "adaptive-route-upsets-dead-links": dict(
+        topology=Mesh2D(5, 5),
+        protocol=PolicySpec.of("adaptive_route", detour_rounds=4),
+        fault=FaultConfig(p_upset=0.1),
+        crash_plan=CrashPlan(
+            dead_links=frozenset({(6, 7), (7, 12), (12, 13), (18, 19)})
+        ),
+        seed=3,
+    ),
+    "adaptive-route-upsets-dead-links-no-detour": dict(
+        topology=Mesh2D(5, 5),
+        protocol=PolicySpec.of("adaptive_route", detour_rounds=0),
+        fault=FaultConfig(p_upset=0.1),
+        crash_plan=CrashPlan(
+            dead_links=frozenset({(6, 7), (7, 12), (12, 13), (18, 19)})
+        ),
+        seed=4,
+    ),
+    "adaptive-route-upsets-delays": dict(
+        topology=Mesh2D(5, 5),
+        protocol=PolicySpec.of("adaptive_route"),
+        fault=FaultConfig(p_upset=0.2),
+        config={
+            "link_delays": {(0, 1): 3, (6, 7): 2, (7, 6): 4, (12, 13): 2}
+        },
+        seed=5,
+    ),
     # ----------------------------------------------------------- workloads
     "multi-message": dict(
         topology=Mesh2D(4, 4),

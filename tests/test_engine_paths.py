@@ -169,3 +169,24 @@ def test_engine_paths_is_an_attribute_not_a_result() -> None:
     ):
         assert "engine_paths" not in rendered
         assert "pool." not in rendered and "pull." not in rendered
+
+
+def test_decision_matrix_rounds_under_upsets_scan_the_pool() -> None:
+    """0/1 decide_batch matrices under upsets: one scan, no scalar walker.
+
+    Each corruption re-anchors the pool once, and the pool supplies every
+    live transmission's upset double.
+    """
+    config = SimConfig(
+        Mesh2D(6, 6),
+        PolicySpec.of("adaptive_route"),
+        FaultConfig(p_upset=0.2),
+        default_ttl=40,
+        backend="fast",
+    )
+    sim, result = _broadcast(config)
+    paths, stats = sim.engine_paths, result.stats
+    assert 0 < paths["send.matrix"] <= result.rounds
+    assert sum(paths[name] for name in SEND_PATHS) == paths["send.matrix"]
+    assert paths["pool.reanchors"] == stats.upsets_injected > 0
+    assert paths["pool.doubles_used"] >= stats.transmissions_delivered

@@ -19,7 +19,6 @@ from repro.metrics import (
     RoundSample,
     RunMetrics,
     aggregate_metrics,
-    run_with_metrics,
 )
 from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D, Torus2D
@@ -89,14 +88,6 @@ class TestMetricsCollector:
         sim2 = _broadcast_sim(observer=collector)
         sim2.run(2, until=lambda s: False)
         assert collector.metrics().rounds == 2
-
-    def test_run_with_metrics_helper(self):
-        result, metrics = run_with_metrics(
-            _broadcast_sim, max_rounds=16
-        )
-        assert isinstance(metrics, RunMetrics)
-        assert metrics.rounds >= 1
-        assert metrics.total_energy_j == pytest.approx(result.energy_j)
 
     def test_drop_counters_observe_dead_links(self):
         from repro.faults import FaultConfig

@@ -110,12 +110,6 @@ class TestPacketFactory:
         factory = PacketFactory(0, id_offset=100)
         assert factory.make(1, b"x").message_id == 100
 
-    def test_stream_ordering(self):
-        factory = PacketFactory(0)
-        packets = list(factory.stream(1, [b"a", b"b", b"c"]))
-        assert [p.payload for p in packets] == [b"a", b"b", b"c"]
-        assert [p.message_id for p in packets] == [0, 1, 2]
-
     def test_ttl_validation(self):
         with pytest.raises(ValueError):
             PacketFactory(0, default_ttl=0)

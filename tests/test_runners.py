@@ -134,18 +134,6 @@ class TestSweepRunner:
         assert a == b
         assert SweepRunner(base_seed=6).run(tasks) != a
 
-    def test_map_convenience(self):
-        runner = SweepRunner()
-        curves = runner.map(
-            simulate_rumor_spread, [{"n": 16}, {"n": 32}], seeds=[1, 2]
-        )
-        assert curves == [
-            simulate_rumor_spread(16, seed=1),
-            simulate_rumor_spread(32, seed=2),
-        ]
-        with pytest.raises(ValueError, match="seeds"):
-            runner.map(simulate_rumor_spread, [{"n": 16}], seeds=[1, 2])
-
 
 class TestResultCache:
     def test_hit_miss_roundtrip(self, cache_dir):

@@ -80,10 +80,8 @@ TAGS = ("user-reached", "test-only", "unreached")
 SET_NAMES = {"a": "user paths", "b": "tier-1", "c": "benchmarks/"}
 
 #: Why a kept test-only function stays, by ``file::qualname`` prefix; the
-#: first matching prefix wins.  "Deletable" marks a row kept only because
-#: deleting it means deleting the tests that are its sole callers (ROADMAP
-#: item 5(f)).  :func:`main` lists test-only rows no prefix covers.
-DELETABLE = "deletable with its tests (item 5(f))"
+#: first matching prefix wins.  :func:`main` lists test-only rows no prefix
+#: covers.
 REASONS: list[tuple[str, str]] = [
     ("cli.py::_", "input validation: argparse runs it only on an explicit "
      "flag value, never on the defaults the user paths pass"),
@@ -95,7 +93,6 @@ REASONS: list[tuple[str, str]] = [
      "energy x delay of the bus-vs-NoC claim (item 9)"),
     ("noc/engine.py::SimulationResult.energy_delay_product",
      "energy x delay of the bus-vs-NoC claim (item 9)"),
-    ("core/packet.py::PacketFactory.stream", DELETABLE),
     ("core/protocol.py::StochasticProtocol.", "protocol interface that "
      "LegacyProtocolPolicy forwards (item 5(a) refactor)"),
     ("core/theory.py::", "item 6 theory reference"),
@@ -132,7 +129,6 @@ REASONS: list[tuple[str, str]] = [
      "construction the scenario tests pin"),
     ("metrics/collector.py::MetricsCollector.on_", "observer hook for a "
      "drop kind no instrumented user path suffers"),
-    ("metrics/collector.py::run_with_metrics", DELETABLE),
     ("metrics/extract.py::", "claim statistics over instrumented runs "
      "(repro.stats); item 9 claims use them"),
     ("metrics/records.py::RunMetrics.to_csv",
@@ -174,7 +170,6 @@ REASONS: list[tuple[str, str]] = [
      "property and cache-key tests exercise"),
     ("runners/cache.py::", "cache-quarantine failure paths: safety code"),
     ("runners/runner.py::SimTask.__eq__", "task value semantics"),
-    ("runners/runner.py::SweepRunner.map", DELETABLE),
     ("runners/runner.py::", "retry failure path: safety code"),
     ("runners/supervisor.py::", "supervisor failure paths: safety code"),
     ("service/db.py::", "ResultsDB read API of the service-parity tests"),
