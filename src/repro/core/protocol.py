@@ -6,33 +6,21 @@ independently, with probability *p*, whether the packet actually leaves on
 that link (Fig 3-5).  Setting ``p = 1`` degenerates to deterministic
 flooding, which is latency-optimal (hops = Manhattan distance) but maximally
 wasteful in bandwidth and energy — the thesis' reference point.
+
+Both are :class:`repro.policies.BernoulliPolicy` under their thesis names;
+a :class:`repro.noc.config.SimConfig` stores and hashes them as themselves,
+so their pre-policy cache tokens stay pinned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.policies.base import ForwardDecision
+from repro.policies.bernoulli import BernoulliPolicy
 
-import numpy as np
-
-from repro.core.packet import Packet
-
-
-@dataclass(frozen=True)
-class ForwardDecision:
-    """The outcome of one RND-circuit draw.
-
-    Attributes:
-        port: index of the output port in the tile's neighbor tuple.
-        neighbor: destination tile id of the port's link.
-        transmit: whether the packet is sent on that link this round.
-    """
-
-    port: int
-    neighbor: int
-    transmit: bool
+__all__ = ["ForwardDecision", "StochasticProtocol", "FloodingProtocol"]
 
 
-class StochasticProtocol:
+class StochasticProtocol(BernoulliPolicy):
     """Bernoulli(p)-per-port forwarding.
 
     Args:
@@ -42,47 +30,14 @@ class StochasticProtocol:
     """
 
     def __init__(self, forward_probability: float, name: str | None = None) -> None:
-        if not 0.0 < forward_probability <= 1.0:
-            raise ValueError(
-                "forward_probability must be in (0, 1], got "
-                f"{forward_probability}"
-            )
+        super().__init__(forward_probability)
+        # Kept as given: the pinned cache tokens hash this exact value.
         self.forward_probability = forward_probability
-        self.name = name or f"stochastic(p={forward_probability:g})"
+        self._name = name or f"stochastic(p={forward_probability:g})"
 
     @property
-    def is_deterministic(self) -> bool:
-        return self.forward_probability == 1.0
-
-    def decide(
-        self,
-        packet: Packet,
-        neighbors: tuple[int, ...],
-        rng: np.random.Generator,
-        tile_id: int | None = None,
-    ) -> list[ForwardDecision]:
-        """Draw the per-port transmit decisions for one packet, one round.
-
-        `tile_id` identifies the forwarding tile; the stochastic protocol
-        ignores it (every tile behaves identically), but position-aware
-        baselines like :class:`repro.noc.routing.XYRoutingProtocol` need it.
-        """
-        del packet, tile_id  # memoryless: same draw for every packet
-        p = self.forward_probability
-        if p == 1.0:
-            return [
-                ForwardDecision(port, neighbor, True)
-                for port, neighbor in enumerate(neighbors)
-            ]
-        draws = rng.random(len(neighbors)) < p
-        return [
-            ForwardDecision(port, neighbor, bool(draws[port]))
-            for port, neighbor in enumerate(neighbors)
-        ]
-
-    def expected_copies_per_round(self, degree: int) -> float:
-        """Mean number of link transmissions one buffered packet causes."""
-        return degree * self.forward_probability
+    def name(self) -> str:
+        return self._name
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StochasticProtocol(p={self.forward_probability:g})"

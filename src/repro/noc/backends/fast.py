@@ -54,10 +54,10 @@ Configurations that are supported but fall back to slower exact paths:
   interleaving, and relay's re-insertion of a copy evicted earlier in the
   same round, are sequential semantics); bounded retain buffers evict in
   one batch;
-* policies without a :meth:`ForwardingPolicy.decide_batch` (or whose
-  hook returns None for the round) send row by row through one scalar
-  walker that drives the inherited :meth:`NocSimulator._transmit`
-  (array-backed state, same stream);
+* policies without a :meth:`ForwardingPolicy.decide_batch` (XY
+  routing), or whose hook returns None for the round, send row by row
+  through one scalar walker that drives the inherited
+  :meth:`NocSimulator._transmit` (array-backed state, same stream);
 * pull phases without a :meth:`ForwardingPolicy.pull_ports_batch` mask
   — the hook is missing or declined, ``p_upset > 0``, or a link has no
   reverse port — run the inherited per-tile phase.

@@ -29,12 +29,13 @@ from repro.crc import CRC, CRC16_CCITT
 from repro.faults import CrashPlan, FaultConfig, ScenarioSpec, describe_scenario
 from repro.noc.backends.base import KNOWN_BACKENDS, OBJECT_BACKEND
 from repro.noc.link import DEFAULT_LINK, LinkModel
+from repro.noc.routing import XYRoutingProtocol
 from repro.noc.topology import Topology
-from repro.policies.base import (
-    ForwardingPolicy,
-    LegacyProtocolPolicy,
-    PolicySpec,
-)
+from repro.policies.base import ForwardingPolicy, PolicySpec
+
+#: The thesis's own rules: stored as themselves and hashed by
+#: :func:`describe_protocol`, so their pre-policy cache tokens stay pinned.
+THESIS_RULES = (StochasticProtocol, XYRoutingProtocol)
 
 # --------------------------------------------------------------- describers
 #
@@ -52,7 +53,9 @@ def describe_topology(topology: Topology) -> tuple:
     )
 
 
-def describe_protocol(protocol: StochasticProtocol | PolicySpec) -> tuple:
+def describe_protocol(
+    protocol: StochasticProtocol | XYRoutingProtocol | PolicySpec,
+) -> tuple:
     if isinstance(protocol, PolicySpec):
         # Policy-native configs: the spec's canonical tuple.  Distinct
         # policies (or the same policy with different parameters) can
@@ -112,7 +115,7 @@ class SimConfig:
     """
 
     topology: Topology
-    protocol: StochasticProtocol | ForwardingPolicy | PolicySpec
+    protocol: ForwardingPolicy | PolicySpec
     fault_config: FaultConfig | None = None
     link_model: LinkModel = DEFAULT_LINK
     default_ttl: int | None = None
@@ -142,9 +145,13 @@ class SimConfig:
         # Stateful policy objects normalise to their frozen PolicySpec: the
         # config stays picklable and run-independent, and the engine builds
         # a fresh policy instance per run (no state leaks between runs).
-        if isinstance(self.protocol, LegacyProtocolPolicy):
-            object.__setattr__(self, "protocol", self.protocol.protocol)
-        elif isinstance(self.protocol, ForwardingPolicy):
+        # An unregistered policy has no spec and raises TypeError.
+        if not isinstance(self.protocol, (PolicySpec, *THESIS_RULES)):
+            if not isinstance(self.protocol, ForwardingPolicy):
+                raise TypeError(
+                    "protocol must be a ForwardingPolicy or PolicySpec, "
+                    f"got {type(self.protocol).__name__}"
+                )
             object.__setattr__(self, "protocol", self.protocol.spec)
         if self.fault_config is None:
             object.__setattr__(self, "fault_config", FaultConfig.fault_free())

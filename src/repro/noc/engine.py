@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.core.packet import Packet, PacketFactory
-from repro.core.protocol import StochasticProtocol
 from repro.crc import CRC, CRC16_CCITT
 from repro.faults import CrashPlan, FaultConfig, FaultInjector
 from repro.faults.scenarios import ScenarioSpec, ScenarioState
@@ -51,12 +50,7 @@ from repro.noc.stats import NetworkStats
 from repro.noc.tile import IPCore, Tile, TileContext
 from repro.noc.topology import Topology
 from repro.noc.trace import Observer, as_observer
-from repro.policies.base import (
-    ForwardingPolicy,
-    LegacyProtocolPolicy,
-    PolicySpec,
-    build_policy,
-)
+from repro.policies.base import ForwardingPolicy, PolicySpec, build_policy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.profiler import PhaseProfiler
@@ -101,13 +95,14 @@ class NocSimulator:
             fraction of the wall clock; see ``docs/performance.md``).
             The constructor dispatches to the registered backend class,
             so ``NocSimulator(..., backend="fast")`` *is* a fast engine.
-        protocol: the forwarding rule.  Either a legacy protocol object
-            (:class:`repro.core.protocol.StochasticProtocol` and friends,
-            run bit-identically to the pre-policy engine) or a
-            :class:`repro.policies.PolicySpec` /
-            :class:`repro.policies.ForwardingPolicy` from the pluggable
-            policy subsystem (Bernoulli, flood, counter gossip,
-            adaptive — see ``docs/policies.md``).
+        protocol: the forwarding rule, a
+            :class:`repro.policies.ForwardingPolicy` or its
+            :class:`repro.policies.PolicySpec`: one of the thesis's own
+            rules (:class:`repro.core.protocol.StochasticProtocol`, its
+            ``FloodingProtocol`` case, or
+            :class:`repro.noc.routing.XYRoutingProtocol`) or a registered
+            policy (Bernoulli, flood, counter gossip, adaptive — see
+            ``docs/policies.md``).
         fault_config: the Ch. 2 failure model; defaults to fault-free.
         seed: seed for the single RNG driving every stochastic element.
         link_model: electrical link parameters (timing + energy).
@@ -181,7 +176,7 @@ class NocSimulator:
     def __init__(
         self,
         topology: Topology,
-        protocol: StochasticProtocol | ForwardingPolicy | PolicySpec,
+        protocol: ForwardingPolicy | PolicySpec,
         fault_config: FaultConfig | None = None,
         *,
         seed: int | None = None,
@@ -288,16 +283,13 @@ class NocSimulator:
         self._neighbors: dict[int, tuple[int, ...]] = {
             tid: topology.neighbors(tid) for tid in self._tile_ids
         }
-        if isinstance(config.protocol, PolicySpec):
-            # Policy-native run: build a fresh, zero-state policy instance
-            # from the frozen spec (state never leaks between runs).
-            self.policy: ForwardingPolicy = build_policy(config.protocol)
-            self.protocol = self.policy
-        else:
-            # Legacy protocol objects go through a thin adapter whose batch
-            # path delegates verbatim — bit-identical to the old engine.
-            self.protocol = config.protocol
-            self.policy = LegacyProtocolPolicy(config.protocol)
+        # A spec builds a fresh, zero-state policy per run (state never
+        # leaks between runs); the stateless thesis rules run as stored.
+        self.policy: ForwardingPolicy = (
+            build_policy(config.protocol)
+            if isinstance(config.protocol, PolicySpec)
+            else config.protocol
+        )
         # Route-computing policies cache topology structure in bind();
         # reset() then clears the per-run state, in that order, so a
         # reset never wipes the bound topology.

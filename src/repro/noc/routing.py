@@ -7,10 +7,11 @@ stochastic protocol, but each unicast packet leaves a tile on exactly one
 port — first along X to the destination's column, then along Y — so one
 crash anywhere on that unique path is fatal.
 
-The protocol is interface-compatible with
-:class:`repro.core.protocol.StochasticProtocol` (the engine hands it the
-current tile id), and broadcasts fall back to flooding since XY routing
-has no broadcast story of its own.
+The protocol is a :class:`repro.policies.ForwardingPolicy` (the engine
+hands its :meth:`~XYRoutingProtocol.decisions` the current tile id), and
+broadcasts fall back to flooding since XY routing has no broadcast story
+of its own.  It has no batch form, so the fast backend runs it on its
+per-row scalar send.
 """
 
 from __future__ import annotations
@@ -18,25 +19,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.packet import BROADCAST, Packet
-from repro.core.protocol import ForwardDecision
 from repro.noc.topology import Mesh2D
+from repro.policies.base import ForwardDecision, ForwardingPolicy
 
 
-class XYRoutingProtocol:
+class XYRoutingProtocol(ForwardingPolicy):
     """Dimension-ordered routing on a 2-D mesh.
 
     Args:
         mesh: the grid the protocol routes on (needed for coordinates).
     """
 
+    #: Read by the config describer that keys its cache tokens.
+    forward_probability = 1.0  # deterministic, single port
+
     def __init__(self, mesh: Mesh2D) -> None:
         self.mesh = mesh
-        self.name = "xy-routing"
-        self.forward_probability = 1.0  # deterministic, single port
 
     @property
-    def is_deterministic(self) -> bool:
-        return True
+    def name(self) -> str:
+        return "xy-routing"
 
     def next_hop(self, tile_id: int, destination: int) -> int | None:
         """The unique XY next hop, or None when already at the target."""
@@ -63,19 +65,18 @@ class XYRoutingProtocol:
             path.append(following)
             current = following
 
-    def decide(
+    def decisions(
         self,
         packet: Packet,
         neighbors: tuple[int, ...],
         rng: np.random.Generator,
-        tile_id: int | None = None,
+        *,
+        tile_id: int,
+        round_index: int,
+        buffer_occupancy: int = 0,
+        buffer_capacity: int | None = None,
     ) -> list[ForwardDecision]:
         """Transmit on the single XY port (or every port for broadcast)."""
-        if tile_id is None:
-            raise ValueError(
-                "XY routing needs the current tile id; run it under an "
-                "engine that provides one"
-            )
         if packet.destination == BROADCAST:
             return [
                 ForwardDecision(port, neighbor, True)
@@ -86,10 +87,6 @@ class XYRoutingProtocol:
             ForwardDecision(port, neighbor, neighbor == target)
             for port, neighbor in enumerate(neighbors)
         ]
-
-    def expected_copies_per_round(self, degree: int) -> float:
-        del degree  # a unicast leaves on exactly one port
-        return 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"XYRoutingProtocol({self.mesh!r})"

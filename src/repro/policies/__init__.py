@@ -4,9 +4,9 @@ The forwarding rule (which buffered packet leaves on which link each
 round) is a first-class, swappable component.  Six policies ship here:
 
 * :class:`BernoulliPolicy` — the thesis' Bernoulli(p)-per-port rule
-  (§3.2.2), extracted from the engine; the default and the
-  bit-identical equal of the historical
-  :class:`repro.core.protocol.StochasticProtocol`;
+  (§3.2.2), extracted from the engine; the default, and the class the
+  thesis-named :class:`repro.core.protocol.StochasticProtocol` and
+  ``FloodingProtocol`` subclass;
 * :class:`FloodPolicy` — deterministic flooding, the p = 1 reference;
 * :class:`CounterGossipPolicy` — counter-based ("death certificate")
   gossip: a tile stops forwarding a message after k duplicate
@@ -38,7 +38,6 @@ from repro.policies.base import (
     POLICY_REGISTRY,
     BatchDecisionView,
     ForwardingPolicy,
-    LegacyProtocolPolicy,
     PolicyContext,
     PolicySpec,
     build_policy,
@@ -54,7 +53,6 @@ __all__ = [
     "POLICY_REGISTRY",
     "BatchDecisionView",
     "ForwardingPolicy",
-    "LegacyProtocolPolicy",
     "PolicyContext",
     "PolicySpec",
     "build_policy",

@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.protocol import ForwardDecision
 from repro.policies.base import (
     BatchDecisionView,
+    ForwardDecision,
     ForwardingPolicy,
     PolicyContext,
     register_policy,
@@ -208,6 +208,3 @@ class AdaptiveProbabilityPolicy(ForwardingPolicy):
                 cache[tile_id] = p
             out[row] = p
         return out
-
-    def expected_copies_per_round(self, degree: int) -> float:
-        return degree * self.p_base

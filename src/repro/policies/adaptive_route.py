@@ -84,10 +84,6 @@ class AdaptiveRoutePolicy(ForwardingPolicy):
     def spec_params(self) -> dict[str, Any]:
         return {"detour_rounds": self.detour_rounds}
 
-    @property
-    def is_deterministic(self) -> bool:
-        return True
-
     # ----------------------------------------------------------------- hooks
 
     def bind(self, topology: Any) -> None:
@@ -206,9 +202,3 @@ class AdaptiveRoutePolicy(ForwardingPolicy):
                     sent.add(sent_key)
                     out[row, port] = 1.0
         return out
-
-    def expected_copies_per_round(self, degree: int) -> float:
-        # Steady state forwards each message once per DAG edge, not per
-        # round; the per-round expectation is well under one copy per
-        # port.  Report the single-shot upper bound.
-        return float(degree)

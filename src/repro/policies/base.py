@@ -47,10 +47,23 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.protocol import ForwardDecision, StochasticProtocol
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.packet import Packet
+
+
+@dataclass(frozen=True)
+class ForwardDecision:
+    """The outcome of one RND-circuit draw.
+
+    Attributes:
+        port: index of the output port in the tile's neighbor tuple.
+        neighbor: destination tile id of the port's link.
+        transmit: whether the packet is sent on that link this round.
+    """
+
+    port: int
+    neighbor: int
+    transmit: bool
 
 
 @dataclass(frozen=True)
@@ -193,17 +206,22 @@ class ForwardingPolicy:
 
     @property
     def spec(self) -> PolicySpec:
-        """The frozen spec describing this policy's configuration."""
+        """The frozen spec describing this policy's configuration.
+
+        ``TypeError`` unless this class is the one registered as
+        :attr:`kind`: any other spec would build another class, or none.
+        """
+        if POLICY_REGISTRY.get(self.kind) is not type(self):
+            raise TypeError(
+                f"{type(self).__name__} is not the policy registered as "
+                f"kind {self.kind!r}, so it has no PolicySpec; register "
+                "it with @register_policy"
+            )
         return PolicySpec.of(self.kind, **self.spec_params())
 
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def is_deterministic(self) -> bool:
-        """Does the policy ever draw from the RNG?"""
-        return False
 
     # ----------------------------------------------------------------- hooks
 
@@ -379,84 +397,8 @@ class ForwardingPolicy:
         del tile_ids, sources, message_ids, round_index
         return False
 
-    def expected_copies_per_round(self, degree: int) -> float:
-        """Mean link transmissions one buffered packet causes per round."""
-        return float(degree)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}({self.spec.as_dict()!r})"
-
-
-class LegacyProtocolPolicy(ForwardingPolicy):
-    """Adapter mounting a pre-policy protocol object on the policy API.
-
-    Wraps anything with the historical
-    :meth:`repro.core.protocol.StochasticProtocol.decide` signature
-    (``decide(packet, neighbors, rng, tile_id=...)``) — including
-    :class:`repro.noc.routing.XYRoutingProtocol` — and delegates the batch
-    :meth:`decisions` call to it verbatim, so legacy configurations run
-    *bit-identically* to the pre-policy engine: same calls, same RNG
-    stream, same numbers.
-
-    The adapter is an engine-internal shim: it has no registry `kind` and
-    no spec; configs keep storing the wrapped protocol object itself.
-    """
-
-    def __init__(self, protocol: StochasticProtocol) -> None:
-        self.protocol = protocol
-
-    @property
-    def spec(self) -> PolicySpec:
-        raise TypeError(
-            "legacy protocol objects have no PolicySpec; store the protocol "
-            "itself in SimConfig (its describer already feeds the cache key)"
-        )
-
-    @property
-    def name(self) -> str:
-        return getattr(self.protocol, "name", type(self.protocol).__name__)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return bool(getattr(self.protocol, "is_deterministic", False))
-
-    def decide(
-        self, packet: "Packet", link: tuple[int, int], ctx: PolicyContext
-    ) -> bool:
-        src, dst = link
-        return self.protocol.decide(packet, (dst,), ctx.rng, tile_id=src)[
-            0
-        ].transmit
-
-    def decisions(
-        self,
-        packet: "Packet",
-        neighbors: tuple[int, ...],
-        rng: np.random.Generator,
-        *,
-        tile_id: int,
-        round_index: int,
-        buffer_occupancy: int = 0,
-        buffer_capacity: int | None = None,
-    ) -> list[ForwardDecision]:
-        return self.protocol.decide(packet, neighbors, rng, tile_id=tile_id)
-
-    def decide_batch(self, batch: BatchDecisionView) -> np.ndarray | None:
-        # Only when the wrapped object demonstrably IS the memoryless
-        # Bernoulli rule (no decide override anywhere in its MRO) can the
-        # batch form reproduce it: constant p per row, same draw pattern
-        # as StochasticProtocol.decide.  Anything else — XY routing,
-        # custom protocols — keeps the verbatim per-packet delegation.
-        protocol = self.protocol
-        if (
-            isinstance(protocol, StochasticProtocol)
-            and type(protocol).decide is StochasticProtocol.decide
-        ):
-            return np.full(len(batch), float(protocol.forward_probability))
-        return None
-
-    def expected_copies_per_round(self, degree: int) -> float:
-        return self.protocol.expected_copies_per_round(degree)
+        return f"{type(self).__name__}({self.spec_params()!r})"
 
 
 # ------------------------------------------------------------------ registry

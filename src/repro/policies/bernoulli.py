@@ -6,12 +6,11 @@ engine's semantic default; :class:`FloodPolicy` is the deterministic
 ``p = 1`` reference point, kept draw-free so a flooding run consumes no
 RND bits at all.
 
-Bit-compatibility: ``BernoulliPolicy(p).decisions`` draws the same RNG
-stream as the historical
-:class:`repro.core.protocol.StochasticProtocol.decide` (one vectorised
-``rng.random(n_ports)`` per packet for ``p < 1``, no draw for ``p = 1``),
-and numpy's ``Generator.random(n)`` consumes exactly the stream of ``n``
-scalar ``random()`` calls — so the batch path and the per-link
+The thesis-named :class:`repro.core.protocol.StochasticProtocol` is a
+:class:`BernoulliPolicy` subclass, so both run this one draw code: one
+vectorised ``rng.random(n_ports)`` per packet for ``p < 1``, no draw for
+``p = 1``.  numpy's ``Generator.random(n)`` consumes exactly the stream
+of ``n`` scalar ``random()`` calls, so the batch path and the per-link
 :meth:`BernoulliPolicy.decide` contract agree draw for draw.
 """
 
@@ -21,9 +20,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.protocol import ForwardDecision
 from repro.policies.base import (
     BatchDecisionView,
+    ForwardDecision,
     ForwardingPolicy,
     PolicyContext,
     register_policy,
@@ -55,10 +54,6 @@ class BernoulliPolicy(ForwardingPolicy):
     def spec_params(self) -> dict[str, Any]:
         return {"forward_probability": self.forward_probability}
 
-    @property
-    def is_deterministic(self) -> bool:
-        return self.forward_probability == 1.0
-
     def decide(
         self, packet: "Packet", link: tuple[int, int], ctx: PolicyContext
     ) -> bool:
@@ -79,8 +74,7 @@ class BernoulliPolicy(ForwardingPolicy):
         buffer_occupancy: int = 0,
         buffer_capacity: int | None = None,
     ) -> list[ForwardDecision]:
-        # Vectorised fast path, stream-identical to the per-link contract
-        # and to the pre-policy StochasticProtocol.decide.
+        # Vectorised fast path, stream-identical to the per-link contract.
         p = self.forward_probability
         if p == 1.0:
             return [
@@ -94,11 +88,8 @@ class BernoulliPolicy(ForwardingPolicy):
         ]
 
     def decide_batch(self, batch: BatchDecisionView) -> np.ndarray:
-        # Memoryless: every row forwards with the same p.
-        return np.full(len(batch), self.forward_probability)
-
-    def expected_copies_per_round(self, degree: int) -> float:
-        return degree * self.forward_probability
+        # Memoryless: every row forwards with the same p, as a float.
+        return np.full(len(batch), self.forward_probability, dtype=float)
 
 
 @register_policy
@@ -114,10 +105,6 @@ class FloodPolicy(ForwardingPolicy):
 
     def __init__(self) -> None:  # parameterless, spec is just the kind
         pass
-
-    @property
-    def is_deterministic(self) -> bool:
-        return True
 
     #: kept for API parity with the stochastic protocols.
     forward_probability = 1.0

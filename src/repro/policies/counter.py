@@ -110,7 +110,3 @@ class CounterGossipPolicy(ForwardingPolicy):
         if silenced:
             out[silenced] = 0.0
         return out
-
-    def expected_copies_per_round(self, degree: int) -> float:
-        # Upper bound: a not-yet-silenced message behaves like Bernoulli.
-        return degree * self.forward_probability

@@ -34,9 +34,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.protocol import ForwardDecision
 from repro.policies.base import (
     BatchDecisionView,
+    ForwardDecision,
     ForwardingPolicy,
     register_policy,
 )
@@ -208,6 +208,3 @@ class PushPullPolicy(ForwardingPolicy):
         return sample_ports(
             rng, np.where(informed, 0, degrees), 1, int(degrees.max())
         )
-
-    def expected_copies_per_round(self, degree: int) -> float:
-        return float(min(self.fanout, degree))

@@ -24,19 +24,15 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.protocol import StochasticProtocol
 from repro.crc import CRC
 from repro.noc.config import (
+    THESIS_RULES,
     describe_crc,
     describe_protocol,
     describe_topology,
 )
 from repro.noc.topology import Topology
-from repro.policies.base import (
-    ForwardingPolicy,
-    LegacyProtocolPolicy,
-    PolicySpec,
-)
+from repro.policies.base import ForwardingPolicy, PolicySpec
 
 
 def canonical(value: Any) -> Any:
@@ -65,13 +61,12 @@ def canonical(value: Any) -> Any:
         return describe_topology(value)
     if isinstance(value, PolicySpec):
         return ("PolicySpec", value.kind, canonical(value.params))
-    if isinstance(value, LegacyProtocolPolicy):
-        return canonical(value.protocol)
-    if isinstance(value, ForwardingPolicy):
-        # A stateful policy instance keys by its configuration alone.
-        return canonical(value.spec)
-    if isinstance(value, StochasticProtocol):
+    if isinstance(value, THESIS_RULES):
         return describe_protocol(value)
+    if isinstance(value, ForwardingPolicy):
+        # A stateful policy instance keys by its configuration alone; an
+        # unregistered one has no spec and raises TypeError.
+        return canonical(value.spec)
     if isinstance(value, CRC):
         return describe_crc(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

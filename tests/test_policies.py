@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.packet import BROADCAST
@@ -20,7 +21,6 @@ from repro.policies import (
     CounterGossipPolicy,
     FloodPolicy,
     ForwardingPolicy,
-    LegacyProtocolPolicy,
     PolicySpec,
     build_policy,
     make_policy,
@@ -121,9 +121,16 @@ class TestBernoulliAndFlood:
             BernoulliPolicy(1.5)
 
     def test_deterministic_flags(self):
-        assert BernoulliPolicy(1.0).is_deterministic
-        assert not BernoulliPolicy(0.5).is_deterministic
-        assert FloodPolicy().is_deterministic
+        # p = 1 transmits on every port without a draw; p < 1 draws.
+        def drew(policy):
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            policy.decisions(None, (1, 2, 3), rng, tile_id=0, round_index=0)
+            return rng.bit_generator.state != before
+
+        assert not drew(BernoulliPolicy(1.0))
+        assert drew(BernoulliPolicy(0.5))
+        assert not drew(FloodPolicy())
 
     def test_flood_never_draws(self):
         class Boom:
@@ -136,8 +143,19 @@ class TestBernoulliAndFlood:
         assert all(d.transmit for d in decisions)
 
     def test_expected_copies(self):
-        assert BernoulliPolicy(0.5).expected_copies_per_round(4) == 2.0
-        assert FloodPolicy().expected_copies_per_round(4) == 4.0
+        # Mean copies one packet sends per round: degree x p.
+        def mean_copies(policy, trials=2000):
+            rng = np.random.default_rng(5)
+            return sum(
+                d.transmit
+                for _ in range(trials)
+                for d in policy.decisions(
+                    None, (1, 2, 3, 4), rng, tile_id=0, round_index=0
+                )
+            ) / trials
+
+        assert mean_copies(BernoulliPolicy(0.5)) == pytest.approx(2.0, abs=0.1)
+        assert mean_copies(FloodPolicy()) == 4.0
 
 
 class TestCounterGossip:
@@ -274,11 +292,9 @@ class TestEngineIntegration:
         config = SimConfig(Mesh2D(3, 3), CounterGossipPolicy(k=2))
         assert isinstance(config.protocol, PolicySpec)
         assert config.protocol.kind == "counter"
-        # Legacy adapters unwrap to the protocol object they carry.
-        wrapped = SimConfig(
-            Mesh2D(3, 3), LegacyProtocolPolicy(StochasticProtocol(0.5))
-        )
-        assert isinstance(wrapped.protocol, StochasticProtocol)
+        # The thesis's own rules are stored as themselves.
+        thesis = StochasticProtocol(0.5)
+        assert SimConfig(Mesh2D(3, 3), thesis).protocol is thesis
 
     def test_config_reuse_never_leaks_policy_state(self):
         """from_config builds a fresh policy per run: replaying the same
@@ -302,13 +318,6 @@ class TestEngineIntegration:
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
         assert clone.cache_token() == config.cache_token()
-
-    def test_legacy_adapter_has_no_spec(self):
-        adapter = LegacyProtocolPolicy(StochasticProtocol(0.5))
-        with pytest.raises(TypeError, match="no PolicySpec"):
-            adapter.spec
-        assert adapter.name == "stochastic(p=0.5)"
-        assert adapter.expected_copies_per_round(4) == 2.0
 
 
 class TestPolicyCompareHarness:

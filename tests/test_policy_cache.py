@@ -10,13 +10,14 @@ import pytest
 from repro.core.protocol import FloodingProtocol, StochasticProtocol
 from repro.experiments.policy_compare import _policy_once
 from repro.noc.config import SimConfig, describe_protocol
+from repro.noc.routing import XYRoutingProtocol
 from repro.noc.topology import Mesh2D
 from repro.policies import (
     AdaptiveProbabilityPolicy,
     BernoulliPolicy,
     CounterGossipPolicy,
     FloodPolicy,
-    LegacyProtocolPolicy,
+    ForwardingPolicy,
     PolicySpec,
 )
 from repro.runners import SimTask, SweepRunner, canonical, digest
@@ -75,10 +76,6 @@ class TestCanonicalForms:
         policy = AdaptiveProbabilityPolicy(p_base=0.6)
         assert canonical(policy) == canonical(policy.spec)
         assert digest(policy) == digest(policy.spec)
-
-    def test_legacy_adapter_canonicalises_as_its_protocol(self):
-        protocol = StochasticProtocol(0.5)
-        assert canonical(LegacyProtocolPolicy(protocol)) == canonical(protocol)
 
     def test_distinct_specs_distinct_digests(self):
         digests = {digest(spec) for spec in ALL_SPECS}
@@ -140,3 +137,82 @@ class TestLoudFailures:
     def test_junk_params_still_raise(self):
         with pytest.raises(TypeError):
             canonical(object())
+
+    def test_unregistered_policies_raise_instead_of_aliasing(self):
+        # Two different unregistered rules once both keyed as
+        # ('PolicySpec', '', ()): equal tokens, and a failure only at
+        # engine build.  Neither has a spec, so both raise up front.
+        class KeepLeft(ForwardingPolicy):
+            def decide(self, packet, link, ctx):
+                return link[1] < link[0]
+
+        class KeepRight(ForwardingPolicy):
+            def decide(self, packet, link, ctx):
+                return link[1] > link[0]
+
+        class Unregistered(BernoulliPolicy):  # inherits kind "bernoulli"
+            pass
+
+        for rule in (KeepLeft(), KeepRight(), Unregistered(0.5)):
+            with pytest.raises(TypeError, match="registered"):
+                SimConfig(Mesh2D(3, 3), rule)
+            with pytest.raises(TypeError, match="registered"):
+                canonical(rule)
+
+    def test_non_policy_protocol_raises(self):
+        with pytest.raises(TypeError, match="ForwardingPolicy"):
+            SimConfig(Mesh2D(3, 3), "bernoulli")
+
+
+class TestPinnedThesisTokens:
+    """The thesis's own rules key exactly as they did before they became
+    policies, so existing on-disk caches stay valid."""
+
+    RULES = {
+        "stochastic": lambda: StochasticProtocol(0.5),
+        "flooding": FloodingProtocol,
+        "xy": lambda: XYRoutingProtocol(Mesh2D(4, 4)),
+    }
+
+    @pytest.mark.parametrize(
+        "rule, token",
+        [
+            ("stochastic", "a33bb69da988b364d7dff23de3c18fe8"
+             "299d51399c078979fd01c187460f28d5"),
+            ("flooding", "bf132f3a487997059112250a4ed733d0"
+             "dc03c8f9a4d82f04f609cdf24c5841f1"),
+            ("xy", "ed6bb6f3ac783961227f3c278417bace"
+             "20f5608456ebb9b672ab03bf1799bf6e"),
+        ],
+    )
+    def test_config_token(self, rule, token):
+        assert SimConfig(Mesh2D(4, 4), self.RULES[rule]()).cache_token() == token
+
+    @pytest.mark.parametrize(
+        "rule, value",
+        [
+            ("stochastic", "3120c2739a885fc5177b4080f1a8801b"
+             "301b3a316711f342d8d4080c6846a148"),
+            ("flooding", "dac891c032bf0828dd82b4890ad3f7c2"
+             "500c0dda2dc9218af2eaf9e76f0fc597"),
+            # XY routing was no task parameter before it became a policy
+            # (canonical raised); it now keys by the same describer tuple
+            # as its config token: ("XYRoutingProtocol", 1.0, "xy-routing").
+            ("xy", "4bb3891130c68efd8c943f2d74c2eb78"
+             "5c1913e447228c3fcf00a100c0f5e1e5"),
+        ],
+    )
+    def test_task_param_digest(self, rule, value):
+        assert digest(self.RULES[rule]()) == value
+
+    def test_task_keys(self):
+        keys = [
+            SimTask("repro.x:f", {"protocol": rule()}, seed=1).cache_key()
+            for rule in (self.RULES["stochastic"], FloodingProtocol)
+        ]
+        assert keys == [
+            "40fb172b2ab73d37eeef36ddeae08312"
+            "bee33dd025d0eefde92ef9f58b729222",
+            "b03b8dd30cad7bcfa702474d5e65550d"
+            "f03a3c3b503aa86a3c342e14678b2a5a",
+        ]

@@ -48,7 +48,9 @@ class TestDecide:
         proto = XYRoutingProtocol(mesh)
         packet = Packet.create(0, 15, 0, b"x", ttl=8)
         rng = np.random.default_rng(0)
-        decisions = proto.decide(packet, mesh.neighbors(0), rng, tile_id=0)
+        decisions = proto.decisions(
+            packet, mesh.neighbors(0), rng, tile_id=0, round_index=0
+        )
         transmitted = [d.neighbor for d in decisions if d.transmit]
         assert transmitted == [1]
 
@@ -57,27 +59,51 @@ class TestDecide:
         proto = XYRoutingProtocol(mesh)
         packet = Packet.create(5, BROADCAST, 0, b"x", ttl=8)
         rng = np.random.default_rng(0)
-        decisions = proto.decide(packet, mesh.neighbors(5), rng, tile_id=5)
+        decisions = proto.decisions(
+            packet, mesh.neighbors(5), rng, tile_id=5, round_index=0
+        )
         assert all(d.transmit for d in decisions)
 
     def test_requires_tile_id(self):
         proto = XYRoutingProtocol(Mesh2D(4, 4))
         packet = Packet.create(0, 15, 0, b"x", ttl=8)
-        with pytest.raises(ValueError, match="tile id"):
-            proto.decide(packet, (1, 4), np.random.default_rng(0))
+        with pytest.raises(TypeError, match="tile_id"):
+            proto.decisions(
+                packet, (1, 4), np.random.default_rng(0), round_index=0
+            )
+
+
+#: §1's fragility cells: clean, a dead tile and a dead link on the XY
+#: path 0 -> 15, and a dead tile off it.
+FRAGILITY_PLANS = {
+    "clean": None,
+    "dead-tile-on-path": CrashPlan(dead_tiles=frozenset({3})),
+    "dead-link-on-path": CrashPlan(dead_links=frozenset({(1, 2)})),
+    "dead-tile-off-path": CrashPlan(dead_tiles=frozenset({5})),
+}
+RULES = {
+    "xy": lambda: XYRoutingProtocol(Mesh2D(4, 4)),
+    "gossip": lambda: StochasticProtocol(0.5),
+}
 
 
 class TestFragility:
     """§1's claim: one fault on the static path is fatal; gossip survives."""
 
-    def _run(self, protocol, crash_plan=None, seed=0):
+    def _sim(self, protocol, crash_plan=None, seed=0, backend="object"):
         sim = NocSimulator(
-            Mesh2D(4, 4), protocol, seed=seed, crash_plan=crash_plan
+            Mesh2D(4, 4),
+            protocol,
+            seed=seed,
+            crash_plan=crash_plan,
+            backend=backend,
         )
-        sink = Sink()
         sim.mount(0, OneShotProducer(15))
-        sim.mount(15, sink)
-        return sim.run(100)
+        sim.mount(15, Sink())
+        return sim
+
+    def _run(self, protocol, crash_plan=None, seed=0):
+        return self._sim(protocol, crash_plan, seed).run(100)
 
     def test_clean_delivery_optimal(self):
         result = self._run(XYRoutingProtocol(Mesh2D(4, 4)))
@@ -108,6 +134,19 @@ class TestFragility:
         plan = CrashPlan(dead_tiles=frozenset({5}))
         xy = self._run(XYRoutingProtocol(Mesh2D(4, 4)), plan)
         assert xy.completed
+
+    @pytest.mark.parametrize("plan", FRAGILITY_PLANS)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_backends_agree(self, rule, plan):
+        crash_plan = FRAGILITY_PLANS[plan]
+        obj = self._run(RULES[rule](), crash_plan)
+        fast_sim = self._sim(RULES[rule](), crash_plan, backend="fast")
+        fast = fast_sim.run(100)
+        assert repr(fast) == repr(obj)
+        assert fast.stats.summary() == obj.stats.summary()
+        assert fast.energy_j == obj.energy_j
+        if rule == "xy":  # no batch form: the fast scalar send ran it
+            assert fast_sim.engine_paths["send.sequential"] > 0
 
 
 class TestGridSpread:

@@ -93,8 +93,6 @@ REASONS: list[tuple[str, str]] = [
      "energy x delay of the bus-vs-NoC claim (item 9)"),
     ("noc/engine.py::SimulationResult.energy_delay_product",
      "energy x delay of the bus-vs-NoC claim (item 9)"),
-    ("core/protocol.py::StochasticProtocol.", "protocol interface that "
-     "LegacyProtocolPolicy forwards (item 5(a) refactor)"),
     ("core/theory.py::", "item 6 theory reference"),
     ("crc/engine.py::", "CRC catalogue check values (test_crc.py)"),
     ("diversity/islands.py::", "islands harness: pinned in "
@@ -164,8 +162,6 @@ REASONS: list[tuple[str, str]] = [
     ("noc/trace.py::Observer.", "Observer hook default"),
     ("noc/trace.py::TraceRecorder", "trace queries of the trace-analysis "
      "tests"),
-    ("policies/base.py::LegacyProtocolPolicy", "item 5(a) refactor "
-     "target; its cache tokens are pinned"),
     ("policies/", "forwarding-policy spec / batch interface the policy "
      "property and cache-key tests exercise"),
     ("runners/cache.py::", "cache-quarantine failure paths: safety code"),
@@ -206,14 +202,6 @@ QUESTIONS = [
                             "simulate_rumor_spread")),
             )
             for name in names
-        ],
-    ),
-    (
-        "Does anything outside tests reach `LegacyProtocolPolicy` "
-        "(item 5(a))?",
-        [
-            ("LegacyProtocolPolicy", "policies/base.py::LegacyProtocolPolicy."),
-            ("StochasticProtocol", "core/protocol.py::StochasticProtocol."),
         ],
     ),
     (
