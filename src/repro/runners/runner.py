@@ -18,20 +18,21 @@ forward probabilities — whose individual simulations are independent.
   disk keyed by a content hash of the spec (function, parameters, seed);
   a warm-cache rerun of a sweep executes zero new simulations, which the
   :attr:`SweepRunner.tasks_executed` counter makes checkable;
-* **fault-tolerant** — with ``max_attempts > 1`` a task that raises (or,
-  on the pool path, exceeds ``task_timeout_s``) is retried with
-  exponential backoff plus jitter; attempts are bounded and the final
-  failure surfaces as :class:`RetryExhaustedError` naming the task.
-  Results are **checkpointed incrementally**: each completed cell is
-  written to the cache the moment it finishes, so an interrupted
-  campaign resumes without rerunning finished work;
-* **self-healing** — the pool path is driven by
-  :class:`repro.runners.supervisor.FleetSupervisor`: a worker death
-  (``BrokenProcessPool``) rebuilds the pool with capped exponential
-  backoff and resubmits the in-flight tasks, a task that repeatedly
-  crashes its worker is quarantined as *poisoned* instead of aborting
-  its siblings, and a persistently unhealthy pool degrades to serial
-  in-process execution with a loud warning (see ``docs/operations.md``);
+* **fault-tolerant** — every batch of uncached tasks is executed by
+  :class:`repro.runners.supervisor.FleetSupervisor`, whose one
+  transition table decides each failure: a deterministic task error
+  (``ValueError``/``TypeError``) fails at once; any other exception
+  (or, on the pool path, a task past ``task_timeout_s``) is retried
+  with capped exponential backoff plus jitter, up to ``max_attempts``;
+  the final failure surfaces as :class:`RetryExhaustedError` naming the
+  task.  On the pool path a worker death rebuilds the pool, a task that
+  repeatedly crashes its worker is quarantined as *poisoned* instead of
+  aborting its siblings, and a pool that cannot start or keeps breaking
+  degrades to in-process execution with a loud warning (see
+  ``docs/operations.md``).  Results are **checkpointed
+  incrementally**: each completed cell is written to the cache the
+  moment it finishes, so an interrupted campaign resumes without
+  rerunning finished work;
 * **recorded** — with a ``db`` (a :class:`repro.service.ResultsDB` or a
   path to one), every completed task — executed or served from cache —
   is written through to the SQLite results/provenance store under the
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import importlib
 import random
-import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
@@ -246,9 +246,11 @@ class SweepRunner:
             tasks that do not carry one.
         max_attempts: times a failing task is tried before the sweep
             aborts with :class:`RetryExhaustedError` (default 1 — fail
-            fast, the historical behavior).
+            fast, the historical behavior).  A ``ValueError`` or
+            ``TypeError`` fails on its first attempt regardless.
         retry_backoff_s: base delay before a retry; attempt *k* waits
-            ``retry_backoff_s * 2**(k-1)`` seconds, plus jitter.
+            ``retry_backoff_s * 2**(k-1)`` seconds, plus jitter, capped
+            at 30 s.  Pool rebuilds back off by the same rule.
         retry_jitter: uniform multiplicative jitter on the backoff
             (0.25 = up to +25 %), decorrelating retry storms when many
             workers fail at once.
@@ -261,9 +263,6 @@ class SweepRunner:
             tolerated per batch before the supervisor declares the pool
             unhealthy and degrades to serial in-process execution
             (default 5).  ``0`` degrades on the first break.
-        rebuild_backoff_s: base delay before rebuilding a broken pool;
-            break *k* waits ``rebuild_backoff_s * 2**(k-1)`` seconds,
-            capped at 30 s.
         db: write-through results/provenance store — a
             :class:`repro.service.ResultsDB` or a path to open one.
             ``None`` (the default) records nothing.
@@ -275,7 +274,8 @@ class SweepRunner:
             misses); a warm-cache rerun leaves this at 0.
         cache_hits: tasks satisfied from the on-disk cache.
         tasks_retried: failed/timed-out attempts that were retried.
-        pool_rebuilds: worker-pool breaks survived by rebuilding.
+        pool_rebuilds: pools rebuilt after a worker-pool break (a
+            break that degrades instead is not counted).
         tasks_poisoned: tasks quarantined after crashing their workers.
     """
 
@@ -290,7 +290,6 @@ class SweepRunner:
         retry_jitter: float = 0.25,
         task_timeout_s: float | None = None,
         max_pool_rebuilds: int = 5,
-        rebuild_backoff_s: float = 0.5,
         db: "ResultsDB | str | None" = None,
         run_label: str = "",
     ) -> None:
@@ -312,10 +311,6 @@ class SweepRunner:
             raise ValueError(
                 f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}"
             )
-        if rebuild_backoff_s < 0:
-            raise ValueError(
-                f"rebuild_backoff_s must be >= 0, got {rebuild_backoff_s}"
-            )
         self.n_workers = n_workers
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.base_seed = base_seed
@@ -324,7 +319,6 @@ class SweepRunner:
         self.retry_jitter = retry_jitter
         self.task_timeout_s = task_timeout_s
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.rebuild_backoff_s = rebuild_backoff_s
         # Jitter draws come from a dedicated stream seeded by
         # `base_seed`: retry timing is reproducible for seeded sweeps
         # and never perturbs (or is perturbed by) the module-global
@@ -380,7 +374,8 @@ class SweepRunner:
                 every task when appending into an existing `run_id`.
 
         Raises:
-            RetryExhaustedError: a task failed ``max_attempts`` times.
+            RetryExhaustedError: a task failed ``max_attempts`` times,
+                or once with a ``ValueError`` / ``TypeError``.
         """
         ordered = self.assign_seeds(tasks)
         self.tasks_submitted += len(ordered)
@@ -437,14 +432,9 @@ class SweepRunner:
                 pending.append((index, task, key))
 
             if pending:
-                # A single pending task skips the pool — unless a
-                # timeout is set, which only the pool path can enforce
-                # (the serial path cannot preempt a running task).
-                one = len(pending) == 1 and self.task_timeout_s is None
-                if self.n_workers == 1 or one:
-                    self._execute_serial(pending, emit)
-                else:
-                    self._execute_pooled(pending, emit)
+                from repro.runners.supervisor import FleetSupervisor
+
+                FleetSupervisor(self).execute(pending, emit)
         except KeyboardInterrupt:
             # Completed cells were flushed through `emit` as they
             # landed; stamp the campaign row so a resumed run can tell
@@ -482,86 +472,6 @@ class SweepRunner:
             task if task.seed is not None else replace(task, seed=derived[i])
             for i, task in enumerate(tasks)
         ]
-
-    # ------------------------------------------------------------- internals
-
-    def _backoff_delay(self, attempt: int) -> float:
-        """Exponential backoff with uniform jitter for retry `attempt`.
-
-        Jitter draws come from the runner's dedicated ``base_seed``-seeded
-        stream — never the module-global :mod:`random` — so retry timing
-        is reproducible for seeded sweeps (the historical global draw
-        made retrying runs under ``task_timeout_s`` time-dependent).
-        """
-        delay = self.retry_backoff_s * (2 ** (attempt - 1))
-        if self.retry_jitter:
-            delay *= 1.0 + self.retry_jitter * self._retry_rng.random()
-        return delay
-
-    def _retry_or_raise(
-        self, task: SimTask, attempt: int, error: BaseException | None
-    ) -> None:
-        """Account failed attempt number `attempt` of `task`.
-
-        Sleeps the backoff when the attempt budget allows a retry; the
-        one retry decision of the serial and the pool path.
-
-        Args:
-            error: what the attempt raised, or ``None`` for a timeout.
-
-        Raises:
-            RetryExhaustedError: `attempt` was the last allowed one
-                (chained to `error`).
-        """
-        if attempt >= self.max_attempts:
-            raise RetryExhaustedError(task, attempt, error) from error
-        self.tasks_retried += 1
-        time.sleep(self._backoff_delay(attempt))
-
-    def _execute_serial(
-        self,
-        pending: list[tuple[int, SimTask, str | None]],
-        emit: Callable[[TaskCompletion, str | None], None],
-    ) -> None:
-        """In-process execution with bounded retry/backoff per task."""
-        for index, task, key in pending:
-            attempt = 1
-            while True:
-                started = time.perf_counter()
-                try:
-                    value = _execute_task(task)
-                except Exception as error:  # noqa: BLE001 - retried below
-                    self._retry_or_raise(task, attempt, error)
-                    attempt += 1
-                else:
-                    emit(
-                        TaskCompletion(
-                            index,
-                            task,
-                            value,
-                            "executed",
-                            time.perf_counter() - started,
-                        ),
-                        key,
-                    )
-                    break
-
-    def _execute_pooled(
-        self,
-        pending: list[tuple[int, SimTask, str | None]],
-        emit: Callable[[TaskCompletion, str | None], None],
-    ) -> None:
-        """Process-pool execution with retry, timeout and checkpointing.
-
-        Delegated to :class:`repro.runners.supervisor.FleetSupervisor`,
-        which additionally survives worker crashes (pool rebuilds with
-        capped backoff), quarantines poison tasks and degrades to serial
-        execution when the pool is unavailable or persistently
-        unhealthy.
-        """
-        from repro.runners.supervisor import FleetSupervisor
-
-        FleetSupervisor(self).execute(pending, emit)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cache = self.cache.root if self.cache is not None else None

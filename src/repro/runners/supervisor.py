@@ -1,57 +1,54 @@
-"""``FleetSupervisor`` — the self-healing process-pool execution layer.
+"""``FleetSupervisor`` — the failure state machine of every sweep batch.
 
-The historical pool path of :class:`~repro.runners.SweepRunner` treated
-the ``ProcessPoolExecutor`` as infallible: one worker dying (OOM kill,
-segfaulting native library, ``kill -9``) raised ``BrokenProcessPool``
-and aborted the whole campaign.  This module applies the paper's
-fault-tolerance discipline to the harness itself:
+:meth:`SweepRunner.run <repro.runners.SweepRunner.run>` hands each batch
+of uncached tasks to :meth:`FleetSupervisor.execute`, which runs it
+in-process (``n_workers == 1``, or one task without a timeout) or on a
+``ProcessPoolExecutor``.  Both paths carry one :class:`_TaskState` per
+task and consult one pure function, :func:`transition`, on every
+failure.  It applies the paper's fault-tolerance discipline to the
+harness itself, one response per fault kind:
 
-* **pool rebuild** — a broken pool is torn down and rebuilt with capped
-  exponential backoff; the tasks that were in flight are re-derived from
-  the runner's incremental checkpoint discipline (they were simply never
-  emitted) and resubmitted.  Task seeds are explicit on every spec, so
-  the recovered campaign is bit-identical to an undisturbed one.
-* **poison-task quarantine** — a task that repeatedly takes its worker
-  down is isolated instead of retry-looping the fleet to death.  Blame
-  is assigned to every task in flight when the pool breaks; a task whose
-  blame count crosses the suspicion threshold is re-run *alone*, so one
-  more crash convicts it with certainty and innocent bystanders are
-  exonerated by a single clean solo run.  A convicted task completes as
-  a :class:`PoisonedTask` diagnostics value (``TaskCompletion.source ==
-  "poisoned"``, a ``status='poisoned'`` row in ``ResultsDB``) and its
-  siblings keep running.
-* **graceful degradation** — when the pool breaks more than
-  ``max_pool_rebuilds`` times, the supervisor stops fighting: it emits a
-  loud ``RuntimeWarning`` and finishes the remaining tasks serially
-  in-process.  Crash-suspect tasks are quarantined rather than risked in
-  the coordinating process (a poison task run in-process would take the
-  whole campaign down — the one failure mode serial execution cannot
-  absorb).
-* **clean interrupt** — ``KeyboardInterrupt`` flushes every
-  already-finished future through the checkpoint (cache + DB) before the
-  pool is reaped with ``cancel_futures=True``, so a Ctrl-C'd campaign
-  resumes from everything that actually completed.
+* a deterministic error (``ValueError``/``TypeError``) fails at once;
+  any other exception, or a pool task past ``task_timeout_s``, is
+  retried after :func:`backoff_delay`, up to ``max_attempts`` in total;
+* a worker death (``BrokenProcessPool``) blames every task in flight,
+  and the pool is rebuilt after the same backoff.  The in-flight tasks
+  were never emitted, so they are resubmitted; seeds are explicit on
+  every spec, so the recovered campaign is bit-identical;
+* a task blamed twice, or alone, is re-run *alone*: one more crash
+  convicts it with certainty, one clean run exonerates a bystander.  A
+  convicted task completes as a :class:`PoisonedTask` (source
+  ``"poisoned"``, a ``status='poisoned'`` ``ResultsDB`` row) and its
+  siblings keep running;
+* a pool that cannot start, or breaks more than ``max_pool_rebuilds``
+  times, degrades to in-process execution with a ``RuntimeWarning``.
+  Tasks keep their attempt counts; crash suspects are quarantined, never
+  risked in the coordinating process;
+* ``KeyboardInterrupt`` flushes every finished future through the
+  checkpoint (cache + DB) before the pool is reaped.
 
-The supervisor preserves the runner's existing retry/timeout semantics
-(bounded attempts with exponential backoff, per-task wall-clock budgets
-with abandoned-worker resubmission) and its serial fallback for
-environments without working process pools.  ``repro.service.chaos``
-attacks this layer deliberately and certifies its tolerance envelope;
-``docs/operations.md`` is the failure-mode runbook.
+``repro.service.chaos`` certifies the tolerance envelope;
+``docs/operations.md`` is the runbook and prints the transition table.
 """
 
 from __future__ import annotations
 
+import enum
 import logging
 import time
 import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.runners.runner import SimTask, TaskCompletion, _execute_task
+from repro.runners.runner import (
+    RetryExhaustedError,
+    SimTask,
+    TaskCompletion,
+    _execute_task,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.runners.runner import SweepRunner
@@ -68,8 +65,14 @@ POISONED = "poisoned"
 #: unlucky co-location with a genuine poison task.
 _SUSPECT_AFTER = 2
 
-#: Ceiling on the capped-exponential pool-rebuild delay.
-_MAX_REBUILD_DELAY_S = 30.0
+#: Task errors no retry can fix: the same spec raises them every time.
+_DETERMINISTIC = (ValueError, TypeError)
+
+#: Errors that mean the process pool itself is unusable, not the task.
+_POOL_TROUBLE = (OSError, ImportError)
+
+#: Ceiling on every backoff delay, task retries and pool rebuilds alike.
+_MAX_BACKOFF_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -99,34 +102,16 @@ class PoisonedTask:
         }
 
 
-class _PoolBroken(Exception):
-    """Internal control flow: the pool died under these in-flight tasks."""
-
-    def __init__(self, states: list["_TaskState"]) -> None:
-        super().__init__(
-            f"process pool broke under {len(states)} in-flight task(s)"
-        )
-        self.states = states
-
-
-class _PoolUnhealthy(Exception):
-    """Internal control flow: the rebuild budget is exhausted."""
-
-    def __init__(self, breaks: int) -> None:
-        super().__init__(f"process pool broke {breaks} time(s)")
-        self.breaks = breaks
-
-
-@dataclass
+@dataclass(slots=True)
 class _TaskState:
-    """One not-yet-completed task's mutable supervision record.
+    """One not-yet-completed task's supervision record.
 
     Attributes:
         index: position in the submitted batch.
         task: the spec.
         key: content-hash cache key (``None`` when caching is off).
-        attempt: ordinary-failure attempt counter (exceptions/timeouts),
-            bounded by the runner's ``max_attempts``.
+        attempt: the current attempt; only exceptions and timeouts
+            advance it, bounded by the runner's ``max_attempts``.
         blames: worker deaths this task was in flight for.
         solo: whether the most recent blame was exact (the task was the
             only one in flight when the pool died).
@@ -140,16 +125,94 @@ class _TaskState:
     solo: bool = False
 
 
-class FleetSupervisor:
-    """Drives one pooled sweep batch with crash supervision.
+class Event(enum.Enum):
+    """A failure that befell one task."""
 
-    One instance supervises one :meth:`SweepRunner.run` batch: it owns
-    the ``ProcessPoolExecutor``, rebuilds it when workers die, assigns
-    crash blame, quarantines poison tasks and degrades to serial
-    execution when the pool is beyond saving.  All knobs and counters
-    live on the runner (``max_pool_rebuilds``, ``rebuild_backoff_s``,
-    ``pool_rebuilds``, ``tasks_poisoned``), so callers keep a single
-    configuration surface.
+    RAISED = "raised"
+    TIMED_OUT = "timed out"
+    POOL_BROKE = "pool broke"
+    POOL_DEGRADED = "pool degraded"
+
+
+class Action(enum.Enum):
+    """The supervisor's response to one :class:`Event`."""
+
+    RETRY = "retry"
+    PROBE = "probe alone"
+    QUARANTINE = "quarantine"
+    FAIL = "fail"
+
+
+def transition(
+    state: _TaskState,
+    event: Event,
+    *,
+    max_attempts: int,
+    error: BaseException | None = None,
+    alone: bool = False,
+) -> tuple[Action, _TaskState]:
+    """The failure state machine: one task's response to one event.
+
+    Pure: no I/O, no clock.  The first matching row wins; ``b`` is the
+    blame count after a break is counted (``blames + 1``, and ``solo``
+    becomes `alone`).  A break never advances ``attempt``.
+
+    ============= ================================== ==========
+    event         guard                              action
+    ============= ================================== ==========
+    raised        `error` is a ValueError/TypeError  fail
+    raised/timed  ``attempt >= max_attempts``        fail
+    raised/timed  otherwise (``attempt + 1``)        retry
+    pool broke    ``b >= max_attempts`` and `alone`  quarantine
+    pool broke    `alone` or ``b >= min(2, max)``    probe
+    pool broke    otherwise                          retry
+    pool degraded ``blames > 0``                     quarantine
+    pool degraded otherwise                          retry
+    ============= ================================== ==========
+
+    *retry* re-runs the task in its current mode, *probe* re-runs it as
+    the only task in flight, *quarantine* completes it as a
+    :class:`PoisonedTask`, and *fail* aborts the sweep with
+    :class:`~repro.runners.RetryExhaustedError` after ``attempt`` tries.
+    """
+    if event is Event.POOL_BROKE:
+        state = replace(state, blames=state.blames + 1, solo=alone)
+        if state.blames >= max_attempts and state.solo:
+            return Action.QUARANTINE, state
+        if alone or state.blames >= min(_SUSPECT_AFTER, max_attempts):
+            return Action.PROBE, state
+        return Action.RETRY, state
+    if event is Event.POOL_DEGRADED:
+        return (Action.QUARANTINE if state.blames else Action.RETRY), state
+    if isinstance(error, _DETERMINISTIC) or state.attempt >= max_attempts:
+        return Action.FAIL, state
+    return Action.RETRY, replace(state, attempt=state.attempt + 1)
+
+
+def backoff_delay(runner: "SweepRunner", k: int) -> float:
+    """Seconds to wait before retry (or pool rebuild) number `k`.
+
+    ``retry_backoff_s * 2**(k-1)``, times up to ``1 + retry_jitter`` of
+    uniform jitter, capped at 30 s.  Jitter draws come from the runner's
+    dedicated ``base_seed``-seeded stream — never the module-global
+    :mod:`random` — so retry timing is reproducible for seeded sweeps.
+    """
+    delay = runner.retry_backoff_s * (2 ** (k - 1))
+    if runner.retry_jitter:
+        delay *= 1.0 + runner.retry_jitter * runner._retry_rng.random()
+    return min(delay, _MAX_BACKOFF_S)
+
+
+class FleetSupervisor:
+    """Drives one sweep batch through :func:`transition`.
+
+    One instance supervises one :meth:`SweepRunner.run` batch: it runs
+    the tasks in-process or owns the ``ProcessPoolExecutor``, rebuilds
+    the pool when workers die, quarantines poison tasks and degrades to
+    in-process execution when the pool is beyond saving.  All knobs and
+    counters live on the runner (``max_attempts``, ``max_pool_rebuilds``,
+    ``tasks_retried``, ``pool_rebuilds``, ``tasks_poisoned``), so callers
+    keep a single configuration surface.
     """
 
     def __init__(self, runner: "SweepRunner") -> None:
@@ -172,64 +235,54 @@ class FleetSupervisor:
         (``RetryExhaustedError`` / an unexpected error / interrupt).
         """
         runner = self.runner
+        ready = deque(_TaskState(index, task, key) for index, task, key in pending)
+        # A single pending task skips the pool — unless a timeout is
+        # set, which only the pool path can enforce (the in-process path
+        # cannot preempt a running task).
+        if runner.n_workers == 1 or (
+            len(ready) == 1 and runner.task_timeout_s is None
+        ):
+            self._run_inline(ready, emit)
+            return
+        # Only without a timeout: abandoned (timed-out) workers stay busy
+        # until their task finishes on its own, so clamping to the batch
+        # size would let one hung task starve its own retries.
         if runner.task_timeout_s is None:
-            self._workers = min(runner.n_workers, len(pending))
-        else:
-            # Abandoned (timed-out) workers stay busy until their task
-            # finishes on its own; clamping to the batch size would let
-            # one hung task starve its own retries.
-            self._workers = runner.n_workers
-        ready: deque[_TaskState] = deque(
-            _TaskState(index, task, key) for index, task, key in pending
-        )
+            self._workers = min(runner.n_workers, len(ready))
         probes: deque[_TaskState] = deque()
+        degraded: str | None = None
         try:
-            while ready or probes:
+            while (ready or probes) and degraded is None:
                 solo = not ready
                 queue = deque([probes.popleft()]) if solo else ready
                 try:
-                    pool = self._ensure_pool()
-                    self._drive(pool, queue, emit, limit=1 if solo else None)
-                except _PoolBroken as broken:
-                    self._teardown(cancel=True)
-                    self._classify(broken.states, ready, probes, emit)
-                    self._rebuild_backoff()
-                except (OSError, PermissionError, ImportError):
+                    broken = self._drive(
+                        self._ensure_pool(), queue, emit, limit=1 if solo else None
+                    )
+                except _POOL_TROUBLE:
                     # _drive requeued its in-flight states into `queue`;
                     # merge a probe batch back before degrading.
                     if solo:
                         probes.extendleft(queue)
                     raise
-        except (OSError, PermissionError, ImportError) as error:
-            self._teardown(cancel=True)
-            warnings.warn(
-                f"process pool unavailable ({error}); running sweep serially",
-                RuntimeWarning,
-                stacklevel=5,
-            )
-            self._degrade(list(ready) + list(probes), emit)
-            return
-        except _PoolUnhealthy as unhealthy:
-            self._teardown(cancel=True)
-            warnings.warn(
-                f"process pool persistently unhealthy (broke "
-                f"{unhealthy.breaks} times, rebuild budget "
-                f"{runner.max_pool_rebuilds}); degrading to serial "
-                "in-process execution for the remaining tasks",
-                RuntimeWarning,
-                stacklevel=5,
-            )
-            self._degrade(list(ready) + list(probes), emit)
-            return
+                if broken:
+                    degraded = self._on_break(broken, ready, probes, emit)
+        except _POOL_TROUBLE as error:
+            degraded = f"process pool unavailable ({error}); running sweep serially"
         except BaseException:
             # Interrupts and task failures alike: reap the pool without
             # waiting on stragglers (completed futures were already
             # flushed by _drive).
             self._teardown(cancel=True)
             raise
-        # Clean finish: wait so abandoned (timed-out) workers are reaped
-        # before returning, exactly like the historical context manager.
-        self._teardown(wait=True)
+        if degraded is None:
+            # Clean finish: wait so abandoned (timed-out) workers are
+            # reaped before returning.
+            self._teardown(wait=True)
+            return
+        self._teardown(cancel=True)
+        warnings.warn(degraded, RuntimeWarning, stacklevel=3)
+        self._degrade([*ready, *probes], emit)
 
     # ----------------------------------------------------------- pool state
 
@@ -245,22 +298,46 @@ class FleetSupervisor:
             self._pool.shutdown(wait=wait, cancel_futures=cancel)
             self._pool = None
 
-    def _rebuild_backoff(self) -> None:
-        """Account one pool break; sleep before the rebuild.
+    def _on_break(
+        self,
+        broken: list[_TaskState],
+        ready: deque[_TaskState],
+        probes: deque[_TaskState],
+        emit: Callable[[TaskCompletion, str | None], None],
+    ) -> str | None:
+        """Route the tasks in flight at one pool break; back off.
 
-        Raises:
-            _PoolUnhealthy: the break count exceeded the runner's
-                ``max_pool_rebuilds`` budget.
+        Returns:
+            the degradation warning once the break count exceeds the
+            runner's ``max_pool_rebuilds``; otherwise ``None`` after
+            sleeping the rebuild backoff.
         """
         runner = self.runner
+        self._teardown(cancel=True)
+        alone = len(broken) == 1
+        for state in broken:
+            action, state = transition(
+                state,
+                Event.POOL_BROKE,
+                max_attempts=runner.max_attempts,
+                alone=alone,
+            )
+            if action is Action.QUARANTINE:
+                self._quarantine(state, Event.POOL_BROKE, emit)
+            elif action is Action.PROBE:
+                probes.append(state)
+            else:
+                ready.append(state)
         self._breaks += 1
-        runner.pool_rebuilds += 1
         if self._breaks > runner.max_pool_rebuilds:
-            raise _PoolUnhealthy(self._breaks)
-        delay = min(
-            runner.rebuild_backoff_s * (2 ** (self._breaks - 1)),
-            _MAX_REBUILD_DELAY_S,
-        )
+            return (
+                f"process pool persistently unhealthy (broke "
+                f"{self._breaks} times, rebuild budget "
+                f"{runner.max_pool_rebuilds}); degrading to serial "
+                "in-process execution for the remaining tasks"
+            )
+        runner.pool_rebuilds += 1
+        delay = backoff_delay(runner, self._breaks)
         logger.warning(
             "worker pool broke (%d/%d tolerated); rebuilding in %.2fs",
             self._breaks,
@@ -269,8 +346,54 @@ class FleetSupervisor:
         )
         if delay > 0:
             time.sleep(delay)
+        return None
 
     # ------------------------------------------------------------- driving
+
+    def _retry(
+        self, state: _TaskState, event: Event, error: BaseException | None
+    ) -> _TaskState:
+        """Apply a *raised* / *timed out* event: back off, or abort.
+
+        Returns:
+            the state of the next attempt, after sleeping its backoff.
+
+        Raises:
+            RetryExhaustedError: the table said *fail* (chained to
+                `error`; ``None`` for a timeout).
+        """
+        runner = self.runner
+        action, retried = transition(
+            state, event, max_attempts=runner.max_attempts, error=error
+        )
+        if action is Action.FAIL:
+            raise RetryExhaustedError(state.task, state.attempt, error) from error
+        runner.tasks_retried += 1
+        delay = backoff_delay(runner, state.attempt)
+        if delay > 0:
+            time.sleep(delay)
+        return retried
+
+    def _run_inline(
+        self,
+        states: Iterable[_TaskState],
+        emit: Callable[[TaskCompletion, str | None], None],
+    ) -> None:
+        """In-process execution, one task at a time, in batch order."""
+        for state in states:
+            while True:
+                started = time.perf_counter()
+                try:
+                    value = _execute_task(state.task)
+                except Exception as error:  # noqa: BLE001 - the table decides
+                    state = self._retry(state, Event.RAISED, error)
+                    continue
+                elapsed = time.perf_counter() - started
+                completion = TaskCompletion(
+                    state.index, state.task, value, "executed", elapsed
+                )
+                emit(completion, state.key)
+                break
 
     def _drive(
         self,
@@ -279,43 +402,34 @@ class FleetSupervisor:
         emit: Callable[[TaskCompletion, str | None], None],
         *,
         limit: int | None = None,
-    ) -> None:
+    ) -> list[_TaskState]:
         """Pump `queue` through `pool` until it (and all flights) drain.
 
         Submission is bounded by the worker count, so the in-flight set
         is a tight superset of what is actually *running* — which is
-        what makes crash blame (see :meth:`_classify`) meaningful.
-        Raises :class:`_PoolBroken` with the in-flight states on worker
-        death; requeues in-flight states and re-raises on pool
-        *infrastructure* errors (``OSError`` family) so the caller can
-        degrade to serial execution.
+        what makes crash blame meaningful.  Requeues in-flight states
+        and re-raises on pool *infrastructure* errors (``OSError``
+        family) so the caller can degrade to in-process execution.
+
+        Returns:
+            the states in flight when a worker death broke the pool, or
+            ``[]`` once everything drained.
         """
-        runner = self.runner
-        timeout = runner.task_timeout_s
+        timeout = self.runner.task_timeout_s
         limit = self._workers if limit is None else limit
         #: future -> (state, deadline, submitted_at)
         inflight: dict[Future, tuple[_TaskState, float | None, float]] = {}
-
-        def submit(state: _TaskState) -> None:
-            try:
-                future = pool.submit(_execute_task, state.task)
-            except BrokenProcessPool:
-                survivors = [state] + [s for s, _, _ in inflight.values()]
-                inflight.clear()
-                raise _PoolBroken(survivors) from None
-            now = time.monotonic()
-            deadline = now + timeout if timeout is not None else None
-            inflight[future] = (state, deadline, now)
-
-        def requeue_for_retry(state: _TaskState, error: BaseException | None):
-            runner._retry_or_raise(state.task, state.attempt, error)
-            state.attempt += 1
-            queue.append(state)
-
         try:
             while queue or inflight:
                 while queue and len(inflight) < limit:
-                    submit(queue.popleft())
+                    state = queue.popleft()
+                    try:
+                        future = pool.submit(_execute_task, state.task)
+                    except BrokenProcessPool:
+                        return [state, *(s for s, _, _ in inflight.values())]
+                    now = time.monotonic()
+                    deadline = now + timeout if timeout is not None else None
+                    inflight[future] = (state, deadline, now)
                 poll = 0.1 if timeout is not None else None
                 done, _ = wait(
                     inflight, timeout=poll, return_when=FIRST_COMPLETED
@@ -331,57 +445,45 @@ class FleetSupervisor:
                     error = future.exception()
                     if error is None:
                         inflight.pop(future)
-                        emit(
-                            TaskCompletion(
-                                state.index,
-                                state.task,
-                                future.result(),
-                                "executed",
-                                now - submitted,
-                            ),
-                            state.key,
+                        value, elapsed = future.result(), now - submitted
+                        completion = TaskCompletion(
+                            state.index, state.task, value, "executed", elapsed
                         )
+                        emit(completion, state.key)
                     else:
                         failures.append((future, state, error))
                 for future, state, error in failures:
-                    if future not in inflight:
-                        continue  # swept up by an earlier _PoolBroken
                     if isinstance(error, BrokenProcessPool):
-                        survivors = [s for s, _, _ in inflight.values()]
-                        inflight.clear()
-                        raise _PoolBroken(survivors) from None
+                        return [s for s, _, _ in inflight.values()]
                     inflight.pop(future)
-                    if isinstance(
-                        error, (OSError, PermissionError, ImportError)
-                    ):
+                    if isinstance(error, _POOL_TROUBLE):
                         # Pool infrastructure trouble, not a task
                         # failure: requeue the survivors and surface it
-                        # so the supervisor degrades to serial.
+                        # so the supervisor degrades to in-process.
                         queue.appendleft(state)
                         queue.extend(s for s, _, _ in inflight.values())
                         inflight.clear()
                         raise error
-                    requeue_for_retry(state, error)
+                    queue.append(self._retry(state, Event.RAISED, error))
                 if timeout is None:
                     continue
                 for future in list(inflight):
                     state, deadline, _ = inflight[future]
-                    if deadline is None or now < deadline:
+                    if now < deadline:
                         continue
+                    inflight.pop(future)
                     if future.running() or not future.cancel():
                         # Can't preempt a running worker: abandon the
                         # future (its eventual result is discarded) and
                         # retry the task on a fresh submission.
-                        inflight.pop(future)
                         future.add_done_callback(lambda f: f.exception())
-                    else:
-                        inflight.pop(future)
-                    requeue_for_retry(state, None)
+                    queue.append(self._retry(state, Event.TIMED_OUT, None))
         except KeyboardInterrupt:
             # Clean drain: flush everything that already finished into
             # the checkpoint before the supervisor reaps the pool.
             self._flush_finished(inflight, emit)
             raise
+        return []
 
     def _flush_finished(
         self,
@@ -394,67 +496,19 @@ class FleetSupervisor:
         for future in done:
             state, _, submitted = inflight.pop(future)
             if future.exception() is None:
-                emit(
-                    TaskCompletion(
-                        state.index,
-                        state.task,
-                        future.result(),
-                        "executed",
-                        now - submitted,
-                    ),
-                    state.key,
+                value, elapsed = future.result(), now - submitted
+                completion = TaskCompletion(
+                    state.index, state.task, value, "executed", elapsed
                 )
+                emit(completion, state.key)
 
-    # ------------------------------------------------------ blame & poison
-
-    def _classify(
-        self,
-        states: list[_TaskState],
-        ready: deque[_TaskState],
-        probes: deque[_TaskState],
-        emit: Callable[[TaskCompletion, str | None], None],
-    ) -> None:
-        """Assign blame for one pool break and route survivors.
-
-        Every task in flight at the moment of death is blamed once; the
-        blame is *exact* when the task was alone.  Routing rules:
-
-        * blamed ``max_attempts`` times with an exact final blame —
-          convicted, quarantined as poisoned;
-        * blamed while co-located (``_SUSPECT_AFTER`` times, or past the
-          attempt budget) — suspect: re-run alone via the probe queue,
-          where one clean run exonerates and one more crash convicts;
-        * otherwise — back into the general queue for an ordinary retry.
-        """
-        exact = len(states) == 1
-        for state in states:
-            state.blames += 1
-            state.solo = exact
-        for state in states:
-            if state.blames >= self.runner.max_attempts and state.solo:
-                self._quarantine(
-                    state,
-                    emit,
-                    reason=(
-                        f"worker crashed {state.blames} time(s), "
-                        "the last with this task running alone"
-                    ),
-                )
-            elif (
-                exact
-                or state.blames >= _SUSPECT_AFTER
-                or state.blames >= self.runner.max_attempts
-            ):
-                probes.append(state)
-            else:
-                ready.append(state)
+    # ------------------------------------------------ quarantine & degrade
 
     def _quarantine(
         self,
         state: _TaskState,
+        event: Event,
         emit: Callable[[TaskCompletion, str | None], None],
-        *,
-        reason: str,
     ) -> None:
         """Complete `state` as poisoned: diagnostics instead of a result.
 
@@ -463,10 +517,18 @@ class FleetSupervisor:
         row) but is never written to the pickle cache — a rerun must
         retry the task, not replay its quarantine.
         """
+        if event is Event.POOL_BROKE:
+            reason = (
+                f"worker crashed {state.blames} time(s), "
+                "the last with this task running alone"
+            )
+        else:
+            reason = (
+                f"pool degraded to serial after {state.blames} crash "
+                "blame(s); a crash suspect is not risked in the "
+                "coordinating process"
+            )
         self.runner.tasks_poisoned += 1
-        diagnostics = PoisonedTask(
-            task=state.task, crashes=state.blames, reason=reason
-        )
         logger.warning(
             "quarantined poison task %s (seed=%s) after %d worker "
             "crash(es): %s",
@@ -476,36 +538,32 @@ class FleetSupervisor:
             reason,
         )
         emit(
-            TaskCompletion(state.index, state.task, diagnostics, POISONED),
+            TaskCompletion(
+                state.index,
+                state.task,
+                PoisonedTask(task=state.task, crashes=state.blames, reason=reason),
+                POISONED,
+            ),
             state.key,
         )
-
-    # ---------------------------------------------------------- degradation
 
     def _degrade(
         self,
         states: list[_TaskState],
         emit: Callable[[TaskCompletion, str | None], None],
     ) -> None:
-        """Finish `states` serially in-process (the pool is gone).
+        """Finish `states` in-process, in batch order (the pool is gone).
 
-        Tasks that were ever blamed for a worker death are quarantined
-        instead of executed: serial execution has no process isolation,
-        so running a crash suspect here could take the coordinator (and
-        the whole campaign record) down with it.
+        Each task keeps its attempt count, so degradation never grants
+        a task more than ``max_attempts`` attempts in total.
         """
-        clean: list[Any] = []
+        clean: list[_TaskState] = []
         for state in sorted(states, key=lambda s: s.index):
-            if state.blames:
-                self._quarantine(
-                    state,
-                    emit,
-                    reason=(
-                        f"pool degraded to serial after {state.blames} "
-                        "crash blame(s); a crash suspect is not risked "
-                        "in the coordinating process"
-                    ),
-                )
+            action, state = transition(
+                state, Event.POOL_DEGRADED, max_attempts=self.runner.max_attempts
+            )
+            if action is Action.QUARANTINE:
+                self._quarantine(state, Event.POOL_DEGRADED, emit)
             else:
-                clean.append((state.index, state.task, state.key))
-        self.runner._execute_serial(clean, emit)
+                clean.append(state)
+        self._run_inline(clean, emit)

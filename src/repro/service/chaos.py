@@ -356,7 +356,6 @@ def run_campaign(
             retry_jitter=0.0,
             task_timeout_s=task_timeout_s,
             max_pool_rebuilds=max_pool_rebuilds,
-            rebuild_backoff_s=0.05,
             db=db,
             run_label=run_label,
         )

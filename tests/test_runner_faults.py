@@ -11,6 +11,7 @@ from repro.runners import (
     SimTask,
     SweepRunner,
 )
+from repro.runners.supervisor import backoff_delay
 
 
 def _flaky_task(counter_path: str, fail_times: int, seed: int = 0) -> str:
@@ -43,6 +44,19 @@ def _slow_task(marker_path: str, slow_s: float, seed: int = 0) -> str:
 
 def _square(x: int, seed: int = 0) -> int:
     return x * x
+
+
+def _invalid_cell(counter_path: str, error: str, seed: int = 0) -> None:
+    """Counts its invocations, then raises a deterministic task error."""
+    calls = 0
+    if os.path.exists(counter_path):
+        with open(counter_path) as handle:
+            calls = int(handle.read())
+    with open(counter_path, "w") as handle:
+        handle.write(str(calls + 1))
+    raise {"ValueError": ValueError, "TypeError": TypeError}[error](
+        f"invalid cell (call {calls + 1})"
+    )
 
 
 class TestRetry:
@@ -80,15 +94,53 @@ class TestRetry:
         runner = SweepRunner(
             max_attempts=4, retry_backoff_s=0.1, retry_jitter=0.0
         )
-        delays = [runner._backoff_delay(k) for k in (1, 2, 3)]
+        delays = [backoff_delay(runner, k) for k in (1, 2, 3)]
         assert delays == pytest.approx([0.1, 0.2, 0.4])
+
+    def test_backoff_is_capped_at_30_s(self):
+        runner = SweepRunner(retry_backoff_s=0.5, retry_jitter=0.25)
+        assert backoff_delay(runner, 7) <= 30.0  # 0.5 * 2**6 = 32
+        assert backoff_delay(runner, 20) == 30.0
 
     def test_jitter_bounds(self):
         runner = SweepRunner(
             max_attempts=2, retry_backoff_s=1.0, retry_jitter=0.5
         )
         for _ in range(50):
-            assert 1.0 <= runner._backoff_delay(1) <= 1.5
+            assert 1.0 <= backoff_delay(runner, 1) <= 1.5
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("error", ["ValueError", "TypeError"])
+    def test_deterministic_error_fails_on_first_attempt(
+        self, tmp_path, n_workers, error
+    ):
+        counter = str(tmp_path / "counter")
+        runner = SweepRunner(
+            n_workers=n_workers, max_attempts=5, retry_backoff_s=0.0
+        )
+        tasks = [
+            SimTask.call(_invalid_cell, counter_path=counter, error=error),
+            SimTask.call(_square, x=3),
+        ]
+        with pytest.raises(RetryExhaustedError) as excinfo:
+            runner.run(tasks)
+        assert excinfo.value.attempts == 1
+        assert type(excinfo.value.last_error).__name__ == error
+        assert excinfo.value.__cause__ is excinfo.value.last_error
+        assert runner.tasks_retried == 0
+        with open(counter) as handle:
+            assert handle.read() == "1"
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_missing_task_function_fails_on_first_attempt(self, n_workers):
+        runner = SweepRunner(
+            n_workers=n_workers, max_attempts=5, retry_backoff_s=0.0
+        )
+        missing = SimTask(fn="repro.runners.runner:no_such_task")
+        with pytest.raises(RetryExhaustedError, match="not found") as excinfo:
+            runner.run([missing, SimTask.call(_square, x=3)])
+        assert excinfo.value.attempts == 1
+        assert runner.tasks_retried == 0
 
     def test_pooled_retry(self, tmp_path):
         counter = str(tmp_path / "counter")

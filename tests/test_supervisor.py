@@ -82,7 +82,6 @@ class TestQuarantine:
             n_workers=2,
             max_attempts=3,
             retry_backoff_s=0.0,
-            rebuild_backoff_s=0.0,
             db=db,
         )
         tasks = [
@@ -121,7 +120,6 @@ class TestQuarantine:
                 cache_dir=cache_dir,
                 max_attempts=2,
                 retry_backoff_s=0.0,
-                rebuild_backoff_s=0.0,
                 task_timeout_s=60.0,
             )
 
@@ -146,7 +144,6 @@ class TestDegradation:
             max_attempts=2,
             retry_backoff_s=0.0,
             max_pool_rebuilds=0,
-            rebuild_backoff_s=0.0,
             # A timeout keeps the singleton batch on the pool path.
             task_timeout_s=60.0,
         )
@@ -156,6 +153,7 @@ class TestDegradation:
         assert isinstance(result, PoisonedTask)
         assert "degraded to serial" in result.reason
         assert runner.tasks_poisoned == 1
+        assert runner.pool_rebuilds == 0  # the break degraded instead
 
     def test_degradation_still_runs_clean_tasks(self):
         runner = SweepRunner(
@@ -163,7 +161,6 @@ class TestDegradation:
             max_attempts=2,
             retry_backoff_s=0.0,
             max_pool_rebuilds=0,
-            rebuild_backoff_s=0.0,
         )
         tasks = [SimTask.call(_square, x=n) for n in range(6)]
         tasks.append(SimTask.call(_kill_self))
