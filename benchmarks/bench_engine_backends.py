@@ -5,15 +5,16 @@ for this PR is **>= 10x** round throughput on the 16x16 broadcast
 workload, at bit-identical results.  This bench measures both engines on
 that exact workload, asserts the results match, and reports rounds/s
 and the speedup factor.  A second leg repeats the comparison under data
-upsets (``p_upset=0.1``), where the fast backend walks a pre-drawn pool
-instead of one batched draw block, against a **>= 1.5x** floor.  Three
+upsets (``p_upset=0.1``), where the fast backend reads each round's
+draws and corruptions off one block of raw PCG64 words
+(``repro/noc/backends/words.py``), against a **>= 1.5x** floor.  Three
 policy legs follow on the 16x16 mesh.  Fault-free push-pull runs both
 halves batched (``repro/policies/sampling.py``) against a **>= 5x**
 floor.  Push-pull at ``p_upset=0.1`` runs the scalar send walker, where
 both engines execute the same per-transmission sequence
 (``NocSimulator._transmit``), and is checked for equality only.
 ``adaptive_route`` at ``p_upset=0.1`` runs the batched send kernel (its
-0/1 decision matrix plus the upset scan) against a parity floor.  The
+0/1 decision matrix plus the upset walk) against a parity floor.  The
 policy floors are asserted in full mode only; ``--quick`` checks
 equality alone.
 

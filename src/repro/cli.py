@@ -642,7 +642,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     print(profiler.format_table())
     if engine_paths:
-        print("engine paths (rounds per path; upset-pool doubles):")
+        print("engine paths (rounds per path; upset-send words, corruptions):")
         for name, count in engine_paths.items():
             print(f"  {name:<20}{count:>12}")
     return 0

@@ -12,13 +12,16 @@ initial value, reflection flags, final XOR), the same model used by the
 All checks operate on :class:`bytes`; the fault injector flips bits in the
 payload *and/or* the stored checksum, so detection behaves exactly like a
 hardware decoder: any single burst shorter than the CRC width is caught, and
-a random scramble escapes with probability ~2^-width.
+a random scramble escapes with probability ~2^-width.  :meth:`CRC.check_rows`
+gives the same verdict for a whole matrix of equal-length codewords at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,8 @@ class CRC:
         self.spec = spec
         self._mask = (1 << spec.width) - 1
         self._table = _build_table(spec.width, spec.polynomial, spec.reflect_in)
+        #: codeword length -> (per-position syndrome table, intact syndrome).
+        self._row_tables: dict[int, tuple[np.ndarray, int]] = {}
         self._verify_check_value()
 
     def _verify_check_value(self) -> None:
@@ -155,6 +160,67 @@ class CRC:
             return False
         data, trailer = codeword[:-n], codeword[-n:]
         return self.compute(data) == int.from_bytes(trailer, "big")
+
+    def check_rows(self, codewords: np.ndarray) -> np.ndarray:
+        """:meth:`check` for every row of a (k, length) ``uint8`` matrix.
+
+        A CRC is affine over GF(2): the data's checksum XOR the trailer
+        is the XOR of one table entry per (position, byte value), so the
+        verdict for all k rows is one gather and one XOR reduction.
+        """
+        codewords = np.asarray(codewords, dtype=np.uint8)
+        k, length = codewords.shape
+        if length < self.n_check_bytes:
+            return np.zeros(k, dtype=bool)
+        tables = self._row_tables.get(length)
+        if tables is None:
+            tables = self._row_tables[length] = self._syndrome_table(length)
+        table, intact = tables
+        syndrome = np.bitwise_xor.reduce(
+            table[np.arange(length), codewords], axis=1
+        )
+        return syndrome == np.uint64(intact)
+
+    def _syndrome_table(self, length: int) -> tuple[np.ndarray, int]:
+        """Per-position contributions to ``compute(data) ^ trailer``.
+
+        Row j < len(data) holds, for each byte value b, the linear part of
+        the checksum of b followed by ``len(data) - 1 - j`` zero bytes
+        (from a zero register, zero bytes ahead of b change nothing): the
+        table-driven step over zero bytes, run backwards from the last
+        position.  Trailer rows hold b at its big-endian place.  An
+        intact codeword's row XOR equals the checksum of all-zero data.
+        """
+        spec = self.spec
+        width = spec.width
+        n_data = length - self.n_check_bytes
+        table = np.zeros((length, 256), dtype=np.uint64)
+        step = np.asarray(self._table, dtype=np.uint64)
+        register = step.copy()
+        mask, byte = np.uint64(self._mask), np.uint64(0xFF)
+        eight, shift = np.uint64(8), np.uint64(width - 8)
+        for j in range(n_data - 1, -1, -1):
+            table[j] = register
+            if spec.reflect_in:
+                register = (register >> eight) ^ step[register & byte]
+            else:
+                register = ((register << eight) & mask) ^ step[
+                    (register >> shift) & byte
+                ]
+        if spec.reflect_out != spec.reflect_in:
+            data = table[:n_data]
+            reflected = np.zeros_like(data)
+            for bit in range(width):
+                reflected |= ((data >> np.uint64(bit)) & np.uint64(1)) << (
+                    np.uint64(width - 1 - bit)
+                )
+            table[:n_data] = reflected
+        values = np.arange(256, dtype=np.uint64)
+        for t in range(self.n_check_bytes):
+            table[n_data + t] = values << np.uint64(
+                8 * (self.n_check_bytes - 1 - t)
+            )
+        return table, self.compute(bytes(n_data))
 
     def extract(self, codeword: bytes) -> bytes:
         """Strip the checksum trailer, returning the original payload.

@@ -25,11 +25,12 @@ Stream discipline (matching the object engine draw for draw):
 * **send** — per (packet, port) decision draws exactly when the policy's
   effective row probability is in (0, 1), as one block per packet, then
   one upset uniform per transmission over a live link when
-  ``p_upset > 0``.  Corruption draws interleave mid-stream but are never
-  pool doubles, so the doubles a round consumes form one *virtual*
-  stream: under upsets the send scans positions in it out of a growing
-  pre-drawn *pool*, rewinding/advancing the PCG64 bit generator around
-  each corruption.  Every ``decide_batch`` round — per-row
+  ``p_upset > 0``, each hit followed at once by the error model's
+  corruption draws.  Under upsets a round reads all of them off one
+  block of raw PCG64 words by index arithmetic
+  (:class:`~repro.noc.backends.words.WordStream`), checks the corrupted
+  codewords' CRC in one batch and leaves the generator exactly where
+  the object engine's would be.  Every ``decide_batch`` round — per-row
   probabilities or a 0/1 matrix, with or without upsets — is then
   emitted as one matrix.
 * **push-pull** — at ``p_upset == 0`` the policy draws a whole round's
@@ -54,8 +55,8 @@ Configurations that are supported but fall back to slower exact paths:
   interleaving, and relay's re-insertion of a copy evicted earlier in the
   same round, are sequential semantics); bounded retain buffers evict in
   one batch;
-* policies without a :meth:`ForwardingPolicy.decide_batch` (XY
-  routing), or whose hook returns None for the round, send row by row
+* policies without a :meth:`ForwardingPolicy.decide_batch`, or whose
+  hook returns None for the round (push-pull under upsets), send row by row
   through one scalar walker that drives the inherited
   :meth:`NocSimulator._transmit` (array-backed state, same stream);
 * pull phases without a :meth:`ForwardingPolicy.pull_ports_batch` mask
@@ -79,22 +80,16 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from itertools import compress
 
 import numpy as np
 
 from repro.core.packet import BROADCAST, Packet, PacketFactory
 from repro.noc.backends.base import FAST_BACKEND, register_backend
+from repro.noc.backends.words import WordStream
 from repro.noc.clock import ClockDomain
 from repro.noc.engine import NocSimulator
 from repro.noc.tile import IPCore, RelayCore, TileContext, TileState
 from repro.policies.base import BatchDecisionView, ForwardingPolicy
-
-#: Uniforms `_scan_upsets` pre-draws after each anchor; every refill
-#: doubles the block.  A constant, not a setting: tests monkeypatch it to
-#: cross block boundaries on small grids.
-_POOL_CHUNK = 64
-
 
 class _ArrivalChunk:
     """A batch of packets latched for one future round.
@@ -445,15 +440,15 @@ class FastNocSimulator(NocSimulator):
         )
 
         #: Exact counts of the rounds each send / receive / pull path ran
-        #: and of the upset pool's draws (docs/performance.md).  A
-        #: diagnostic attribute only: it never enters results, metrics or
-        #: cache keys.
+        #: and of the upset send's words and corruptions
+        #: (docs/performance.md).  A diagnostic attribute only: it never
+        #: enters results, metrics or cache keys.
         self.engine_paths: dict[str, int] = dict.fromkeys(
             (
                 "send.vectorized", "send.pooled", "send.matrix",
                 "send.sequential", "receive.vectorized", "receive.ordered",
                 "pull.vectorized", "pull.sequential",
-                "pool.doubles_drawn", "pool.doubles_used", "pool.reanchors",
+                "upset.words_drawn", "upset.words_used", "upset.corruptions",
             ),
             0,
         )
@@ -524,12 +519,14 @@ class FastNocSimulator(NocSimulator):
         hop: int,
         alt_packet: Packet | None = None,
         intact: bool = True,
+        codeword: bytes | None = None,
     ) -> Packet:
         """Materialise an equal-valued packet for one population slot."""
         canonical = self._msg_packets[mid]
-        codeword = (
-            canonical.codeword if alt_packet is None else alt_packet.codeword
-        )
+        if codeword is None:
+            codeword = (
+                canonical.codeword if alt_packet is None else alt_packet.codeword
+            )
         return Packet(
             source=canonical.source,
             destination=canonical.destination,
@@ -1037,6 +1034,8 @@ class FastNocSimulator(NocSimulator):
                 max_degree=self._max_deg,
                 degrees=deg,
                 rng=self.rng if self.fault_config.p_upset == 0.0 else None,
+                destinations=self._msg_dest[m_arr],
+                port_neighbors=self._nbr,
             )
         )
         paths = self.engine_paths
@@ -1093,28 +1092,29 @@ class FastNocSimulator(NocSimulator):
         p_upset = self.fault_config.p_upset
         if p_upset > 0.0:
             live = valid & link_ok[t_arr]
-            stream, starts, copies = self._scan_upsets(
+            stream, starts, hits = self._scan_upsets(
                 t_arr, m_arr, p_row, np.where(draw, deg, 0),
                 np.count_nonzero(transmit & live, axis=1), live,
             )
+            doubles = stream.doubles
         else:
             n_dec = deg[rows]
-            stream = self.rng.random(int(n_dec.sum()))
+            doubles = self.rng.random(int(n_dec.sum()))
             starts = np.cumsum(n_dec) - n_dec
         if starts.size:
             at = starts[:, None] + jj[None, :]
             ports = valid[rows]
             transmit[rows] = ports & (
-                stream[np.where(ports, at, 0)] < p_row[rows, None]
+                doubles[np.where(ports, at, 0)] < p_row[rows, None]
             )
         upsets = None
         if p_upset > 0.0:
-            is_upset = np.ones(stream.size, dtype=bool)
-            if starts.size:
-                is_upset[at[ports]] = False
+            sent = transmit & live
+            hit = np.zeros(np.count_nonzero(sent), dtype=bool)
+            hit[hits] = True
             upset = np.zeros_like(transmit)
-            upset[transmit & live] = stream[is_upset] < p_upset
-            upsets = (upset, copies)
+            upset[sent] = hit
+            upsets = (upset, stream)
         self._emit_transmit_matrix(
             round_index, t_arr, m_arr, transmit, link_ok, upsets=upsets
         )
@@ -1129,8 +1129,9 @@ class FastNocSimulator(NocSimulator):
         charged outside the mask that the object engine adds just before
         the transmissions of rows ``first_row[i]`` onwards (a pull
         request ahead of its responses).  `upsets`, when given, is a pair
-        ``(mask, copies)``: the (row, port) entries whose upset draw hit
-        and their corrupted copies, in (row, port) order.  Observer and
+        ``(mask, stream)``: the (row, port) entries whose upset draw hit,
+        and the :class:`WordStream` that recorded their corruptions in
+        (row, port) order.  Observer and
         ``policy.on_dead_link`` hooks fire last, in (row, port) order —
         the object engine's; neither draws from the stream.
         """
@@ -1179,12 +1180,12 @@ class FastNocSimulator(NocSimulator):
             if upsets is None:
                 upset = np.zeros(n_live, dtype=bool)
             else:
-                mask, copies = upsets
+                mask, stream = upsets
                 upset = mask[rows, ports]
-                stats.upsets_injected += len(copies)
-                for i, copy in zip(np.nonzero(upset)[0].tolist(), copies):
-                    alt_events[i] = copy
-                    intact[i] = copy.is_intact()
+                self._corrupted_events(
+                    stream, np.nonzero(upset)[0], mids, ttls, hops, intact,
+                    alt_events,
+                )
             if self._uniform_delay:
                 self._pending.setdefault(round_index + 1, []).append(
                     _ArrivalChunk(
@@ -1226,6 +1227,35 @@ class FastNocSimulator(NocSimulator):
             observer.on_transmission(round_index, src, neighbor, packet)
             i += 1
 
+    def _corrupted_events(
+        self, stream, at, mids, ttls, hops, intact, alt_events
+    ) -> None:
+        """CRC-check a round's corrupted copies, materialising few of them.
+
+        `at` holds the emitted positions of the `stream`'s corruptions, in
+        order.  Their codewords are checked a message at a time with
+        :meth:`CRC.check_rows`; only escaped copies, which stay buffered,
+        and copies an observer will see become :class:`Packet` objects.
+        """
+        self.stats.upsets_injected += at.size
+        if not at.size:
+            return
+        scrambled = stream.scrambled()
+        hit_mids = mids[at]
+        for mid in dict.fromkeys(hit_mids.tolist()):
+            group = hit_mids == mid
+            intact[at[group]] = self._msg_packets[mid].crc.check_rows(
+                scrambled[group, : self._msg_bits[mid] // 8]
+            )
+        keep = intact[at] if self.observer is None else np.ones(at.size, bool)
+        for j in np.nonzero(keep)[0].tolist():
+            i = int(at[j])
+            mid = int(mids[i])
+            alt_events[i] = self._event_packet(
+                mid, int(ttls[i]), int(hops[i]), intact=bool(intact[i]),
+                codeword=scrambled[j, : self._msg_bits[mid] // 8].tobytes(),
+            )
+
     def _emit_delayed(
         self, round_index, delays, dsts, mids, ttls, hops, upsets, intact, alt
     ) -> None:
@@ -1248,115 +1278,45 @@ class FastNocSimulator(NocSimulator):
                 )
             )
 
-    @staticmethod
-    def _rewind(bit_generator, anchor, used: int) -> None:
-        """Reposition the stream `used` doubles past `anchor`.
-
-        ``advance`` documentedly resets PCG64's buffered uint32 half-word
-        (set by the error model's ``integers`` draws), but the object
-        engine's stream carries that buffer across corruptions — restore
-        it, since pooled doubles never consume it.
-        """
-        bit_generator.state = anchor
-        bit_generator.advance(used)
-        if anchor.get("has_uint32"):
-            state = bit_generator.state
-            state["has_uint32"] = anchor["has_uint32"]
-            state["uinteger"] = anchor["uinteger"]
-            bit_generator.state = state
-
     def _scan_upsets(self, t_arr, m_arr, p_row, n_dec, n_fixed, live):
-        """Read a round's consumed doubles off the stream under upsets.
+        """Read a round's upset send off one :class:`WordStream` block.
 
-        Corruption draws are never pool doubles, so the doubles a round
-        consumes form one *virtual* stream: row r's `n_dec[r]` decision
-        doubles (one per port when 0 < p < 1) come first, then one upset
-        double per live transmitting port — `n_fixed[r]` of them for a
-        row of fixed entries.  The scan reads them from a growing
-        pre-drawn pool — ``_POOL_CHUNK`` doubles after every anchor,
-        doubling per refill, so a round pre-draws O(consumed + chunk x
-        corruptions) — and walks only positions.  At an upset double
-        below ``p_upset`` it rewinds the bit generator to the logical
-        position, lets the error model corrupt the copy from the live
-        stream, re-anchors and starts a fresh pool.
-
-        Returns ``(stream, starts, copies)``: the consumed doubles, the
-        position of each drawing row's first decision double, and the
-        corrupted copies in (row, port) order.
+        The block holds the round's expected words — decision and upset
+        doubles, and corruption draws at the error model's cost — plus
+        ``WORD_BLOCK``; :meth:`WordStream.walk` extends it when short and
+        records each corruption of the sending slot's codeword.  The
+        generator is then left where the object engine's would be.
+        Returns ``(stream, starts, hits)`` as :meth:`WordStream.walk`
+        defines them.
         """
-        paths = self.engine_paths
         p_upset = float(self.fault_config.p_upset)
-        busy = np.nonzero(n_dec + n_fixed)[0]
-        random = self.rng.random
-        bit_generator = self.rng.bit_generator
-        anchor = bit_generator.state
-        pool: list[float] = []
-        have = used = 0
-        block = _POOL_CHUNK
-        consumed: list[float] = []
-        starts: list[int] = []
-        copies: list[Packet] = []
-        for row, p, n_draws, k, ok in zip(
-            busy.tolist(),
-            p_row[busy].tolist(),
-            n_dec[busy].tolist(),
-            n_fixed[busy].tolist(),
-            live[busy].tolist(),
-        ):
-            if n_draws:
-                while used + n_draws > have:
-                    pool += random(block).tolist()
-                    have += block
-                    block *= 2
-                starts.append(len(consumed) + used)
-                k = sum(map(p.__gt__, compress(pool[used : used + n_draws], ok)))
-                used += n_draws
-            while k:
-                if used == have:
-                    pool += random(block).tolist()
-                    have += block
-                    block *= 2
-                window = pool[used : used + k]
-                if min(window) >= p_upset:
-                    used += len(window)
-                    k -= len(window)
-                    continue
-                hit = next(i for i, x in enumerate(window) if x < p_upset) + 1
-                used += hit
-                k -= hit
-                # Corruption draws come from the live stream: rewind to
-                # the logical position, corrupt, re-anchor, and keep the
-                # consumed prefix of the pool as part of the stream.
-                self._rewind(bit_generator, anchor, used)
-                tile_id, mid = int(t_arr[row]), int(m_arr[row])
-                copy = self._event_packet(
-                    mid,
-                    int(self._ttl[tile_id, mid]),
-                    int(self._hop[tile_id, mid]) + 1,
-                    self._alt_packets.get((tile_id, mid)),
-                )
-                copies.append(
-                    copy.scrambled(self.injector.corrupt(copy.codeword))
-                )
-                anchor = bit_generator.state
-                paths["pool.doubles_drawn"] += have
-                paths["pool.doubles_used"] += used
-                paths["pool.reanchors"] += 1
-                consumed += pool[:used]
-                pool = []
-                have = used = 0
-                block = _POOL_CHUNK
-        if have:
-            # Leave the generator exactly where the object engine's would be.
-            self._rewind(bit_generator, anchor, used)
-        paths["pool.doubles_drawn"] += have
-        paths["pool.doubles_used"] += used
-        consumed += pool[:used]
-        return (
-            np.asarray(consumed, dtype=np.float64),
-            np.asarray(starts, dtype=np.int64),
-            copies,
+        model = self.injector.error_model
+        length = int(self._msg_bits[m_arr].max(initial=0)) // 8
+        per_hit = 8 * length + 1 if model.name == "bit" else length // 8 + 1
+        sends = float(
+            np.where(n_dec > 0, p_row, 0.0) @ np.count_nonzero(live, axis=1)
+        ) + int(n_fixed.sum())
+        stream = WordStream.draw(
+            self.rng.bit_generator,
+            int(n_dec.sum() + sends * (1.0 + p_upset * per_hit)),
+            model,
         )
+        alt_packets, packets = self._alt_packets, self._msg_packets
+
+        def original(row: int) -> bytes:
+            mid = m_arr.item(row)
+            alt = alt_packets.get((t_arr.item(row), mid))
+            return (packets[mid] if alt is None else alt).codeword
+
+        pos, starts, hits = stream.walk(
+            p_upset, p_row, n_dec, n_fixed, live, original
+        )
+        stream.commit(pos)
+        paths = self.engine_paths
+        paths["upset.words_drawn"] += stream.size
+        paths["upset.words_used"] += pos
+        paths["upset.corruptions"] += len(stream)
+        return stream, starts, hits
 
     def _flush_latched(self) -> None:
         """Turn the copies `_transmit` latched into pending chunks.

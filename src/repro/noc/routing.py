@@ -10,8 +10,9 @@ crash anywhere on that unique path is fatal.
 The protocol is a :class:`repro.policies.ForwardingPolicy` (the engine
 hands its :meth:`~XYRoutingProtocol.decisions` the current tile id), and
 broadcasts fall back to flooding since XY routing has no broadcast story
-of its own.  It has no batch form, so the fast backend runs it on its
-per-row scalar send.
+of its own.  Its :meth:`~XYRoutingProtocol.decide_batch` computes a whole
+round's ports from destination coordinates, so the fast backend sends it
+as one 0/1 matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ import numpy as np
 
 from repro.core.packet import BROADCAST, Packet
 from repro.noc.topology import Mesh2D
-from repro.policies.base import ForwardDecision, ForwardingPolicy
+from repro.policies.base import (
+    BatchDecisionView,
+    ForwardDecision,
+    ForwardingPolicy,
+)
 
 
 class XYRoutingProtocol(ForwardingPolicy):
@@ -87,6 +92,38 @@ class XYRoutingProtocol(ForwardingPolicy):
             ForwardDecision(port, neighbor, neighbor == target)
             for port, neighbor in enumerate(neighbors)
         ]
+
+    def decide_batch(self, batch: BatchDecisionView) -> np.ndarray | None:
+        """The round's 0/1 port matrix: :meth:`decisions`, row by row.
+
+        A unicast row transmits on the port whose neighbor is its XY next
+        hop (none at the destination), a broadcast row on every port.
+        Rows naming a tile off the mesh are left to :meth:`decisions`,
+        which raises.
+        """
+        neighbors, dests = batch.port_neighbors, batch.destinations
+        if neighbors is None or dests is None:
+            return None
+        tiles, cols = batch.tile_ids, self.mesh.cols
+        n_tiles = self.mesh.n_tiles
+        unicast = dests != BROADCAST
+        if not (
+            ((tiles >= 0) & (tiles < n_tiles)).all()
+            and ((dests >= 0) & (dests < n_tiles) | ~unicast).all()
+        ):
+            return None
+        row, col = np.divmod(tiles, cols)
+        dest_row, dest_col = np.divmod(dests, cols)
+        step_col = np.sign(dest_col - col)
+        step_row = np.sign(dest_row - row)
+        target = np.where(
+            step_col != 0,
+            tiles + step_col,
+            np.where(step_row != 0, tiles + step_row * cols, -2),
+        )
+        ports = neighbors[tiles]
+        out = np.where(unicast[:, None], ports == target[:, None], ports >= 0)
+        return out.astype(np.float64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"XYRoutingProtocol({self.mesh!r})"

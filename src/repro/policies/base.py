@@ -90,6 +90,11 @@ class BatchDecisionView:
             draws its decisions itself; None when the engine cannot let
             a policy pre-draw the round (``p_upset > 0``: upset draws
             interleave with the decisions, transmission by transmission).
+        destinations: the packet's destination tile per row
+            (:data:`~repro.core.packet.BROADCAST` for a broadcast).
+        port_neighbors: the engine's ``(n_tiles, max_degree)`` port ->
+            neighbor table, in the port order :meth:`decisions` sees (-1
+            past a tile's degree); index it with ``tile_ids``.
     """
 
     round_index: int
@@ -101,6 +106,8 @@ class BatchDecisionView:
     max_degree: int | None = None
     degrees: np.ndarray | None = None
     rng: np.random.Generator | None = None
+    destinations: np.ndarray | None = None
+    port_neighbors: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.tile_ids)

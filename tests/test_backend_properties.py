@@ -29,7 +29,7 @@ from repro.core.protocol import StochasticProtocol  # noqa: E402
 from repro.faults import FaultConfig  # noqa: E402
 from repro.metrics import MetricsCollector  # noqa: E402
 from repro.noc import Mesh2D, NocSimulator, SimConfig, Torus2D  # noqa: E402
-from repro.noc.backends import fast  # noqa: E402
+from repro.noc.backends import words  # noqa: E402
 from repro.noc.tile import IPCore, TileContext  # noqa: E402
 from repro.noc.topology import FullyConnected, RingTopology  # noqa: E402
 from repro.policies import PolicySpec  # noqa: E402
@@ -139,7 +139,10 @@ def _run_one(backend: str, cell: dict):
         MAX_ROUNDS,
         until=lambda s: len(s.informed_tiles()) == s.topology.n_tiles,
     )
-    return result, collector.metrics(), frozenset(sim.informed_tiles())
+    return (
+        result, collector.metrics(), frozenset(sim.informed_tiles()),
+        sim.rng.bit_generator.state,
+    )
 
 
 _SEARCH = settings(
@@ -159,14 +162,15 @@ def test_backends_agree_on_random_configs(cell: dict) -> None:
 @_SEARCH
 @given(cell=_cells())
 def test_backends_agree_at_small_pool_chunks(chunk: int, cell: dict) -> None:
-    """The same search with an upset-pool refill inside almost every row."""
-    with mock.patch.object(fast, "_POOL_CHUNK", chunk):
+    """The same search with the upset send's word block cut to 1 or 3."""
+    with mock.patch.object(words, "WORD_BLOCK", chunk):
         _assert_backends_agree(cell)
 
 
 def _assert_backends_agree(cell: dict) -> None:
-    result_o, metrics_o, informed_o = _run_one("object", cell)
-    result_f, metrics_f, informed_f = _run_one("fast", cell)
+    result_o, metrics_o, informed_o, state_o = _run_one("object", cell)
+    result_f, metrics_f, informed_f, state_f = _run_one("fast", cell)
+    assert state_o == state_f
     for field in fields(result_o.stats):
         assert getattr(result_o.stats, field.name) == getattr(
             result_f.stats, field.name

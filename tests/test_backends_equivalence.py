@@ -43,7 +43,7 @@ from repro.faults import (
 )
 from repro.metrics import MetricsCollector
 from repro.noc import Mesh2D, NocSimulator, SimConfig, Torus2D
-from repro.noc.backends import fast
+from repro.noc.backends import words
 from repro.noc.tile import IPCore, TileContext
 from repro.noc.topology import FullyConnected, RingTopology
 from repro.policies import PolicySpec
@@ -94,7 +94,7 @@ def _all_informed(sim: NocSimulator) -> bool:
     return len(sim.informed_tiles()) == sim.topology.n_tiles
 
 
-def _run_one(backend: str, cell: dict):
+def _run_one(backend: str, cell: dict, observe: bool = True):
     cfg = SimConfig(
         topology=cell["topology"],
         protocol=cell["protocol"],
@@ -104,7 +104,7 @@ def _run_one(backend: str, cell: dict):
         backend=backend,
         **cell.get("config", {}),
     )
-    collector = MetricsCollector()
+    collector = MetricsCollector() if observe else None
     sim = NocSimulator.from_config(cfg, seed=cell["seed"], observer=collector)
     for tile_id, ip in cell.get("mounts", ((0, _Seed()),)):
         sim.mount(tile_id, ip)
@@ -113,20 +113,34 @@ def _run_one(backend: str, cell: dict):
     for round_index, link in cell.get("link_crashes", ()):
         sim.schedule_link_crash(round_index, link)
     result = sim.run(cell.get("max_rounds", MAX_ROUNDS), until=_all_informed)
-    return result, collector.metrics(), frozenset(sim.informed_tiles())
+    metrics = collector.metrics() if observe else None
+    return (
+        result, metrics, frozenset(sim.informed_tiles()),
+        sim.rng.bit_generator.state,
+    )
+
+
+def _mounted(cell: dict) -> dict:
+    # Mounted IPCore instances carry state, so each run needs its own
+    # copies: the cell stores mount *factories* and we realise them here.
+    return dict(cell, mounts=tuple(
+        (tid, make()) for tid, make in cell.get("mounts", ((0, _Seed),))
+    ))
 
 
 def _assert_identical(cell: dict) -> None:
-    # Mounted IPCore instances carry state, so each backend needs its own
-    # copies: the cell stores mount *factories* and we realise them here.
-    obj_cell = dict(cell, mounts=tuple(
-        (tid, make()) for tid, make in cell.get("mounts", ((0, _Seed),))
-    ))
-    fast_cell = dict(cell, mounts=tuple(
-        (tid, make()) for tid, make in cell.get("mounts", ((0, _Seed),))
-    ))
-    result_o, metrics_o, informed_o = _run_one("object", obj_cell)
-    result_f, metrics_f, informed_f = _run_one("fast", fast_cell)
+    result_o, metrics_o, informed_o, state_o = _run_one(
+        "object", _mounted(cell)
+    )
+    result_f, metrics_f, informed_f, state_f = _run_one("fast", _mounted(cell))
+    # The whole generator state, PCG64's buffered half-word included.
+    assert state_o == state_f
+    # Without an observer the fast backend materialises only the escaped
+    # upset copies; nothing an observer sees may change the run.
+    result_q, _, informed_q, state_q = _run_one(
+        "fast", _mounted(cell), observe=False
+    )
+    assert (result_q, informed_q, state_q) == (result_o, informed_o, state_o)
 
     # Field-by-field comparison first so a mismatch names the field.
     for field in fields(result_o.stats):
@@ -575,13 +589,13 @@ def test_golden_cell_bit_identical(name: str) -> None:
 def test_golden_cell_bit_identical_at_small_pool_chunks(
     name: str, chunk: int, monkeypatch
 ) -> None:
-    """The same grid with a pool refill inside almost every row.
+    """The same grid with the upset send's word block cut to 1 or 3.
 
-    At the default block size these <= 4x4 grids almost never cross a
-    refill boundary; a block of 1 is shorter than one row's ports and a
-    block of 3 splits rows unevenly.
+    Each round then draws its expected words plus 1 or 3 and refills
+    whenever it runs short, so refill boundaries land inside decision
+    windows, upset windows and corruption draws.
     """
-    monkeypatch.setattr(fast, "_POOL_CHUNK", chunk)
+    monkeypatch.setattr(words, "WORD_BLOCK", chunk)
     test_golden_cell_bit_identical(name)
 
 

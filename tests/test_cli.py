@@ -194,9 +194,10 @@ class TestProfile:
         # A push-only run has no pull phase, but the keys are listed.
         assert int(counts["pull.vectorized"]) == 0
         assert int(counts["pull.sequential"]) == 0
-        assert int(counts["pool.doubles_drawn"]) >= int(
-            counts["pool.doubles_used"]
+        assert int(counts["upset.words_drawn"]) >= int(
+            counts["upset.words_used"]
         )
+        assert int(counts["upset.corruptions"]) > 0
 
     def test_object_backend_has_no_paths_to_report(self, capsys):
         assert main(self.ARGS + ["--backend", "object"]) == 0

@@ -115,6 +115,74 @@ class TestEncodeCheck:
         assert escapes <= 2
 
 
+def _bitwise_crc(spec: CrcSpec, data: bytes) -> int:
+    """The Rocksoft model one bit at a time: a reference for the tables."""
+    top, mask = 1 << (spec.width - 1), (1 << spec.width) - 1
+    register = spec.init
+    for byte in data:
+        if spec.reflect_in:
+            byte = _reflect(byte, 8)
+        register ^= byte << (spec.width - 8)
+        for _ in range(8):
+            shifted = (register << 1) & mask
+            register = shifted ^ spec.polynomial if register & top else shifted
+    if spec.reflect_out:
+        register = _reflect(register, spec.width)
+    return register ^ spec.xor_out
+
+
+def _spec(name, width, poly, init, ref_in, ref_out, xor_out) -> CrcSpec:
+    draft = CrcSpec(name, width, poly, init, ref_in, ref_out, xor_out, 0)
+    check = _bitwise_crc(draft, b"123456789")
+    return CrcSpec(name, width, poly, init, ref_in, ref_out, xor_out, check)
+
+
+#: The catalogue plus every reflection combination and the widest width.
+ROW_CODECS = ALL_CODECS + [
+    CRC(_spec("CRC-16/ARC", 16, 0x8005, 0, True, True, 0)),
+    CRC(_spec("out-only", 16, 0x1021, 0xFFFF, False, True, 0x1234)),
+    CRC(_spec("in-only", 32, 0x04C11DB7, 0, True, False, 0xFFFFFFFF)),
+    CRC(
+        _spec(
+            "CRC-64/XZ", 64, 0x42F0E1EBA9EA3693, 2**64 - 1, True, True,
+            2**64 - 1,
+        )
+    ),
+]
+
+
+class TestCheckRows:
+    """``check_rows`` against ``check``, row for row."""
+
+    @pytest.mark.parametrize("codec", ROW_CODECS, ids=lambda c: c.spec.name)
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 8, 9, 66, 67])
+    def test_agrees_with_check(self, codec, length):
+        rng = np.random.default_rng(length)
+        rows = list(rng.integers(0, 256, size=(40, length), dtype=np.uint8))
+        n_data = length - codec.n_check_bytes
+        if n_data >= 0:
+            for _ in range(40):
+                data = rng.integers(0, 256, size=n_data, dtype=np.uint8)
+                intact = np.frombuffer(codec.encode(data.tobytes()), np.uint8)
+                flipped = intact.copy()
+                bit = int(rng.integers(0, 8 * length))
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                rows += [intact, flipped]
+        matrix = np.array(rows, dtype=np.uint8).reshape(len(rows), length)
+        expected = [codec.check(row.tobytes()) for row in matrix]
+        assert codec.check_rows(matrix).tolist() == expected
+        if n_data >= 0:
+            assert any(expected) and not all(expected)
+
+    @pytest.mark.parametrize("codec", ROW_CODECS, ids=lambda c: c.spec.name)
+    def test_reference_matches_compute(self, codec):
+        data = bytes(range(256))
+        assert codec.compute(data) == _bitwise_crc(codec.spec, data)
+
+    def test_no_rows(self):
+        assert CRC16_CCITT.check_rows(np.zeros((0, 66), np.uint8)).size == 0
+
+
 class TestReflection:
     def test_reflect_involution(self):
         for value in (0, 1, 0xA5, 0xFFFF, 0x12345678):

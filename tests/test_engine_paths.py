@@ -1,9 +1,9 @@
 """``FastNocSimulator.engine_paths``: which path ran, and what it drew.
 
-The counts are exact and repeat run to run, so the upset pool's
-complexity claim — doubles pre-drawn grow with doubles consumed plus a
-block per corruption, not with round budget x corruptions — is gated
-here as arithmetic on counters rather than as a timing.
+The counts are exact and repeat run to run, so the upset send's
+complexity claim — words drawn track words used, one block per round,
+whatever the number of corruptions — is gated here as arithmetic on
+counters rather than as a timing.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from repro.core.packet import BROADCAST
 from repro.core.protocol import StochasticProtocol
 from repro.faults import FaultConfig
 from repro.metrics import MetricsCollector
-from repro.noc import Mesh2D, NocSimulator, SimConfig
-from repro.noc.backends import fast
+from repro.noc import Mesh2D, NocSimulator, SimConfig, XYRoutingProtocol
+from repro.noc.backends import words
 from repro.noc.tile import IPCore, TileContext
 from repro.policies import PolicySpec
 
@@ -25,8 +25,11 @@ PULL_PATHS = ("pull.vectorized", "pull.sequential")
 
 
 class _Seed(IPCore):
+    def __init__(self, destination: int = BROADCAST) -> None:
+        self.destination = destination
+
     def on_start(self, ctx: TileContext) -> None:
-        ctx.send(BROADCAST, b"rumor")
+        ctx.send(self.destination, b"rumor")
 
 
 def _broadcast(config: SimConfig, seed: int = 1, observer=None):
@@ -51,25 +54,22 @@ def _upset_run():
     )
 
 
-def test_pool_draws_grow_with_consumption_not_with_corruptions() -> None:
+def test_upset_words_drawn_track_words_used() -> None:
     sim, result = _upset_run()
     paths = sim.engine_paths
     assert result.completed
     assert result.stats.upsets_injected > 1000
-    # Every corruption re-anchors exactly once, and every round of a run
-    # that stops at saturation sent through the pooled path.
-    assert paths["pool.reanchors"] == result.stats.upsets_injected
+    # Every corruption is one recorded on the word stream, and every round
+    # of a run that stops at saturation sent through the upset walk.
+    assert paths["upset.corruptions"] == result.stats.upsets_injected
     assert paths["send.pooled"] == result.rounds
     assert sum(paths[name] for name in SEND_PATHS) == paths["send.pooled"]
-    # Each (re-)anchor opens a segment; a segment draws blocks of chunk,
-    # 2*chunk, ... and refills only once short, so it pre-draws under
-    # twice what it consumes plus one block.  Re-pooling the whole
-    # round's budget per corruption read ~100x doubles_used here.
-    segments = paths["pool.reanchors"] + paths["send.pooled"]
-    used, drawn = paths["pool.doubles_used"], paths["pool.doubles_drawn"]
+    # A round draws its expected words plus a block, and a refill draws
+    # its shortfall plus a block: the overdraw is a block or two per
+    # round, not a block per corruption.
+    used, drawn = paths["upset.words_used"], paths["upset.words_drawn"]
     assert used >= result.stats.transmissions_delivered
-    slack = (fast._POOL_CHUNK + sim._max_deg) * segments
-    assert used <= drawn <= 2 * used + slack
+    assert used <= drawn <= 1.1 * used + 2 * words.WORD_BLOCK * result.rounds
 
 
 def test_engine_paths_repeat_exactly() -> None:
@@ -122,7 +122,7 @@ def test_each_round_counts_on_the_path_that_ran(overrides, send, receive) -> Non
     assert 0 < paths[receive] <= result.rounds
     assert sum(paths[name] for name in SEND_PATHS) == paths[send]
     assert sum(paths[name] for name in RECEIVE_PATHS) == paths[receive]
-    assert paths["pool.doubles_drawn"] == paths["pool.reanchors"] == 0
+    assert paths["upset.words_drawn"] == paths["upset.corruptions"] == 0
     # The pull half runs batched exactly when the push half does.
     pull = {"send.matrix": "pull.vectorized", "send.sequential": "pull.sequential"}
     pulled = sum(paths[name] for name in PULL_PATHS)
@@ -168,14 +168,14 @@ def test_engine_paths_is_an_attribute_not_a_result() -> None:
         repr(config.describe()),
     ):
         assert "engine_paths" not in rendered
-        assert "pool." not in rendered and "pull." not in rendered
+        assert "upset." not in rendered and "pull." not in rendered
 
 
-def test_decision_matrix_rounds_under_upsets_scan_the_pool() -> None:
-    """0/1 decide_batch matrices under upsets: one scan, no scalar walker.
+def test_decision_matrix_rounds_under_upsets_walk_the_word_stream() -> None:
+    """0/1 decide_batch matrices under upsets: one walk, no scalar walker.
 
-    Each corruption re-anchors the pool once, and the pool supplies every
-    live transmission's upset double.
+    Each corruption is read off the round's word stream, which also
+    supplies every live transmission's upset double.
     """
     config = SimConfig(
         Mesh2D(6, 6),
@@ -188,5 +188,65 @@ def test_decision_matrix_rounds_under_upsets_scan_the_pool() -> None:
     paths, stats = sim.engine_paths, result.stats
     assert 0 < paths["send.matrix"] <= result.rounds
     assert sum(paths[name] for name in SEND_PATHS) == paths["send.matrix"]
-    assert paths["pool.reanchors"] == stats.upsets_injected > 0
-    assert paths["pool.doubles_used"] >= stats.transmissions_delivered
+    assert paths["upset.corruptions"] == stats.upsets_injected > 0
+    assert paths["upset.words_used"] >= stats.transmissions_delivered
+
+
+@pytest.mark.parametrize("p_upset", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "destination", [15, 5, BROADCAST], ids=["unicast", "short", "broadcast"]
+)
+def test_xy_routing_sends_its_decision_matrix(destination, p_upset) -> None:
+    """XY's decide_batch keeps every round off the scalar send, same run."""
+    runs = []
+    for backend in ("object", "fast"):
+        config = SimConfig(
+            Mesh2D(4, 4),
+            XYRoutingProtocol(Mesh2D(4, 4)),
+            FaultConfig(p_upset=p_upset),
+            default_ttl=12,
+            backend=backend,
+        )
+        sim = NocSimulator.from_config(config, seed=4)
+        sim.mount(0, _Seed(destination))
+        result = sim.run(12, until=lambda s: False)
+        runs.append((repr(result), sim.rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    paths = sim.engine_paths
+    assert paths["send.sequential"] == 0
+    assert paths["send.matrix"] > 0
+
+
+def test_upset_send_makes_no_per_corruption_calls(monkeypatch) -> None:
+    """Without an observer, corruptions are read off words and CRC-checked
+    in batch: no error-model or scalar CRC call, and a Packet only for a
+    copy that escaped its CRC."""
+    from repro.core.packet import Packet
+    from repro.crc import CRC
+    from repro.faults.errors import RandomErrorVector
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-corruption call on the upset send")
+
+    built = []
+    init = Packet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RandomErrorVector, "corrupt", refuse)
+    monkeypatch.setattr(CRC, "check", refuse)
+    monkeypatch.setattr(Packet, "__init__", counting_init)
+    config = SimConfig(
+        Mesh2D(8, 8),
+        StochasticProtocol(0.6),
+        FaultConfig(p_upset=0.5),
+        default_ttl=40,
+        backend="fast",
+    )
+    sim, result = _broadcast(config)
+    stats = result.stats
+    assert sim.engine_paths["upset.corruptions"] == stats.upsets_injected > 100
+    # The source's own packet, then one per escaped copy at most.
+    assert len(built) <= 1 + stats.upsets_escaped

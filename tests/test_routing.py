@@ -145,8 +145,8 @@ class TestFragility:
         assert repr(fast) == repr(obj)
         assert fast.stats.summary() == obj.stats.summary()
         assert fast.energy_j == obj.energy_j
-        if rule == "xy":  # no batch form: the fast scalar send ran it
-            assert fast_sim.engine_paths["send.sequential"] > 0
+        # XY's decide_batch matrix keeps it off the scalar send.
+        assert fast_sim.engine_paths["send.sequential"] == 0
 
 
 class TestGridSpread:

@@ -142,11 +142,17 @@ REASONS: list[tuple[str, str]] = [
     ("noc/backends/fast.py::", "fast-backend mirror of the object "
      "engine's tile API / delay and crash paths, driven by the "
      "bit-identity gates"),
+    ("noc/backends/words.py::", "PCG64 word-model primitives the numpy "
+     "canary pins (test_stream_words.py); the bit error model, which no "
+     "user path runs on the fast backend, and the bit-identity gates do"),
     ("noc/clock.py::", "GALS clock accessors (test_clock.py)"),
     ("noc/config.py::", "SimConfig value semantics"),
     ("noc/engine.py::NocSimulator.schedule_", "mid-run crash scheduling "
      "(README); test_midrun_crashes.py and the bit-identity gates"),
     ("noc/link.py::", "per-link Eq. 3 energy the link tests check"),
+    ("noc/routing.py::XYRoutingProtocol.decide_batch", "XY routing on "
+     "the fast backend, which no user path selects; test_routing.py and "
+     "test_engine_paths.py gate it against the object engine"),
     ("noc/routing.py::", "deterministic XY baseline for §1's fragility "
      "claim (bench_ablation_routing.py)"),
     ("noc/stats.py::", "NetworkStats accessors (test_report.py)"),
