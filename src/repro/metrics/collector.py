@@ -1,13 +1,16 @@
 """The metrics-collecting engine observer.
 
-:class:`MetricsCollector` plugs into the engine's observer hooks
+:class:`MetricsCollector` plugs into the engine's round-boundary hooks
 (:mod:`repro.noc.trace`) and materialises a :class:`RunMetrics` time
-series: event hooks accumulate per-round counters, and the
-``on_round_end`` boundary hook samples network state (coverage, buffer
-occupancy, cumulative energy) directly from the simulator it was bound
-to.  Pass it as ``observer=`` — alone, or in a tuple next to a
-:class:`repro.noc.trace.TraceRecorder` — and read ``collector.metrics()``
-after the run::
+series.  It listens to no per-event hook: each round's counters are
+differences of the simulator's :class:`~repro.noc.stats.NetworkStats`
+fields between ``on_round_begin`` and ``on_round_end``, which the engine
+increments exactly where the matching event hook fires, and the network
+state (coverage, buffer occupancy) comes from
+:meth:`NocSimulator.round_sample`.  So the fast backend never replays
+events for it.  Pass it as ``observer=`` — alone, or in a tuple next to
+a :class:`repro.noc.trace.TraceRecorder` — and read
+``collector.metrics()`` after the run::
 
     collector = MetricsCollector()
     sim = NocSimulator(Mesh2D(4, 4), StochasticProtocol(0.5),
@@ -19,14 +22,32 @@ after the run::
 
 from __future__ import annotations
 
+import weakref
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.metrics.records import RoundSample, RunMetrics
-from repro.noc.tile import TileState
 from repro.noc.trace import Observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.noc.engine import NocSimulator
+
+#: RoundSample counter -> the NetworkStats field it is the per-round
+#: difference of.
+COUNTER_FIELDS = {
+    "transmissions": "transmissions_delivered",
+    "deliveries": "deliveries",
+    "dead_link_drops": "dead_link_drops",
+    "overflow_drops": "overflow_drops",
+    "crc_drops": "upsets_detected",
+    "upsets_injected": "upsets_injected",
+}
+_read_counters = attrgetter(*COUNTER_FIELDS.values())
+
+_UNBOUND = (
+    "MetricsCollector is not bound to a simulator; pass it as "
+    "NocSimulator(observer=collector) so the engine binds it"
+)
 
 
 class MetricsCollector(Observer):
@@ -34,109 +55,63 @@ class MetricsCollector(Observer):
 
     Lifecycle: the engine calls :meth:`on_bind` once at construction
     (which also resets the collector, so an instance handed to a second
-    simulator starts clean), event hooks fire during each round, and
-    :meth:`on_round_end` closes the round by sampling simulator state.
-    :meth:`metrics` can be called at any time — mid-run it returns the
-    series of the rounds completed so far.
+    simulator starts clean), :meth:`on_round_begin` notes the stats
+    counters and :meth:`on_round_end` closes the round with their
+    differences and a state sample.  The simulator is held weakly, so an
+    observed run is freed like an unobserved one; :meth:`metrics` can be
+    called at any time — mid-run it returns the series of the rounds
+    completed so far, and after the simulator is gone the whole series.
     """
 
     def __init__(self) -> None:
         """Create an unbound collector (the engine binds it on adoption)."""
-        self._simulator: "NocSimulator | None" = None
+        self._simulator: "weakref.ref[NocSimulator] | None" = None
         self._n_tiles = 0
         self._samples: list[RoundSample] = []
-        self._reset_round_counters()
+        self._before: tuple[int, ...] = ()
 
-    def _reset_round_counters(self) -> None:
-        self._transmissions = 0
-        self._deliveries = 0
-        self._dead_link_drops = 0
-        self._overflow_drops = 0
-        self._crc_drops = 0
-        self._upsets_injected = 0
+    def _bound(self) -> "NocSimulator":
+        simulator = None if self._simulator is None else self._simulator()
+        if simulator is None:
+            raise RuntimeError(_UNBOUND)
+        return simulator
 
     # ------------------------------------------------------ lifecycle hooks
 
     def on_bind(self, simulator: "NocSimulator") -> None:
         """Adopt `simulator` and reset all recorded state."""
-        self._simulator = simulator
+        self._simulator = weakref.ref(simulator)
         self._n_tiles = simulator.topology.n_tiles
         self._samples = []
-        self._reset_round_counters()
+        self._before = _read_counters(simulator.stats)
 
     def on_round_begin(self, round_index: int) -> None:
-        """Open a round: zero the per-round event counters."""
-        self._reset_round_counters()
+        """Open a round: note the stats counters it starts from."""
+        self._before = _read_counters(self._bound().stats)
 
     def on_round_end(self, round_index: int) -> None:
-        """Close a round: sample simulator state into a :class:`RoundSample`."""
-        simulator = self._simulator
-        if simulator is None:
-            raise RuntimeError(
-                "MetricsCollector is not bound to a simulator; pass it as "
-                "NocSimulator(observer=collector) so the engine binds it"
-            )
-        informed = 0
-        occupancy: dict[int, int] = {}
-        alive = TileState.ALIVE
-        for tile in simulator.tiles.values():
-            if tile.informed:
-                informed += 1
-            if tile.state is alive:
-                size = len(tile.send_buffer)
-                occupancy[size] = occupancy.get(size, 0) + 1
+        """Close a round: its counter differences and a state sample."""
+        simulator = self._bound()
+        stats = simulator.stats
+        counters = zip(COUNTER_FIELDS, _read_counters(stats), self._before)
+        informed, occupancy = simulator.round_sample()
         self._samples.append(
             RoundSample(
                 round_index=round_index,
                 informed_tiles=informed,
-                transmissions=self._transmissions,
-                deliveries=self._deliveries,
-                dead_link_drops=self._dead_link_drops,
-                overflow_drops=self._overflow_drops,
-                crc_drops=self._crc_drops,
-                upsets_injected=self._upsets_injected,
-                energy_j=float(simulator.stats.energy_j),
-                buffer_occupancy=tuple(sorted(occupancy.items())),
+                energy_j=float(stats.energy_j),
+                buffer_occupancy=occupancy,
                 active_scenarios=tuple(
                     getattr(simulator, "active_scenario_phases", ())
                 ),
+                **{name: after - before for name, after, before in counters},
             )
         )
-
-    # ---------------------------------------------------------- event hooks
-
-    def on_transmission(self, round_index, src, dst, packet) -> None:
-        """Count a delivered link traversal."""
-        self._transmissions += 1
-
-    def on_delivery(self, round_index, tile, packet) -> None:
-        """Count a first intact copy handed to an IP."""
-        self._deliveries += 1
-
-    def on_dead_link_drop(self, round_index, src, dst) -> None:
-        """Count a transmission lost to a crashed link."""
-        self._dead_link_drops += 1
-
-    def on_overflow_drop(self, round_index, tile) -> None:
-        """Count an arrival dropped by a full input buffer."""
-        self._overflow_drops += 1
-
-    def on_crc_drop(self, round_index, tile, packet) -> None:
-        """Count a corrupt arrival caught by a tile's CRC."""
-        self._crc_drops += 1
-
-    def on_upset_injected(self, round_index, src, dst, packet) -> None:
-        """Count an in-flight copy scrambled by a data upset."""
-        self._upsets_injected += 1
 
     # --------------------------------------------------------------- product
 
     def metrics(self) -> RunMetrics:
         """The recorded time series so far, as an immutable `RunMetrics`."""
         if self._simulator is None:
-            raise RuntimeError(
-                "MetricsCollector is not bound to a simulator; pass it as "
-                "NocSimulator(observer=collector) so the engine binds it"
-            )
+            raise RuntimeError(_UNBOUND)
         return RunMetrics(n_tiles=self._n_tiles, samples=tuple(self._samples))
-

@@ -63,14 +63,19 @@ Configurations that are supported but fall back to slower exact paths:
   — the hook is missing or declined, ``p_upset > 0``, or a link has no
   reverse port — run the inherited per-tile phase.
 
-Observer ordering is a contract with three clauses, enforced by
+Per-event observer hooks are replayed only to an observer that listens
+(:func:`repro.noc.trace.listens`); :class:`repro.metrics.MetricsCollector`
+listens to none — it differences ``NetworkStats`` and calls
+:meth:`round_sample` — so a collector-only run takes the unobserved
+paths and builds no :class:`Packet` per event.  For a listening observer,
+ordering is a contract with three clauses, enforced by
 ``tests/test_observer_ordering.py``: on every path (a) each per-kind
 subsequence of hook calls and (b) each round's multiset of events equal
 the object engine's; (c) the *full* sequence is equal in rounds whose
 receive ran event-ordered.  Only the vectorised receive regroups a
 round's events by kind; every send and pull emit replays its hooks in
 (row, port) order, the object engine's.  Stats, series and all
-:class:`repro.metrics.MetricsCollector` output are identical always.
+collector output are identical always.
 IPs must not rely on object identity of buffered packets (the fast
 engine materialises equal-valued packets on demand and tracks TTL/hops
 in arrays).
@@ -449,6 +454,7 @@ class FastNocSimulator(NocSimulator):
                 "send.sequential", "receive.vectorized", "receive.ordered",
                 "pull.vectorized", "pull.sequential",
                 "upset.words_drawn", "upset.words_used", "upset.corruptions",
+                "observe.replay",
             ),
             0,
         )
@@ -628,9 +634,18 @@ class FastNocSimulator(NocSimulator):
         """Tiles holding or having originated at least one message."""
         return np.nonzero(self._informed)[0].tolist()
 
+    def round_sample(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The inherited per-tile walk, as two array reductions."""
+        counts = np.bincount(self._buflen[self._alive]).tolist()
+        return int(np.count_nonzero(self._informed)), tuple(
+            (size, n) for size, n in enumerate(counts) if n
+        )
+
     # ---------------------------------------------------------- round phases
 
     def _receive_phase(self, round_index: int) -> None:
+        if self._event_observer is not None:
+            self.engine_paths["observe.replay"] += 1
         self._apply_scheduled_crashes(round_index)
         if self._relay and self._buflen.any():
             self._buffered[:, :] = False
@@ -661,7 +676,7 @@ class FastNocSimulator(NocSimulator):
         capacity = self.config.buffer_capacity
         ordered = self._receive_hooks or (self._relay and capacity is not None)
         draws = capacity is None and self.fault_config.p_overflow > 0.0
-        if ordered or draws or self.observer is not None:
+        if ordered or draws or self._event_observer is not None:
             # Group events by destination in first-arrival order — the
             # object engine's arrival-map iteration order (dict key
             # insertion), which overflow draws and each kind's observer
@@ -696,7 +711,7 @@ class FastNocSimulator(NocSimulator):
         self, round_index, dst, mid, ttl, hop, upset, intact, alt
     ) -> None:
         stats = self.stats
-        observer = self.observer
+        observer = self._event_observer
         total = dst.size
         capacity = self.config.buffer_capacity
         p_overflow = self.fault_config.p_overflow
@@ -872,7 +887,7 @@ class FastNocSimulator(NocSimulator):
         top of the array state.
         """
         stats = self.stats
-        observer = self.observer
+        observer = self._event_observer
         injector = self.injector
         draw_overflow = (
             self.config.buffer_capacity is None
@@ -951,12 +966,15 @@ class FastNocSimulator(NocSimulator):
                 self._delivered[tile_id, mid_i] = True
                 stats.deliveries += 1
                 stats.delivery_hops_total += hop_l[i]
+                hooked = tile_id in self._receive_hooks
+                if observer is None and not hooked:
+                    continue
                 packet = self._event_packet(
                     mid_i, ttl_l[i], hop_l[i], alt.get(i)
                 )
                 if observer is not None:
                     observer.on_delivery(round_index, tile_id, packet)
-                if tile_id in self._receive_hooks:
+                if hooked:
                     self._ips[tile_id].on_receive(
                         TileContext(self.tiles[tile_id], round_index, self.rng),
                         packet,
@@ -1136,7 +1154,7 @@ class FastNocSimulator(NocSimulator):
         the object engine's; neither draws from the stream.
         """
         stats = self.stats
-        observer = self.observer
+        observer = self._event_observer
         if lead is None and not transmit.any():
             return
         live = transmit & link_ok[t_arr]
@@ -1247,7 +1265,10 @@ class FastNocSimulator(NocSimulator):
             intact[at[group]] = self._msg_packets[mid].crc.check_rows(
                 scrambled[group, : self._msg_bits[mid] // 8]
             )
-        keep = intact[at] if self.observer is None else np.ones(at.size, bool)
+        keep = (
+            intact[at] if self._event_observer is None
+            else np.ones(at.size, bool)
+        )
         for j in np.nonzero(keep)[0].tolist():
             i = int(at[j])
             mid = int(mids[i])

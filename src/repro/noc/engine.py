@@ -47,9 +47,9 @@ from repro.noc.clock import ClockDomain
 from repro.noc.config import SimConfig
 from repro.noc.link import DEFAULT_LINK, LinkModel
 from repro.noc.stats import NetworkStats
-from repro.noc.tile import IPCore, Tile, TileContext
+from repro.noc.tile import IPCore, Tile, TileContext, TileState
 from repro.noc.topology import Topology
-from repro.noc.trace import Observer, as_observer
+from repro.noc.trace import Observer, as_observer, listens
 from repro.policies.base import ForwardingPolicy, PolicySpec, build_policy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -360,6 +360,12 @@ class NocSimulator:
         self.bus_tiles = config.bus_tiles
         self._build_tile_state()
         self.observer = as_observer(observer)
+        #: The observer when it listens to per-event hooks, else None:
+        #: event sites call only this one, so an observer that samples at
+        #: round boundaries costs nothing per event (trace.listens).
+        self._event_observer = (
+            self.observer if listens(self.observer) else None
+        )
         self.profiler = profiler
         if self.observer is not None:
             self.observer.on_bind(self)
@@ -555,6 +561,7 @@ class NocSimulator:
             if tile.alive:
                 tile.begin_round()
         arrivals = self._arrivals.pop(round_index, {})
+        observer = self._event_observer
         newly_informed = 0
         for tile_id, latched in arrivals.items():
             tile = self.tiles[tile_id]
@@ -566,18 +573,18 @@ class NocSimulator:
                 # supports the closed-form sweeps of Fig 4-10/4-11.
                 if tile.buffer_capacity is None and self.injector.overflow_occurs():
                     self.stats.overflow_drops += 1
-                    if self.observer is not None:
-                        self.observer.on_overflow_drop(round_index, tile_id)
+                    if observer is not None:
+                        observer.on_overflow_drop(round_index, tile_id)
                     continue
                 if was_upset and packet.is_intact():
                     # The scramble happened to pass the CRC — an escape.
                     self.stats.upsets_escaped += 1
                 if (
-                    self.observer is not None
+                    observer is not None
                     and tile.alive
                     and not packet.is_intact()
                 ):
-                    self.observer.on_crc_drop(round_index, tile_id, packet)
+                    observer.on_crc_drop(round_index, tile_id, packet)
                 duplicates_before = self.stats.duplicates_suppressed
                 delivered = tile.receive(packet, self.stats)
                 if self.stats.duplicates_suppressed > duplicates_before:
@@ -587,8 +594,8 @@ class NocSimulator:
                         tile_id, packet, round_index
                     )
                 if delivered is not None and tile.alive:
-                    if self.observer is not None:
-                        self.observer.on_delivery(
+                    if observer is not None:
+                        observer.on_delivery(
                             round_index, tile_id, delivered
                         )
                     ctx = TileContext(tile, round_index, self.rng)
@@ -702,7 +709,7 @@ class NocSimulator:
         it is asked for is part of the RNG stream under clock skew.
         """
         stats = self.stats
-        observer = self.observer
+        observer = self._event_observer
         if not self._link_alive(src, dst):
             stats.record_dead_link()
             self.policy.on_dead_link(src, dst, round_index)
@@ -819,6 +826,24 @@ class NocSimulator:
     def informed_tiles(self) -> list[int]:
         """Tiles that have buffered or originated at least one message."""
         return [tid for tid, tile in self.tiles.items() if tile.informed]
+
+    def round_sample(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Network state at a round boundary: ``(informed, occupancy)``.
+
+        `informed` counts informed tiles; `occupancy` is the sorted
+        ``(buffer length, live tiles at that length)`` histogram — what
+        :class:`repro.metrics.MetricsCollector` records per round.
+        """
+        informed = 0
+        occupancy: dict[int, int] = {}
+        alive = TileState.ALIVE
+        for tile in self.tiles.values():
+            if tile.informed:
+                informed += 1
+            if tile.state is alive:
+                size = len(tile.send_buffer)
+                occupancy[size] = occupancy.get(size, 0) + 1
+        return informed, tuple(sorted(occupancy.items()))
 
 
 register_backend(OBJECT_BACKEND)(NocSimulator)

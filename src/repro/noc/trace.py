@@ -63,8 +63,9 @@ class Observer:
         """The engine adopted this observer (called once, at build time).
 
         Observers that sample simulator state at round boundaries (e.g.
-        :class:`repro.metrics.MetricsCollector`) keep the reference;
-        purely event-driven observers can ignore it.
+        :class:`repro.metrics.MetricsCollector`) keep a weak reference —
+        a strong one would make simulator → observer → simulator a
+        cycle; purely event-driven observers can ignore it.
         """
 
     def on_round_begin(self, round_index: int) -> None:
@@ -163,6 +164,37 @@ class FanoutObserver(Observer):
     def on_delivery(self, round_index, tile, packet) -> None:
         for child in self.children:
             child.on_delivery(round_index, tile, packet)
+
+
+#: The hooks that fire once per event; the rest fire once per round or run.
+EVENT_HOOKS = (
+    "on_transmission",
+    "on_dead_link_drop",
+    "on_upset_injected",
+    "on_overflow_drop",
+    "on_crc_drop",
+    "on_delivery",
+)
+
+
+def listens(observer: Observer | None) -> bool:
+    """Whether `observer` needs the engine's per-event hook calls.
+
+    True iff the observer's class overrides one of :data:`EVENT_HOOKS`
+    (a :class:`FanoutObserver` listens iff any child does).  The answer
+    comes from the class, like the engine's other hook-presence checks:
+    an observer that only samples at round boundaries lets the fast
+    backend skip replaying events hook by hook.
+    """
+    if observer is None:
+        return False
+    if isinstance(observer, FanoutObserver):
+        return any(listens(child) for child in observer.children)
+    cls = type(observer)
+    return any(
+        getattr(cls, name) is not getattr(Observer, name)
+        for name in EVENT_HOOKS
+    )
 
 
 def as_observer(observer) -> Observer | None:

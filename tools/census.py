@@ -125,8 +125,6 @@ REASONS: list[tuple[str, str]] = [
      "bit-identity gates"),
     ("faults/scenarios.py::", "scenario description / by-kind "
      "construction the scenario tests pin"),
-    ("metrics/collector.py::MetricsCollector.on_", "observer hook for a "
-     "drop kind no instrumented user path suffers"),
     ("metrics/extract.py::", "claim statistics over instrumented runs "
      "(repro.stats); item 9 claims use them"),
     ("metrics/records.py::RunMetrics.to_csv",
@@ -136,6 +134,9 @@ REASONS: list[tuple[str, str]] = [
      "window switching), checked by the codec tests"),
     ("noc/backends/base.py::available_backends", "backend registry "
      "introspection (test_backend_fast.py)"),
+    ("noc/backends/fast.py::FastNocSimulator.round_sample", "the "
+     "collector's state sample on the fast backend; the bit-identity "
+     "gates compare it with the object engine's tile walk"),
     ("noc/backends/fast.py::FastNocSimulator._receive_ordered", "the only "
      "exact fast receive for on_receive IPs and bounded relay buffers, "
      "which no user path runs on the fast backend; kept"),
@@ -147,6 +148,8 @@ REASONS: list[tuple[str, str]] = [
      "user path runs on the fast backend, and the bit-identity gates do"),
     ("noc/clock.py::", "GALS clock accessors (test_clock.py)"),
     ("noc/config.py::", "SimConfig value semantics"),
+    ("noc/engine.py::NocSimulator.round_sample", "the collector's state "
+     "sample on the object engine, the reference for the fast one"),
     ("noc/engine.py::NocSimulator.schedule_", "mid-run crash scheduling "
      "(README); test_midrun_crashes.py and the bit-identity gates"),
     ("noc/link.py::", "per-link Eq. 3 energy the link tests check"),
@@ -163,8 +166,10 @@ REASONS: list[tuple[str, str]] = [
      "bit-identity gates"),
     ("noc/topology.py::", "topology accessors and invariants "
      "(test_topology.py, the bit-identity gates)"),
-    ("noc/trace.py::FanoutObserver", "composes observers; item 3's batch "
-     "surface forwards through it"),
+    ("noc/trace.py::FanoutObserver", "composes observers: a trace beside "
+     "a collector (test_collector_counters.py)"),
+    ("noc/trace.py::listens", "decides whether a run replays per-event "
+     "hooks; test_collector_counters.py checks its truth table"),
     ("noc/trace.py::Observer.", "Observer hook default"),
     ("noc/trace.py::TraceRecorder", "trace queries of the trace-analysis "
      "tests"),
