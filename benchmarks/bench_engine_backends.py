@@ -10,9 +10,9 @@ draws and corruptions off one block of raw PCG64 words
 (``repro/noc/backends/words.py``), against a **>= 1.5x** floor.  Three
 policy legs follow on the 16x16 mesh.  Fault-free push-pull runs both
 halves batched (``repro/policies/sampling.py``) against a **>= 5x**
-floor.  Push-pull at ``p_upset=0.1`` runs the scalar send walker, where
-both engines execute the same per-transmission sequence
-(``NocSimulator._transmit``), and is checked for equality only.
+floor.  Push-pull at ``p_upset=0.1`` runs the per-row send and pull,
+which draw in the object engine's order and emit one matrix per round,
+and is checked for equality only.
 ``adaptive_route`` at ``p_upset=0.1`` runs the batched send kernel (its
 0/1 decision matrix plus the upset walk) against a parity floor.  The
 policy floors are asserted in full mode only; ``--quick`` checks

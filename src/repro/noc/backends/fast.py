@@ -30,14 +30,13 @@ Stream discipline (matching the object engine draw for draw):
   block of raw PCG64 words by index arithmetic
   (:class:`~repro.noc.backends.words.WordStream`), checks the corrupted
   codewords' CRC in one batch and leaves the generator exactly where
-  the object engine's would be.  Every ``decide_batch`` round — per-row
-  probabilities or a 0/1 matrix, with or without upsets — is then
-  emitted as one matrix.
+  the object engine's would be.  Every send and pull round, on every
+  path below, is then emitted as one matrix by ``_emit_transmit_matrix``.
 * **push-pull** — at ``p_upset == 0`` the policy draws a whole round's
   push ports (send) and pull targets (pull) from one uint32 block that
   consumes exactly what the per-row ``choice`` / ``integers`` calls
   would (:mod:`repro.policies.sampling`); it may decline a round, which
-  then runs on the scalar paths below.
+  then runs on the per-row paths below.
 
 Deliberate limits (a ``ValueError`` at construction, never a silently
 different answer):
@@ -56,12 +55,13 @@ Configurations that are supported but fall back to slower exact paths:
   same round, are sequential semantics); bounded retain buffers evict in
   one batch;
 * policies without a :meth:`ForwardingPolicy.decide_batch`, or whose
-  hook returns None for the round (push-pull under upsets), send row by row
-  through one scalar walker that drives the inherited
-  :meth:`NocSimulator._transmit` (array-backed state, same stream);
+  hook returns None for the round (push-pull under upsets), decide row by
+  row through ``policy.decisions``, each row's upsets drawn right after
+  its decisions;
 * pull phases without a :meth:`ForwardingPolicy.pull_ports_batch` mask
-  — the hook is missing or declined, ``p_upset > 0``, or a link has no
-  reverse port — run the inherited per-tile phase.
+  — the hook is missing or declined, or ``p_upset > 0`` — ask
+  ``pull_targets`` tile by tile, each request's upsets drawn before the
+  next tile asks.
 
 Per-event observer hooks are replayed only to an observer that listens
 (:func:`repro.noc.trace.listens`); :class:`repro.metrics.MetricsCollector`
@@ -117,40 +117,11 @@ class _ArrivalChunk:
         self.alt = alt
 
 
-class _ChunkBuilder:
-    """Accumulates per-event emissions into one :class:`_ArrivalChunk`."""
-
-    __slots__ = ("dst", "mid", "ttl", "hop", "upset", "intact", "alt")
-
-    def __init__(self) -> None:
-        self.dst: list[int] = []
-        self.mid: list[int] = []
-        self.ttl: list[int] = []
-        self.hop: list[int] = []
-        self.upset: list[bool] = []
-        self.intact: list[bool] = []
-        self.alt: dict[int, Packet] = {}
-
-    def add(self, dst, mid, ttl, hop, upset, intact, alt_packet) -> None:
-        if alt_packet is not None:
-            self.alt[len(self.dst)] = alt_packet
-        self.dst.append(dst)
-        self.mid.append(mid)
-        self.ttl.append(ttl)
-        self.hop.append(hop)
-        self.upset.append(upset)
-        self.intact.append(intact)
-
-    def chunk(self) -> _ArrivalChunk:
-        return _ArrivalChunk(
-            np.asarray(self.dst, dtype=np.int64),
-            np.asarray(self.mid, dtype=np.int64),
-            np.asarray(self.ttl, dtype=np.int64),
-            np.asarray(self.hop, dtype=np.int64),
-            np.asarray(self.upset, dtype=bool),
-            np.asarray(self.intact, dtype=bool),
-            self.alt,
-        )
+def _codeword_rows(codewords: list[bytes]) -> np.ndarray:
+    """Non-empty `codewords` as one zero-padded ``uint8`` matrix."""
+    width = max(map(len, codewords))
+    padded = b"".join(codeword.ljust(width, b"\0") for codeword in codewords)
+    return np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
 
 
 class _BufferView:
@@ -161,14 +132,6 @@ class _BufferView:
     def __init__(self, sim: "FastNocSimulator", tile_id: int) -> None:
         self._sim = sim
         self._tile_id = tile_id
-
-    def _ordered_mids(self) -> list[int]:
-        sim = self._sim
-        cols = np.nonzero(sim._buffered[self._tile_id])[0]
-        if cols.size == 0:
-            return []
-        order = np.argsort(sim._iseq[self._tile_id, cols], kind="stable")
-        return cols[order].tolist()
 
     def __len__(self) -> int:
         return int(self._sim._buflen[self._tile_id])
@@ -182,7 +145,8 @@ class _BufferView:
 
     def keys(self) -> list[tuple[int, int]]:
         sim = self._sim
-        return [sim._msg_packets[m].key for m in self._ordered_mids()]
+        packets = sim._msg_packets
+        return [packets[m].key for m in sim._buffer_order(self._tile_id)]
 
     def values(self) -> list[Packet]:
         sim, t = self._sim, self._tile_id
@@ -193,7 +157,7 @@ class _BufferView:
                 int(sim._hop[t, m]),
                 sim._alt_packets.get((t, m)),
             )
-            for m in self._ordered_mids()
+            for m in sim._buffer_order(t)
         ]
 
     def items(self) -> list[tuple[tuple[int, int], Packet]]:
@@ -348,8 +312,9 @@ class FastNocSimulator(NocSimulator):
         # With sigma_synchr == 0 (guaranteed at construction) every clock
         # domain is deterministic and identical, so all tiles share one
         # instance — round boundaries memoise once instead of n times.
-        self._clock = ClockDomain(self.nominal_round_s, self.injector)
-        self.clocks = dict.fromkeys(self._tile_ids, self._clock)
+        self.clocks = dict.fromkeys(
+            self._tile_ids, ClockDomain(self.nominal_round_s, self.injector)
+        )
         degrees = [len(self._neighbors[t]) for t in range(n)]
         max_deg = max(degrees, default=0)
         self._max_deg = max_deg
@@ -364,15 +329,13 @@ class FastNocSimulator(NocSimulator):
         jj = np.arange(max_deg)
         self._static_link_ok = jj[None, :] < self._deg[:, None]
         #: port -> the neighbor's port back to this tile, which a pull
-        #: response leaves on.  None for push-only policies and on a
-        #: topology with one-way links (the pull phase then stays scalar).
+        #: response leaves on; -1 on a one-way link, whose far end cannot
+        #: answer.  None for push-only policies.
         self._back = None
         if self.policy.uses_pull:
-            back = np.full((n, max_deg), -1, dtype=np.int64)
+            self._back = np.full((n, max_deg), -1, dtype=np.int64)
             for (t, neighbor), port in self._port_of.items():
-                back[t, port] = self._port_of.get((neighbor, t), -1)
-            if (back[self._static_link_ok] >= 0).all():
-                self._back = back
+                self._back[t, port] = self._port_of.get((neighbor, t), -1)
         for link in self.crash_plan.dead_links:
             port = self._port_of.get(link)
             if port is not None:
@@ -421,9 +384,6 @@ class FastNocSimulator(NocSimulator):
         )
         #: round -> chunks of packets latched for that round.
         self._pending: dict[int, list[_ArrivalChunk]] = {}
-        #: round -> copies latched one at a time by `_transmit` since the
-        #: last receive phase, which flushes them into `_pending`.
-        self._latched: dict[int, _ChunkBuilder] = {}
 
         self._relay = self.config.buffer_mode == "relay"
         self._ips: dict[int, IPCore] = {}
@@ -546,6 +506,17 @@ class FastNocSimulator(NocSimulator):
             _intact=intact,
         )
 
+    def _buffer_order(self, tile_id: int) -> list[int]:
+        """The messages `tile_id` buffers, in insertion order."""
+        cols = np.nonzero(self._buffered[tile_id])[0]
+        order = np.argsort(self._iseq[tile_id, cols], kind="stable")
+        return cols[order].tolist()
+
+    def _codeword(self, tile_id: int, mid: int) -> bytes:
+        """The codeword `tile_id`'s slot of message `mid` sends."""
+        alt = self._alt_packets.get((tile_id, mid))
+        return (self._msg_packets[mid] if alt is None else alt).codeword
+
     # ------------------------------------------------------ state mutations
 
     def _crash_tile(self, tile_id: int) -> None:
@@ -651,7 +622,6 @@ class FastNocSimulator(NocSimulator):
             self._buffered[:, :] = False
             self._buflen[:] = 0
             self._alt_packets.clear()
-        self._flush_latched()
         chunks = self._pending.pop(round_index, None)
         if not chunks:
             return
@@ -1125,14 +1095,7 @@ class FastNocSimulator(NocSimulator):
             transmit[rows] = ports & (
                 doubles[np.where(ports, at, 0)] < p_row[rows, None]
             )
-        upsets = None
-        if p_upset > 0.0:
-            sent = transmit & live
-            hit = np.zeros(np.count_nonzero(sent), dtype=bool)
-            hit[hits] = True
-            upset = np.zeros_like(transmit)
-            upset[sent] = hit
-            upsets = (upset, stream)
+        upsets = (hits, stream.scrambled()) if p_upset > 0.0 else None
         self._emit_transmit_matrix(
             round_index, t_arr, m_arr, transmit, link_ok, upsets=upsets
         )
@@ -1147,9 +1110,10 @@ class FastNocSimulator(NocSimulator):
         charged outside the mask that the object engine adds just before
         the transmissions of rows ``first_row[i]`` onwards (a pull
         request ahead of its responses).  `upsets`, when given, is a pair
-        ``(mask, stream)``: the (row, port) entries whose upset draw hit,
-        and the :class:`WordStream` that recorded their corruptions in
-        (row, port) order.  Observer and
+        ``(hits, scrambled)``: the ordinals, among the live (row, port)
+        entries in order, of those whose upset draw hit, and their
+        corrupted codewords as one zero-padded ``uint8`` matrix, a row
+        each.  Observer and
         ``policy.on_dead_link`` hooks fire last, in (row, port) order —
         the object engine's; neither draws from the stream.
         """
@@ -1195,13 +1159,12 @@ class FastNocSimulator(NocSimulator):
                     if packet is not None:
                         alt_events[i] = packet
             intact = np.ones(n_live, dtype=bool)
-            if upsets is None:
-                upset = np.zeros(n_live, dtype=bool)
-            else:
-                mask, stream = upsets
-                upset = mask[rows, ports]
+            upset = np.zeros(n_live, dtype=bool)
+            if upsets is not None:
+                hits, scrambled = upsets
+                upset[hits] = True
                 self._corrupted_events(
-                    stream, np.nonzero(upset)[0], mids, ttls, hops, intact,
+                    scrambled, np.nonzero(upset)[0], mids, ttls, hops, intact,
                     alt_events,
                 )
             if self._uniform_delay:
@@ -1246,19 +1209,18 @@ class FastNocSimulator(NocSimulator):
             i += 1
 
     def _corrupted_events(
-        self, stream, at, mids, ttls, hops, intact, alt_events
+        self, scrambled, at, mids, ttls, hops, intact, alt_events
     ) -> None:
         """CRC-check a round's corrupted copies, materialising few of them.
 
-        `at` holds the emitted positions of the `stream`'s corruptions, in
-        order.  Their codewords are checked a message at a time with
+        `at` holds the emitted positions of the `scrambled` codeword rows,
+        in order.  Their codewords are checked a message at a time with
         :meth:`CRC.check_rows`; only escaped copies, which stay buffered,
         and copies an observer will see become :class:`Packet` objects.
         """
         self.stats.upsets_injected += at.size
         if not at.size:
             return
-        scrambled = stream.scrambled()
         hit_mids = mids[at]
         for mid in dict.fromkeys(hit_mids.tolist()):
             group = hit_mids == mid
@@ -1322,15 +1284,9 @@ class FastNocSimulator(NocSimulator):
             int(n_dec.sum() + sends * (1.0 + p_upset * per_hit)),
             model,
         )
-        alt_packets, packets = self._alt_packets, self._msg_packets
-
-        def original(row: int) -> bytes:
-            mid = m_arr.item(row)
-            alt = alt_packets.get((t_arr.item(row), mid))
-            return (packets[mid] if alt is None else alt).codeword
-
         pos, starts, hits = stream.walk(
-            p_upset, p_row, n_dec, n_fixed, live, original
+            p_upset, p_row, n_dec, n_fixed, live,
+            lambda row: self._codeword(t_arr.item(row), m_arr.item(row)),
         )
         stream.commit(pos)
         paths = self.engine_paths
@@ -1339,57 +1295,29 @@ class FastNocSimulator(NocSimulator):
         paths["upset.corruptions"] += len(stream)
         return stream, starts, hits
 
-    def _flush_latched(self) -> None:
-        """Turn the copies `_transmit` latched into pending chunks.
-
-        Emission order is receive order: the copies follow every chunk
-        emitted before them and precede every chunk emitted after this
-        call.
-        """
-        for arrival, builder in self._latched.items():
-            self._pending.setdefault(arrival, []).append(builder.chunk())
-        self._latched.clear()
-
-    def _latch_arrival(
-        self, arrival: int, dst: int, copy: Packet, was_upset: bool
-    ) -> None:
-        """Latch one `_transmit` copy into the columnar pending state.
-
-        Copies accumulate in one :class:`_ChunkBuilder` per arrival round
-        until :meth:`_flush_latched` turns the builders into chunks, so
-        the fast receive processes them exactly like batched arrivals.
-        """
-        mid = self._register_message(copy)
-        intact = copy.is_intact()
-        non_canonical = (
-            was_upset
-            or not intact
-            or copy.codeword != self._msg_packets[mid].codeword
-        )
-        builder = self._latched.get(arrival)
-        if builder is None:
-            builder = self._latched[arrival] = _ChunkBuilder()
-        builder.add(
-            dst, mid, copy.ttl, copy.hop_count, was_upset, intact,
-            copy if non_canonical else None,
-        )
-
     def _send_rows_scalar(self, round_index, t_arr, m_arr) -> None:
         """Exact per-row send for a round without a ``decide_batch`` form.
 
-        Each row's packet is materialised, ``policy.decisions`` picks its
-        ports and the inherited :meth:`_transmit` drives each one.
+        Each row's packet is materialised and ``policy.decisions`` picks
+        its ports.  Each transmission over a live link then draws its
+        upset, and a hit its corruption, before the next row decides:
+        the object engine's order.  The round is emitted as one matrix.
         """
         capacity = self.config.buffer_capacity
-        alt_packets = self._alt_packets
-        sender_end = self._clock.round_end(round_index)
-        for tile_id, mid, ttl, hop, occupancy in zip(
+        alt_packets, port_of = self._alt_packets, self._port_of
+        injector = self.injector
+        link_ok = self._effective_link_ok()
+        transmit = np.zeros((t_arr.size, self._max_deg), dtype=bool)
+        hits: list[int] = []
+        scrambled: list[bytes] = []
+        n_sent = 0
+        for row, (tile_id, mid, ttl, hop, occupancy) in enumerate(zip(
             t_arr.tolist(),
             m_arr.tolist(),
             self._ttl[t_arr, m_arr].tolist(),
             self._hop[t_arr, m_arr].tolist(),
             self._buflen[t_arr].tolist(),
-        ):
+        )):
             packet = self._event_packet(
                 mid, ttl, hop, alt_packets.get((tile_id, mid))
             )
@@ -1402,28 +1330,38 @@ class FastNocSimulator(NocSimulator):
                 buffer_occupancy=occupancy,
                 buffer_capacity=capacity,
             ):
-                if decision.transmit:
-                    self._transmit(
-                        round_index, tile_id, decision.neighbor, packet,
-                        sender_end,
-                    )
+                if not decision.transmit:
+                    continue
+                port = port_of[(tile_id, decision.neighbor)]
+                transmit[row, port] = True
+                if not link_ok[tile_id, port]:
+                    continue
+                if injector.upset_occurs():
+                    hits.append(n_sent)
+                    scrambled.append(injector.corrupt(packet.codeword))
+                n_sent += 1
+        self._emit_transmit_matrix(
+            round_index, t_arr, m_arr, transmit, link_ok,
+            upsets=(hits, _codeword_rows(scrambled)) if hits else None,
+        )
 
     def _pull_phase(self, round_index: int) -> None:
-        """Batched pull half for policies with ``pull_ports_batch``.
+        """The pull half: requests, then their responses as one matrix.
 
-        The policy draws the whole round's request ports at once; the
-        requests become stats and the answered ones become response rows
-        — each responder's buffer in insertion order, transmitted on the
-        port back to the requester — emitted as one matrix.  Under
-        upsets (every response draws), on a topology with one-way links,
-        without the hook, or when the policy declines the round, the
-        inherited per-tile phase runs.
+        At ``p_upset == 0`` a policy with ``pull_ports_batch`` draws the
+        round's request ports at once; otherwise, or when it declines,
+        :meth:`_pull_requests` asks ``pull_targets`` tile by tile.  The
+        requests become stats, and the answered ones response rows — each
+        responder's buffer in insertion order, transmitted on the port
+        back to the requester — emitted as one matrix.  A responder
+        without such a port cannot answer.
         """
         tiles = np.nonzero(self._alive & (self._deg > 0))[0]
         if tiles.size == 0:
             return
+        link_ok = self._effective_link_ok()
         requests = None
-        if self.fault_config.p_upset == 0.0 and self._back is not None:
+        if self.fault_config.p_upset == 0.0:
             requests = self.policy.pull_ports_batch(
                 tiles,
                 self._deg[tiles],
@@ -1433,24 +1371,26 @@ class FastNocSimulator(NocSimulator):
             )
         if requests is None:
             self.engine_paths["pull.sequential"] += 1
-            super()._pull_phase(round_index)
-            return
-        self.engine_paths["pull.vectorized"] += 1
-        rows, ports = np.nonzero(requests)
-        if rows.size == 0:
+            askers, ports, hits, scrambled = self._pull_requests(
+                round_index, tiles, link_ok
+            )
+        else:
+            self.engine_paths["pull.vectorized"] += 1
+            rows, ports = np.nonzero(requests)
+            askers, hits, scrambled = tiles[rows], [], []
+        n_requests = int(askers.size)
+        if n_requests == 0:
             return
         stats = self.stats
-        link_ok = self._effective_link_ok()
-        askers = tiles[rows]
         crossed = link_ok[askers, ports]
         askers, ports = askers[crossed], ports[crossed]
         responders = self._nbr[askers, ports]
+        back = self._back[askers, ports]
         # Per crossed request: the response rows it triggers.
         n_rows = np.where(
-            self._alive[responders], self._buflen[responders], 0
+            self._alive[responders] & (back >= 0), self._buflen[responders], 0
         )
         answered = n_rows > 0
-        n_requests = int(rows.size)
         stats.pull_requests += n_requests
         stats.pull_requests_lost += n_requests - int(
             np.count_nonzero(answered)
@@ -1469,12 +1409,62 @@ class FastNocSimulator(NocSimulator):
             request_of, m_arr, t_arr = (
                 request_of[order], m_arr[order], t_arr[order]
             )
-        back = self._back[askers, ports][answered][request_of]
+        back = back[answered][request_of]
         transmit = np.zeros((t_arr.size, self._max_deg), dtype=bool)
         transmit[np.arange(t_arr.size), back] = True
         stats.pull_responses += int(np.count_nonzero(link_ok[t_arr, back]))
-        # Responses must follow whatever a declined (scalar) push latched.
-        self._flush_latched()
         self._emit_transmit_matrix(
-            round_index, t_arr, m_arr, transmit, link_ok, lead
+            round_index, t_arr, m_arr, transmit, link_ok, lead,
+            (hits, _codeword_rows(scrambled)) if hits else None,
+        )
+
+    def _pull_requests(self, round_index, tiles, link_ok):
+        """Ask ``pull_targets`` tile by tile, in the object engine's order.
+
+        Under upsets each request's live responses draw their upsets, and
+        a hit its corruption, before the next tile asks.  Returns
+        ``(askers, ports, hits, scrambled)``: the requests, each hit's
+        ordinal among the round's live responses and its codeword.
+        """
+        policy, injector = self.policy, self.injector
+        port_of, back = self._port_of, self._back
+        draw = self.fault_config.p_upset > 0.0
+        askers: list[int] = []
+        ports: list[int] = []
+        hits: list[int] = []
+        scrambled: list[bytes] = []
+        n_sent = 0
+        for tile_id in tiles.tolist():
+            for target in policy.pull_targets(
+                tile_id,
+                self._neighbors[tile_id],
+                self.rng,
+                round_index=round_index,
+                informed=bool(self._informed[tile_id]),
+            ):
+                port = port_of[(tile_id, target)]
+                askers.append(tile_id)
+                ports.append(port)
+                reply = back[tile_id, port]
+                if not (
+                    draw
+                    and link_ok[tile_id, port]
+                    and reply >= 0
+                    and link_ok[target, reply]
+                ):
+                    continue
+                # A crashed target's buffer is empty: it sends nothing.
+                for k in range(self._buflen[target]):
+                    if injector.upset_occurs():
+                        mid = self._buffer_order(target)[k]
+                        hits.append(n_sent)
+                        scrambled.append(
+                            injector.corrupt(self._codeword(target, mid))
+                        )
+                    n_sent += 1
+        return (
+            np.asarray(askers, dtype=np.int64),
+            np.asarray(ports, dtype=np.int64),
+            hits,
+            scrambled,
         )

@@ -698,15 +698,16 @@ class NocSimulator:
     ) -> bool:
         """Drive one buffered `packet` onto the ``(src, dst)`` link.
 
-        The one per-transmission sequence of the fault model, shared by
-        the send phase, bus egress, pull responses and the fast backend's
-        scalar send walker: a dead link swallows the attempt (reported to
-        the policy and observer; returns False); otherwise the link gets
-        its own copy, the copy may suffer an upset, it is latched for the
-        receiver's round per :meth:`_arrival_round` and charged Eq. 3
-        energy.  `sender_end` is the sender's ``round_end(round_index)``,
-        drawn by the caller: clock boundaries are drawn lazily, so *when*
-        it is asked for is part of the RNG stream under clock skew.
+        The object engine's one per-transmission sequence of the fault
+        model, shared by the send phase, bus egress and pull responses
+        (the fast backend's is ``_emit_transmit_matrix``): a dead link
+        swallows the attempt (reported to the policy and observer;
+        returns False); otherwise the link gets its own copy, the copy
+        may suffer an upset, it is latched for the receiver's round per
+        :meth:`_arrival_round` and charged Eq. 3 energy.  `sender_end` is
+        the sender's ``round_end(round_index)``, drawn by the caller:
+        clock boundaries are drawn lazily, so *when* it is asked for is
+        part of the RNG stream under clock skew.
         """
         stats = self.stats
         observer = self._event_observer
@@ -724,7 +725,7 @@ class NocSimulator:
             if observer is not None:
                 observer.on_upset_injected(round_index, src, dst, copy)
         arrival = self._arrival_round(src, dst, sender_end, round_index)
-        self._latch_arrival(arrival, dst, copy, was_upset)
+        self._arrivals[arrival][dst].append((copy, was_upset))
         energy_per_bit = self.link_energy_overrides.get(
             (src, dst), self.link_model.energy_per_bit_j
         )
@@ -735,17 +736,6 @@ class NocSimulator:
             observer.on_transmission(round_index, src, dst, copy)
         return True
 
-    def _latch_arrival(
-        self, arrival: int, dst: int, copy: Packet, was_upset: bool
-    ) -> None:
-        """Latch one in-flight copy for `dst`'s receive phase at `arrival`.
-
-        :meth:`_transmit` emits through this hook so backends can route
-        traffic into their own arrival structures (the fast backend
-        overrides it to append to its columnar pending chunks).
-        """
-        self._arrivals[arrival][dst].append((copy, was_upset))
-
     def _pull_phase(self, round_index: int) -> None:
         """Pull half of push-pull rounds (`ForwardingPolicy.uses_pull`).
 
@@ -753,11 +743,10 @@ class NocSimulator:
         for pull targets (uninformed tiles typically draw one uniform
         neighbor; informed ones return nothing without drawing).  A
         request crosses the ``(tile, target)`` link as priced control
-        traffic; an alive, informed target answers by transmitting its
-        buffered packets back over ``(target, tile)`` through
-        :meth:`_transmit`, i.e. exactly like send phase traffic.  This
-        method is shared by both engine backends, so the RNG stream and
-        stats are bit-identical by construction.
+        traffic; an alive, informed target with a link back to the tile
+        answers by transmitting its buffered packets over
+        ``(target, tile)`` through :meth:`_transmit`, i.e. exactly like
+        send phase traffic.  A request nobody answers counts as lost.
         """
         policy = self.policy
         stats = self.stats
@@ -788,8 +777,11 @@ class NocSimulator:
                     (tile_id, target), self.link_model.energy_per_bit_j
                 )
                 responder = self.tiles[target]
+                # Only a link back to the tile can carry the answer.
+                answers = tile_id in self._neighbors[target]
                 packets = (
-                    responder.outgoing_packets() if responder.informed else []
+                    responder.outgoing_packets()
+                    if answers and responder.informed else []
                 )
                 stats.record_pull_request(
                     request_bits,

@@ -259,7 +259,7 @@ class ForwardingPolicy:
 
         Backend note: the object engine fires this hook interleaved with
         the round's remaining forwarding decisions while the fast
-        backend's vectorised path fires it after computing *all* of the
+        backend, on every path, fires it after computing *all* of the
         round's decisions.  Policies that react to dead links must
         therefore latch the reaction here and promote it at the next
         :meth:`on_round_begin` — reacting mid-round would make results

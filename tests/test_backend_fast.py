@@ -29,6 +29,7 @@ from repro.noc.backends import (
 )
 from repro.noc.backends.fast import FastNocSimulator
 from repro.noc.tile import IPCore, TileContext
+from repro.noc.trace import EventKind, TraceRecorder
 from repro.noc.topology import (
     FullyConnected,
     RingTopology,
@@ -207,6 +208,7 @@ class TestTileViewFacade:
             assert [p.key for p in tile_o.send_buffer.values()] == [
                 p.key for p in tile_f.send_buffer.values()
             ]
+            assert tile_o.outgoing_packets() == tile_f.outgoing_packets()
 
     def test_send_buffer_keys_match_packets(self) -> None:
         fast = self._saturated("fast")
@@ -316,10 +318,10 @@ class _Rumor(IPCore):
         ctx.send(BROADCAST, b"rumor")
 
 
-def test_pull_stays_scalar_where_a_response_has_no_port_back() -> None:
-    """Tile 0 can pull from 3 over the chord, but 3 has no port to 0:
-    the batched pull cannot address the response, so the phase runs the
-    inherited per-tile loop — and still matches the object engine."""
+def test_a_responder_without_a_link_back_does_not_answer() -> None:
+    """Tile 0 can pull from 3 over the chord, but 3 has no link to 0: the
+    request is lost rather than answered over a link that does not exist
+    — on both backends, and on the fast one's batched pull."""
 
     def run(backend: str):
         config = SimConfig(
@@ -328,15 +330,21 @@ def test_pull_stays_scalar_where_a_response_has_no_port_back() -> None:
             default_ttl=20,
             backend=backend,
         )
-        sim = NocSimulator.from_config(config, seed=3)
+        trace = TraceRecorder()
+        sim = NocSimulator.from_config(config, seed=3, observer=trace)
         sim.mount(3, _Rumor())
-        return sim.run(20, until=lambda s: False), sim
+        result = sim.run(20, until=lambda s: False)
+        links = {
+            (event.tile, event.peer)
+            for event in trace.of_kind(EventKind.TRANSMISSION)
+        }
+        return result, sim, links
 
-    expected, _ = run(OBJECT_BACKEND)
-    got, sim = run(FAST_BACKEND)
+    expected, _, object_links = run(OBJECT_BACKEND)
+    got, sim, fast_links = run(FAST_BACKEND)
+    assert (3, 0) not in object_links | fast_links
     assert got == expected and got.stats.pull_responses > 0
-    assert sim.engine_paths["pull.vectorized"] == 0
-    assert sim.engine_paths["pull.sequential"] > 0
+    assert sim.engine_paths["pull.vectorized"] > 0
     assert sim.engine_paths["send.matrix"] > 0
 
 

@@ -155,8 +155,8 @@ def test_a_declined_half_still_matches_the_object_engine(
     declined: str, monkeypatch
 ) -> None:
     """A round whose push declines while its pull batches (the batched
-    responses must queue behind the scalar push's latched copies), and
-    the reverse."""
+    responses must arrive after the per-row push's copies), and the
+    reverse."""
     expected, _ = _digest("object")
     # fanout=2 push rows take three draws each, pull rows one.
     draws_per_row = 3 if declined == "push" else 1

@@ -140,6 +140,11 @@ REASONS: list[tuple[str, str]] = [
     ("noc/backends/fast.py::FastNocSimulator._receive_ordered", "the only "
      "exact fast receive for on_receive IPs and bounded relay buffers, "
      "which no user path runs on the fast backend; kept"),
+    ("noc/backends/fast.py::_TileView", "the Tile API facade "
+     "(simulator.tiles[t]) IPs and inspection read; no fast engine path "
+     "walks it (test_backend_fast.py compares it with the object tiles)"),
+    ("noc/backends/fast.py::_BufferView", "the send-buffer facade under "
+     "the Tile API view; no fast engine path walks it"),
     ("noc/backends/fast.py::", "fast-backend mirror of the object "
      "engine's tile API / delay and crash paths, driven by the "
      "bit-identity gates"),
