@@ -124,13 +124,9 @@ class ExperimentOptions:
                 f"task_timeout_s must be > 0 or None, got "
                 f"{self.task_timeout_s}"
             )
-        from repro.noc.backends import KNOWN_BACKENDS
+        from repro.noc.backends import check_backend
 
-        if self.backend not in KNOWN_BACKENDS:
-            known = ", ".join(repr(name) for name in KNOWN_BACKENDS)
-            raise ValueError(
-                f"backend must be one of {known}, got {self.backend!r}"
-            )
+        check_backend(self.backend)
 
     def make_runner(self) -> SweepRunner:
         """The runner this sweep executes on.
@@ -198,11 +194,9 @@ def backend_params(backend: str) -> dict[str, str]:
     though both backends produce bit-identical results (see
     ``docs/performance.md``).
     """
-    from repro.noc.backends import KNOWN_BACKENDS, OBJECT_BACKEND
+    from repro.noc.backends import OBJECT_BACKEND, check_backend
 
-    if backend not in KNOWN_BACKENDS:
-        known = ", ".join(repr(name) for name in KNOWN_BACKENDS)
-        raise ValueError(f"backend must be one of {known}, got {backend!r}")
+    check_backend(backend)
     return {"backend": backend} if backend != OBJECT_BACKEND else {}
 
 

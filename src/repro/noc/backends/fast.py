@@ -89,7 +89,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.core.packet import BROADCAST, Packet, PacketFactory
-from repro.noc.backends.base import FAST_BACKEND, register_backend
+from repro.noc.backends import FAST_BACKEND
 from repro.noc.backends.words import WordStream
 from repro.noc.clock import ClockDomain
 from repro.noc.engine import NocSimulator
@@ -272,7 +272,6 @@ class _TileView:
         )
 
 
-@register_backend(FAST_BACKEND)
 class FastNocSimulator(NocSimulator):
     """Structure-of-arrays engine: same results, batched execution.
 
@@ -280,6 +279,8 @@ class FastNocSimulator(NocSimulator):
     supported-configuration matrix; ``docs/performance.md`` has measured
     speedups and usage guidance.
     """
+
+    backend_name = FAST_BACKEND
 
     # --------------------------------------------------------------- set-up
 

@@ -20,7 +20,8 @@ the two error models of :mod:`repro.faults.errors` off it by index, so a
 round of upsets makes no generator call per corruption.  :meth:`commit`
 then leaves the generator exactly where the equivalent ``Generator``
 calls would, buffered half-word included.  ``tests/test_stream_words.py``
-pins the model against the installed numpy.
+pins the model against the installed numpy, and the first :meth:`draw` in
+a process runs :func:`self_check`, a short script of the same kind.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import compress
 
 import numpy as np
 
-from repro.faults.errors import ErrorModel
+from repro.faults.errors import ErrorModel, RandomBitError, RandomErrorVector
 
 #: Raw words a stream draws beyond what it was asked for, at the start and
 #: on every refill.  A constant, not a setting: tests shrink it to 1 and 3
@@ -38,6 +39,9 @@ WORD_BLOCK = 64
 
 _HALF = 0xFFFFFFFF
 _DOUBLE = 2.0**-53
+
+#: Set once :func:`self_check` has passed in this process.
+_checked = False
 
 
 class WordStream:
@@ -92,7 +96,16 @@ class WordStream:
 
     @classmethod
     def draw(cls, bit_generator, n: int, error_model=None) -> "WordStream":
-        """Draw ``n + WORD_BLOCK`` words from `bit_generator`."""
+        """Draw ``n + WORD_BLOCK`` words from `bit_generator`.
+
+        The first draw in a process runs :func:`self_check` first.
+        """
+        if not _checked:
+            self_check()
+        return cls._draw(bit_generator, n, error_model)
+
+    @classmethod
+    def _draw(cls, bit_generator, n: int, error_model) -> "WordStream":
         anchor = bit_generator.state
         stream = cls(
             bit_generator.random_raw(n + WORD_BLOCK),
@@ -380,3 +393,60 @@ class WordStream:
         state["has_uint32"] = int(self.carry)
         state["uinteger"] = self._half_at(self.carry_at)
         bit_generator.state = state
+
+
+# ----------------------------------------------------------- numpy canary
+
+#: Codewords the self-check corrupts, one stream (error model) each.
+_CHECK_CORRUPTIONS = (
+    (RandomErrorVector(), 66),
+    (RandomBitError(0.05), 8),  # flips read off doubles
+    (RandomBitError(0.0), 66),  # one Lemire-drawn bit
+)
+
+
+def self_check() -> None:
+    """Run a fixed script on a throwaway generator and the model on a twin.
+
+    The script covers doubles, uint8 runs that start with and without a
+    buffered half-word, bounded draws (``2**31 + 1`` rejects about half its
+    32-bit draws) and one corruption per error model; every value and the
+    final ``bit_generator.state`` must agree.  Raises ``RuntimeError`` if
+    the installed numpy draws differently, since the fast backend's upset
+    send would then be wrong.
+    """
+    global _checked
+    rng = np.random.default_rng(2003)
+    twin = np.random.default_rng(2003)
+    payloads = np.random.default_rng(7).integers(0, 256, 66, np.uint8)
+    agree = True
+    for model, length in _CHECK_CORRUPTIONS:
+        stream = WordStream._draw(twin.bit_generator, 0, model)
+        pos, got, want = 0, [], []
+        for n in (3, 6):  # from no buffered half, then from the one left
+            pos, values = stream.uint8s(pos, n)
+            got += values.tolist()
+            want += rng.integers(0, 256, n, np.uint8).tolist()
+        for _ in range(3):
+            pos, value = stream.bounded(pos, 2**31 + 1)
+            got.append(value)
+            want.append(int(rng.integers(0, 2**31 + 1)))
+        stream.reserve(pos + 2)
+        got += stream.doubles[pos : pos + 2].tolist()
+        want += rng.random(2).tolist()
+        original = payloads[:length].tobytes()
+        pos = stream.corrupt(pos + 2, original)
+        stream.commit(pos)
+        agree = (
+            agree
+            and got == want
+            and stream.scrambled()[0].tobytes() == model.corrupt(original, rng)
+            and twin.bit_generator.state == rng.bit_generator.state
+        )
+    if not agree:
+        raise RuntimeError(
+            f"numpy {np.__version__} draws differently from the PCG64 word "
+            "model of repro.noc.backends.words, so the fast backend's upset "
+            "send would be wrong; run with backend='object'"
+        )
+    _checked = True

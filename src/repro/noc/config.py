@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.protocol import StochasticProtocol
 from repro.crc import CRC, CRC16_CCITT
 from repro.faults import CrashPlan, FaultConfig, ScenarioSpec, describe_scenario
-from repro.noc.backends.base import KNOWN_BACKENDS, OBJECT_BACKEND
+from repro.noc.backends import OBJECT_BACKEND, check_backend
 from repro.noc.link import DEFAULT_LINK, LinkModel
 from repro.noc.routing import XYRoutingProtocol
 from repro.noc.topology import Topology
@@ -202,11 +202,7 @@ class SimConfig:
                 f"scenario must be a repro.faults.ScenarioSpec or None, "
                 f"got {type(self.scenario).__name__}"
             )
-        if self.backend not in KNOWN_BACKENDS:
-            known = ", ".join(repr(name) for name in KNOWN_BACKENDS)
-            raise ValueError(
-                f"backend must be one of {known}, got {self.backend!r}"
-            )
+        check_backend(self.backend)
 
     # ----------------------------------------------------------- convenience
 

@@ -38,11 +38,7 @@ from repro.core.packet import Packet, PacketFactory
 from repro.crc import CRC, CRC16_CCITT
 from repro.faults import CrashPlan, FaultConfig, FaultInjector
 from repro.faults.scenarios import ScenarioSpec, ScenarioState
-from repro.noc.backends.base import (
-    OBJECT_BACKEND,
-    register_backend,
-    resolve_backend,
-)
+from repro.noc.backends import OBJECT_BACKEND, engine_class
 from repro.noc.clock import ClockDomain
 from repro.noc.config import SimConfig
 from repro.noc.link import DEFAULT_LINK, LinkModel
@@ -93,7 +89,7 @@ class NocSimulator:
             vectorised structure-of-arrays engine of
             :mod:`repro.noc.backends.fast`, bit-identical results at a
             fraction of the wall clock; see ``docs/performance.md``).
-            The constructor dispatches to the registered backend class,
+            The constructor dispatches to that backend's class,
             so ``NocSimulator(..., backend="fast")`` *is* a fast engine.
         protocol: the forwarding rule, a
             :class:`repro.policies.ForwardingPolicy` or its
@@ -160,17 +156,17 @@ class NocSimulator:
     once and stamp out seeded replicas.
     """
 
-    #: Registry name of this engine backend (subclasses override via
-    #: :func:`repro.noc.backends.base.register_backend`).
+    #: The backend this class runs; ``SimConfig.backend`` must match it
+    #: (:func:`repro.noc.backends.engine_class` maps the name back here).
     backend_name = OBJECT_BACKEND
 
     def __new__(cls, *args: object, **kwargs: object):
         # Constructing the base class with backend="fast" dispatches to
-        # the registered fast-engine subclass; explicit subclass
-        # construction is never redirected.
+        # the fast-engine subclass; explicit subclass construction is
+        # never redirected.
         backend = kwargs.get("backend")
         if cls is NocSimulator and backend not in (None, OBJECT_BACKEND):
-            return object.__new__(resolve_backend(backend))
+            return object.__new__(engine_class(backend))
         return object.__new__(cls)
 
     def __init__(
@@ -247,8 +243,7 @@ class NocSimulator:
             raise TypeError(
                 f"from_config expects a SimConfig, got {type(config).__name__}"
             )
-        backend_cls = resolve_backend(config.backend)
-        simulator = object.__new__(backend_cls)
+        simulator = object.__new__(engine_class(config.backend))
         simulator._init_from_config(
             config, seed=seed, observer=observer, profiler=profiler
         )
@@ -837,5 +832,3 @@ class NocSimulator:
                 occupancy[size] = occupancy.get(size, 0) + 1
         return informed, tuple(sorted(occupancy.items()))
 
-
-register_backend(OBJECT_BACKEND)(NocSimulator)

@@ -26,20 +26,16 @@ from repro.stats.certify import (
     format_certified,
 )
 from repro.stats.claims import (
-    CLAIM_REGISTRY,
     BernoulliClaim,
     BoundedMeanClaim,
     Claim,
     SequentialTest,
     TrajectoryPoint,
     Verdict,
-    build_claim,
     fixed_sample_size,
-    register_claim,
 )
 
 __all__ = [
-    "CLAIM_REGISTRY",
     "BernoulliClaim",
     "BoundedMeanClaim",
     "Certificate",
@@ -48,9 +44,7 @@ __all__ = [
     "SequentialTest",
     "TrajectoryPoint",
     "Verdict",
-    "build_claim",
     "certify_cells",
     "fixed_sample_size",
     "format_certified",
-    "register_claim",
 ]

@@ -4,11 +4,10 @@ A :class:`Claim` is a **frozen, picklable** statement about the
 distribution of a per-replicate statistic — "the probability that a
 broadcast reaches full coverage within R rounds is at least 0.9", "mean
 final coverage is at least 0.99" — together with the error rates at
-which the statement must be decided.  Claims mirror the design of
-:class:`repro.policies.PolicySpec`: the spec is pure configuration,
-registered by ``kind`` in :data:`CLAIM_REGISTRY`, and every
-certification run builds a fresh *mutable* :class:`SequentialTest` via
-:meth:`Claim.test`, so no test state ever leaks between runs.
+which the statement must be decided.  The spec is pure configuration,
+tagged by ``kind`` in its JSON form, and every certification run builds
+a fresh *mutable* :class:`SequentialTest` via :meth:`Claim.test`, so no
+test state ever leaks between runs.
 
 Two claim families ship here, matching the two statistic shapes the
 sweep harnesses produce:
@@ -48,16 +47,13 @@ from enum import Enum
 from typing import Any
 
 __all__ = [
-    "CLAIM_REGISTRY",
     "BernoulliClaim",
     "BoundedMeanClaim",
     "Claim",
     "SequentialTest",
     "TrajectoryPoint",
     "Verdict",
-    "build_claim",
     "fixed_sample_size",
-    "register_claim",
 ]
 
 
@@ -152,7 +148,8 @@ class Claim:
             such as ``"coverage>=0.99"``.
     """
 
-    #: Registry name; subclasses registered via :func:`register_claim`.
+    #: Family tag carried by :meth:`to_json_dict` (and the certificates
+    #: table's ``claim_json``); each subclass sets its own.
     kind = ""
 
     metric: str = "coverage"
@@ -187,38 +184,6 @@ class Claim:
         raise NotImplementedError
 
 
-# ------------------------------------------------------------------ registry
-
-#: kind -> claim class; populated by :func:`register_claim` decorators.
-CLAIM_REGISTRY: dict[str, type[Claim]] = {}
-
-
-def register_claim(cls: type[Claim]) -> type[Claim]:
-    """Class decorator adding `cls` to :data:`CLAIM_REGISTRY` by kind."""
-    if not cls.kind:
-        raise ValueError(f"{cls.__name__} must set a non-empty `kind`")
-    existing = CLAIM_REGISTRY.get(cls.kind)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"claim kind {cls.kind!r} already registered by "
-            f"{existing.__name__}"
-        )
-    CLAIM_REGISTRY[cls.kind] = cls
-    return cls
-
-
-def build_claim(kind: str, **params: Any) -> Claim:
-    """Instantiate a claim by registry kind (loud on unknown kinds)."""
-    try:
-        cls = CLAIM_REGISTRY[kind]
-    except KeyError:
-        known = ", ".join(sorted(CLAIM_REGISTRY)) or "<none>"
-        raise ValueError(
-            f"unknown claim kind {kind!r}; registered kinds: {known}"
-        ) from None
-    return cls(**params)
-
-
 def _check_unit_interval(name: str, value: float, *, open_ends: bool) -> None:
     """Validate a probability-like field, optionally excluding 0 and 1."""
     if open_ends:
@@ -231,7 +196,6 @@ def _check_unit_interval(name: str, value: float, *, open_ends: bool) -> None:
 # ---------------------------------------------------------------- SPRT claim
 
 
-@register_claim
 @dataclass(frozen=True)
 class BernoulliClaim(Claim):
     """"P(indicator) >= target", decided by Wald's SPRT.
@@ -370,7 +334,6 @@ CS_METHODS = ("empirical-bernstein", "hoeffding")
 RELATIONS = (">=", "<=")
 
 
-@register_claim
 @dataclass(frozen=True)
 class BoundedMeanClaim(Claim):
     """"mean(statistic) >= threshold", decided by a confidence sequence.

@@ -3,7 +3,7 @@
 The cross-backend *behavioral* contract lives in
 ``test_backends_equivalence.py`` (golden grid) and
 ``test_backend_properties.py`` (Hypothesis search); this module covers
-the plumbing: the registry, constructor dispatch, ``SimConfig``
+the plumbing: name -> engine resolution, constructor dispatch, ``SimConfig``
 validation and cache-token pinning, the fast backend's documented
 feature rejections, its tile-view facade, and the topology TTL helpers
 both backends share.
@@ -24,8 +24,7 @@ from repro.noc.backends import (
     FAST_BACKEND,
     KNOWN_BACKENDS,
     OBJECT_BACKEND,
-    available_backends,
-    resolve_backend,
+    engine_class,
 )
 from repro.noc.backends.fast import FastNocSimulator
 from repro.noc.tile import IPCore, TileContext
@@ -53,17 +52,16 @@ def _mesh_config(**overrides) -> SimConfig:
 class TestRegistry:
     def test_known_backends(self) -> None:
         assert KNOWN_BACKENDS == (OBJECT_BACKEND, FAST_BACKEND)
-        assert set(available_backends()) >= {OBJECT_BACKEND, FAST_BACKEND}
 
     def test_resolve_object(self) -> None:
-        assert resolve_backend(OBJECT_BACKEND) is NocSimulator
+        assert engine_class(OBJECT_BACKEND) is NocSimulator
 
     def test_resolve_fast(self) -> None:
-        assert resolve_backend(FAST_BACKEND) is FastNocSimulator
+        assert engine_class(FAST_BACKEND) is FastNocSimulator
 
     def test_resolve_unknown_is_loud(self) -> None:
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend("warp")
+        with pytest.raises(ValueError, match="backend must be one of"):
+            engine_class("warp")
 
     def test_backend_name_attributes(self) -> None:
         assert NocSimulator.backend_name == OBJECT_BACKEND

@@ -15,17 +15,13 @@ from repro.metrics.records import RunMetrics
 from repro.runners import SweepRunner
 from repro.service import JobQueue, ResultsDB
 from repro.stats import (
-    CLAIM_REGISTRY,
     BernoulliClaim,
     BoundedMeanClaim,
     Certificate,
     CertificationRunner,
-    Claim,
     TrajectoryPoint,
     Verdict,
-    build_claim,
     fixed_sample_size,
-    register_claim,
 )
 
 
@@ -77,25 +73,15 @@ class TestClaimSpecs:
             BoundedMeanClaim(method="bootstrap")
 
     def test_registry_mirrors_policies(self):
-        assert CLAIM_REGISTRY["bernoulli"] is BernoulliClaim
-        assert CLAIM_REGISTRY["bounded_mean"] is BoundedMeanClaim
-        built = build_claim("bernoulli", target=0.8, indifference=0.1)
-        assert built == BernoulliClaim(target=0.8, indifference=0.1)
-        with pytest.raises(ValueError, match="unknown claim kind"):
-            build_claim("bayesian")
-
-    def test_register_claim_rejects_collisions_and_blank_kinds(self):
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_claim
-            class Impostor(Claim):
-                kind = "bernoulli"
-
-        with pytest.raises(ValueError, match="non-empty"):
-
-            @register_claim
-            class Nameless(Claim):
-                pass
+        # The JSON form round-trips through the class: drop `kind`, feed
+        # the remaining fields back to the constructor.
+        for claim in (
+            BernoulliClaim(target=0.8, indifference=0.1),
+            BoundedMeanClaim(method="hoeffding", threshold=0.5),
+        ):
+            doc = claim.to_json_dict()
+            assert doc.pop("kind") == claim.kind
+            assert type(claim)(**doc) == claim
 
     def test_claims_pickle_and_hash(self):
         for claim in (BernoulliClaim(), BoundedMeanClaim(method="hoeffding")):

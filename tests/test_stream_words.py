@@ -291,3 +291,28 @@ def test_walk_matches_the_object_order(
     assert len(stream) == len(scrambles)
     for row, want in zip(stream.scrambled(), scrambles):
         assert row[: len(want)].tobytes() == want
+
+
+def test_self_check_passes_and_leaves_the_callers_generator_alone(
+    monkeypatch,
+) -> None:
+    monkeypatch.setattr(words, "_checked", False)
+    checked = WordStream.draw(np.random.PCG64(3), 5)
+    assert words._checked
+    unchecked = WordStream.draw(np.random.PCG64(3), 5)
+    assert checked.words.tolist() == unchecked.words.tolist()
+    assert checked._bit_generator.state == unchecked._bit_generator.state
+
+
+def test_self_check_names_numpy_when_the_model_is_wrong(monkeypatch) -> None:
+    bounded = WordStream.bounded
+
+    def off_by_one(self, pos: int, n: int) -> tuple[int, int]:
+        pos, value = bounded(self, pos, n)
+        return pos, value + 1
+
+    monkeypatch.setattr(WordStream, "bounded", off_by_one)
+    monkeypatch.setattr(words, "_checked", False)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}.*object"):
+        WordStream.draw(np.random.PCG64(0), 1)
+    assert not words._checked

@@ -132,8 +132,6 @@ REASONS: list[tuple[str, str]] = [
     ("metrics/", "JSON round-trip and accessors of the metrics records"),
     ("mp3/", "codec API beyond the pipeline's needs (decoding, synthesis, "
      "window switching), checked by the codec tests"),
-    ("noc/backends/base.py::available_backends", "backend registry "
-     "introspection (test_backend_fast.py)"),
     ("noc/backends/fast.py::FastNocSimulator.round_sample", "the "
      "collector's state sample on the fast backend; the bit-identity "
      "gates compare it with the object engine's tile walk"),
