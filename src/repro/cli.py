@@ -730,6 +730,13 @@ def _probability(text: str) -> float:
     return value
 
 
+def _positive_probability(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not value >= 0:
@@ -867,7 +874,7 @@ def _fault_flags(parser: argparse.ArgumentParser) -> None:
     """The static fault levels read back by :func:`_fault_config`."""
     parser.add_argument("--upset", type=_probability, default=0.0)
     parser.add_argument("--overflow", type=_probability, default=0.0)
-    parser.add_argument("--sigma", type=float, default=0.0)
+    parser.add_argument("--sigma", type=_nonnegative_float, default=0.0)
 
 
 def _chaos_grid_flags(
@@ -1049,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--seed", type=int, default=0)
     probe.add_argument(
         "--target",
-        type=float,
+        type=_positive_probability,
         default=None,
         help="also search the minimum TTL for this delivery probability",
     )

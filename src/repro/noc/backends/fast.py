@@ -6,6 +6,15 @@ over the *live packet population* — one row per (tile, message) buffer
 slot — instead of per-object method calls.  It is selected with
 ``NocSimulator(..., backend="fast")`` or ``SimConfig(backend="fast")``.
 
+Every per-slot fact — buffered, seen, delivered, TTL, hop count, insert
+stamp and codeword id — is a ``(tile, message)`` matrix, and an arrival
+in flight is a tuple of columns ``(dst, mid, ttl, hop, upset, intact,
+cw)``.  Codeword id 0 is the message's own codeword; k > 0 is
+``_codewords[k]``, a per-run list that only escaped upset scrambles,
+originated variants and, with an event observer, corrupted copies
+enter.  Every insert writes every column, so no slot keeps a stale
+codeword.
+
 Bit-identical results are the contract, not an aspiration: for every
 supported configuration the fast engine consumes the *same* draws from
 the *same* ``numpy.random.default_rng(seed)`` stream in the same order
@@ -77,8 +86,8 @@ round's events by kind; every send and pull emit replays its hooks in
 (row, port) order, the object engine's.  Stats, series and all
 collector output are identical always.
 IPs must not rely on object identity of buffered packets (the fast
-engine materialises equal-valued packets on demand and tracks TTL/hops
-in arrays).
+engine materialises equal-valued packets on demand and tracks TTL, hops
+and codewords in arrays).
 """
 
 from __future__ import annotations
@@ -95,26 +104,6 @@ from repro.noc.clock import ClockDomain
 from repro.noc.engine import NocSimulator
 from repro.noc.tile import IPCore, RelayCore, TileContext, TileState
 from repro.policies.base import BatchDecisionView, ForwardingPolicy
-
-class _ArrivalChunk:
-    """A batch of packets latched for one future round.
-
-    Parallel arrays describe the packets; ``alt`` maps a local row index
-    to a :class:`Packet` carrying a non-canonical codeword (an upset
-    scramble, caught or escaped) so CRC verdicts and materialised copies
-    stay faithful.
-    """
-
-    __slots__ = ("dst", "mid", "ttl", "hop", "upset", "intact", "alt")
-
-    def __init__(self, dst, mid, ttl, hop, upset, intact, alt) -> None:
-        self.dst = dst
-        self.mid = mid
-        self.ttl = ttl
-        self.hop = hop
-        self.upset = upset
-        self.intact = intact
-        self.alt = alt
 
 
 def _codeword_rows(codewords: list[bytes]) -> np.ndarray:
@@ -152,10 +141,7 @@ class _BufferView:
         sim, t = self._sim, self._tile_id
         return [
             sim._event_packet(
-                m,
-                int(sim._ttl[t, m]),
-                int(sim._hop[t, m]),
-                sim._alt_packets.get((t, m)),
+                m, int(sim._ttl[t, m]), int(sim._hop[t, m]), int(sim._cw[t, m])
             )
             for m in sim._buffer_order(t)
         ]
@@ -369,6 +355,8 @@ class FastNocSimulator(NocSimulator):
         self._ttl = np.zeros((n, self._cap), dtype=np.int64)
         self._hop = np.zeros((n, self._cap), dtype=np.int64)
         self._iseq = np.zeros((n, self._cap), dtype=np.int64)
+        #: 0: the message's own codeword; k > 0: ``_codewords[k]``.
+        self._cw = np.zeros((n, self._cap), dtype=np.int64)
         self._buflen = np.zeros(n, dtype=np.int64)
         self._msg_dest = np.zeros(self._cap, dtype=np.int64)
         self._msg_source = np.zeros(self._cap, dtype=np.int64)
@@ -376,15 +364,17 @@ class FastNocSimulator(NocSimulator):
         self._msg_bits = np.zeros(self._cap, dtype=np.int64)
         self._msg_index: dict[tuple[int, int], int] = {}
         self._msg_packets: list[Packet] = []
-        #: (tile, mid) -> buffered packet carrying a non-canonical codeword.
-        self._alt_packets: dict[tuple[int, int], Packet] = {}
+        #: Non-canonical codewords (escaped scrambles, originated variants,
+        #: corruptions an observer sees), by codeword id; 0 is a placeholder.
+        self._codewords: list[bytes] = [b""]
         self._insert_seq = 0
         self._originated_keys: set[tuple[int, int]] = set()
         self._tile_originated: dict[int, set[tuple[int, int]]] = defaultdict(
             set
         )
-        #: round -> chunks of packets latched for that round.
-        self._pending: dict[int, list[_ArrivalChunk]] = {}
+        #: round -> arrival chunks latched for that round, each a tuple of
+        #: columns ``(dst, mid, ttl, hop, upset, intact, cw)``.
+        self._pending: dict[int, list[tuple[np.ndarray, ...]]] = {}
 
         self._relay = self.config.buffer_mode == "relay"
         self._ips: dict[int, IPCore] = {}
@@ -458,6 +448,7 @@ class FastNocSimulator(NocSimulator):
         self._ttl = _wider(self._ttl, np.int64)
         self._hop = _wider(self._hop, np.int64)
         self._iseq = _wider(self._iseq, np.int64)
+        self._cw = _wider(self._cw, np.int64)
         for name in ("_msg_dest", "_msg_source", "_msg_id", "_msg_bits"):
             wide = np.zeros(new_cap, dtype=np.int64)
             wide[: self._cap] = getattr(self, name)
@@ -480,20 +471,11 @@ class FastNocSimulator(NocSimulator):
         return mid
 
     def _event_packet(
-        self,
-        mid: int,
-        ttl: int,
-        hop: int,
-        alt_packet: Packet | None = None,
-        intact: bool = True,
-        codeword: bytes | None = None,
+        self, mid: int, ttl: int, hop: int, cw: int, intact: bool = True
     ) -> Packet:
         """Materialise an equal-valued packet for one population slot."""
         canonical = self._msg_packets[mid]
-        if codeword is None:
-            codeword = (
-                canonical.codeword if alt_packet is None else alt_packet.codeword
-            )
+        codeword = self._codewords[cw] if cw else canonical.codeword
         return Packet(
             source=canonical.source,
             destination=canonical.destination,
@@ -515,8 +497,8 @@ class FastNocSimulator(NocSimulator):
 
     def _codeword(self, tile_id: int, mid: int) -> bytes:
         """The codeword `tile_id`'s slot of message `mid` sends."""
-        alt = self._alt_packets.get((tile_id, mid))
-        return (self._msg_packets[mid] if alt is None else alt).codeword
+        cw = self._cw[tile_id, mid]
+        return self._codewords[cw] if cw else self._msg_packets[mid].codeword
 
     # ------------------------------------------------------ state mutations
 
@@ -525,9 +507,6 @@ class FastNocSimulator(NocSimulator):
         if self._buflen[tile_id]:
             self._buffered[tile_id, :] = False
             self._buflen[tile_id] = 0
-        if self._alt_packets:
-            for key in [k for k in self._alt_packets if k[0] == tile_id]:
-                del self._alt_packets[key]
 
     def _originate(self, tile_id: int, packet: Packet) -> None:
         if not self._alive[tile_id]:
@@ -538,11 +517,11 @@ class FastNocSimulator(NocSimulator):
         mid = self._register_message(packet)
         # A tile never delivers its own message back to its IP.
         self._delivered[tile_id, mid] = True
-        canonical = self._msg_packets[mid]
-        alt = packet if packet.codeword != canonical.codeword else None
-        self._insert_entry(
-            tile_id, mid, packet.ttl, packet.hop_count, alt
-        )
+        cw = 0
+        if packet.codeword != self._msg_packets[mid].codeword:
+            cw = len(self._codewords)
+            self._codewords.append(packet.codeword)
+        self._insert_entry(tile_id, mid, packet.ttl, packet.hop_count, cw)
 
     def _insert_entry(
         self,
@@ -550,7 +529,7 @@ class FastNocSimulator(NocSimulator):
         mid: int,
         ttl: int,
         hop: int,
-        alt_packet: Packet | None,
+        cw: int,
     ) -> bool:
         """Dedup-insert one slot; True when it took a new buffer place."""
         if self._relay:
@@ -566,20 +545,15 @@ class FastNocSimulator(NocSimulator):
             victim = int(cols[np.argmin(self._iseq[tile_id, cols])])
             row[victim] = False
             self._buflen[tile_id] -= 1
-            if self._alt_packets:
-                self._alt_packets.pop((tile_id, victim), None)
         self._buffered[tile_id, mid] = True
         self._seen[tile_id, mid] = True
         self._ttl[tile_id, mid] = ttl
         self._hop[tile_id, mid] = hop
+        self._cw[tile_id, mid] = cw
         self._iseq[tile_id, mid] = self._insert_seq
         self._insert_seq += 1
         self._buflen[tile_id] += 1
         self._informed[tile_id] = True
-        if alt_packet is not None:
-            self._alt_packets[(tile_id, mid)] = alt_packet
-        elif self._alt_packets:
-            self._alt_packets.pop((tile_id, mid), None)
         return True
 
     def _apply_scheduled_crashes(self, round_index: int) -> None:
@@ -622,28 +596,13 @@ class FastNocSimulator(NocSimulator):
         if self._relay and self._buflen.any():
             self._buffered[:, :] = False
             self._buflen[:] = 0
-            self._alt_packets.clear()
         chunks = self._pending.pop(round_index, None)
         if not chunks:
             return
-        if len(chunks) == 1:
-            chunk = chunks[0]
-            dst, mid, ttl, hop = chunk.dst, chunk.mid, chunk.ttl, chunk.hop
-            upset, intact, alt = chunk.upset, chunk.intact, dict(chunk.alt)
-        else:
-            dst = np.concatenate([c.dst for c in chunks])
-            mid = np.concatenate([c.mid for c in chunks])
-            ttl = np.concatenate([c.ttl for c in chunks])
-            hop = np.concatenate([c.hop for c in chunks])
-            upset = np.concatenate([c.upset for c in chunks])
-            intact = np.concatenate([c.intact for c in chunks])
-            alt = {}
-            offset = 0
-            for c in chunks:
-                for i, packet in c.alt.items():
-                    alt[offset + i] = packet
-                offset += c.dst.size
-        total = dst.size
+        arrivals = chunks[0] if len(chunks) == 1 else tuple(
+            np.concatenate(column) for column in zip(*chunks)
+        )
+        total = arrivals[0].size
         capacity = self.config.buffer_capacity
         ordered = self._receive_hooks or (self._relay and capacity is not None)
         draws = capacity is None and self.fault_config.p_overflow > 0.0
@@ -655,31 +614,22 @@ class FastNocSimulator(NocSimulator):
             # inserts, deliveries, duplicates, insert stamps and evictions
             # only compare events of the *same* tile, whose relative order
             # the emission-ordered arrays already preserve.
+            dst = arrivals[0]
             position = np.arange(total)
             first = np.full(self._alive.size, total, dtype=np.int64)
             np.minimum.at(first, dst, position)
             perm = np.argsort(first[dst], kind="stable")
             if not np.array_equal(perm, position):
-                dst, mid = dst[perm], mid[perm]
-                ttl, hop = ttl[perm], hop[perm]
-                upset, intact = upset[perm], intact[perm]
-                if alt:
-                    inverse = np.empty(total, dtype=np.int64)
-                    inverse[perm] = position
-                    alt = {int(inverse[i]): p for i, p in alt.items()}
+                arrivals = tuple(column[perm] for column in arrivals)
         if ordered:
             self.engine_paths["receive.ordered"] += 1
-            self._receive_ordered(
-                round_index, dst, mid, ttl, hop, upset, intact, alt
-            )
+            self._receive_ordered(round_index, *arrivals)
             return
         self.engine_paths["receive.vectorized"] += 1
-        self._receive_vectorized(
-            round_index, dst, mid, ttl, hop, upset, intact, alt
-        )
+        self._receive_vectorized(round_index, *arrivals)
 
     def _receive_vectorized(
-        self, round_index, dst, mid, ttl, hop, upset, intact, alt
+        self, round_index, dst, mid, ttl, hop, upset, intact, cw
     ) -> None:
         stats = self.stats
         observer = self._event_observer
@@ -720,10 +670,7 @@ class FastNocSimulator(NocSimulator):
                         round_index,
                         int(dst[i]),
                         self._event_packet(
-                            int(mid[i]),
-                            int(ttl[i]),
-                            int(hop[i]),
-                            alt.get(i),
+                            int(mid[i]), int(ttl[i]), int(hop[i]), int(cw[i]),
                             intact=False,
                         ),
                     )
@@ -759,7 +706,7 @@ class FastNocSimulator(NocSimulator):
                             int(dst[i]),
                             self._event_packet(
                                 int(mid[i]), int(ttl[i]), int(hop[i]),
-                                alt.get(i),
+                                int(cw[i]),
                             ),
                             round_index,
                         )
@@ -780,6 +727,7 @@ class FastNocSimulator(NocSimulator):
             self._seen[t_ins, m_ins] = True
             self._ttl[t_ins, m_ins] = ttl[inserts]
             self._hop[t_ins, m_ins] = hop[inserts]
+            self._cw[t_ins, m_ins] = cw[inserts]
             self._iseq[t_ins, m_ins] = self._insert_seq + np.arange(
                 inserts.size
             )
@@ -789,17 +737,7 @@ class FastNocSimulator(NocSimulator):
             n_flips = int(np.count_nonzero(self._informed)) - informed_before
             if n_flips:
                 stats.per_round_informed[round_index] = n_flips
-            if alt or self._alt_packets:
-                for i in inserts.tolist():
-                    slot = (int(dst[i]), int(mid[i]))
-                    packet = alt.get(i)
-                    if packet is not None:
-                        self._alt_packets[slot] = packet
-                    elif self._alt_packets:
-                        self._alt_packets.pop(slot, None)
             if capacity is not None:
-                # After the alt loop, so a copy evicted in its own round
-                # drops its alt packet too.
                 self._evict_overflow(capacity)
         if deliveries.size == 0:
             return
@@ -815,7 +753,7 @@ class FastNocSimulator(NocSimulator):
                     round_index,
                     int(dst[i]),
                     self._event_packet(
-                        int(mid[i]), int(ttl[i]), int(hop[i]), alt.get(i)
+                        int(mid[i]), int(ttl[i]), int(hop[i]), int(cw[i])
                     ),
                 )
         # No ip.on_receive calls here: the vectorized path only runs when
@@ -844,12 +782,9 @@ class FastNocSimulator(NocSimulator):
         m_out = oldest[rows, rank]
         self._buffered[t_out, m_out] = False
         self._buflen[over] = capacity
-        if self._alt_packets:
-            for slot in zip(t_out.tolist(), m_out.tolist()):
-                self._alt_packets.pop(slot, None)
 
     def _receive_ordered(
-        self, round_index, dst, mid, ttl, hop, upset, intact, alt
+        self, round_index, dst, mid, ttl, hop, upset, intact, cw
     ) -> None:
         """Event-ordered receive: on_receive hooks and bounded relay buffers.
 
@@ -871,6 +806,7 @@ class FastNocSimulator(NocSimulator):
         hop_l = hop.tolist()
         upset_l = upset.tolist()
         intact_l = intact.tolist()
+        cw_l = cw.tolist()
         flips = 0
         group_tile = -1
         group_was_informed = False
@@ -899,8 +835,7 @@ class FastNocSimulator(NocSimulator):
                     round_index,
                     tile_id,
                     self._event_packet(
-                        mid_l[i], ttl_l[i], hop_l[i], alt.get(i),
-                        intact=False,
+                        mid_l[i], ttl_l[i], hop_l[i], cw_l[i], intact=False
                     ),
                 )
             if not alive:
@@ -911,16 +846,14 @@ class FastNocSimulator(NocSimulator):
                 continue
             mid_i = mid_l[i]
             inserted = self._insert_entry(
-                tile_id, mid_i, ttl_l[i], hop_l[i], alt.get(i)
+                tile_id, mid_i, ttl_l[i], hop_l[i], cw_l[i]
             )
             if not inserted:
                 stats.duplicates_suppressed += 1
                 if self._dup_scalar:
                     self.policy.on_duplicate_received(
                         tile_id,
-                        self._event_packet(
-                            mid_i, ttl_l[i], hop_l[i], alt.get(i)
-                        ),
+                        self._event_packet(mid_i, ttl_l[i], hop_l[i], cw_l[i]),
                         round_index,
                     )
                 elif self._dup_batch:
@@ -940,9 +873,7 @@ class FastNocSimulator(NocSimulator):
                 hooked = tile_id in self._receive_hooks
                 if observer is None and not hooked:
                     continue
-                packet = self._event_packet(
-                    mid_i, ttl_l[i], hop_l[i], alt.get(i)
-                )
+                packet = self._event_packet(mid_i, ttl_l[i], hop_l[i], cw_l[i])
                 if observer is not None:
                     observer.on_delivery(round_index, tile_id, packet)
                 if hooked:
@@ -979,11 +910,6 @@ class FastNocSimulator(NocSimulator):
             self.stats.ttl_expirations += n_expired
             np.logical_and(buffered, ~expired, out=buffered)
             self._buflen -= expired.sum(axis=1)
-            if self._alt_packets:
-                for key in [
-                    k for k in self._alt_packets if not buffered[k]
-                ]:
-                    del self._alt_packets[key]
 
     def _send_phase(self, round_index: int) -> None:
         if self.fault_config.sigma_synchr != 0.0:
@@ -1145,7 +1071,6 @@ class FastNocSimulator(NocSimulator):
                     increments, np.searchsorted(rows, first_row) + 1, joules
                 )
             stats.energy_j = float(np.add.accumulate(increments)[-1])
-        alt_events: dict[int, Packet] = {}
         if n_live:
             stats.transmissions_delivered += n_live
             stats.bits_transmitted += int(sizes.sum())
@@ -1153,32 +1078,25 @@ class FastNocSimulator(NocSimulator):
             dsts = self._nbr[srcs, ports]
             hops = self._hop[srcs, mids] + 1
             ttls = self._ttl[srcs, mids]
-            if self._alt_packets:
-                get_alt = self._alt_packets.get
-                for i, slot in enumerate(zip(srcs.tolist(), mids.tolist())):
-                    packet = get_alt(slot)
-                    if packet is not None:
-                        alt_events[i] = packet
+            cws = self._cw[srcs, mids]
             intact = np.ones(n_live, dtype=bool)
             upset = np.zeros(n_live, dtype=bool)
             if upsets is not None:
                 hits, scrambled = upsets
                 upset[hits] = True
-                self._corrupted_events(
-                    scrambled, np.nonzero(upset)[0], mids, ttls, hops, intact,
-                    alt_events,
+                self._corrupted_codewords(
+                    scrambled, np.nonzero(upset)[0], mids, intact, cws
                 )
+            arrivals = (dsts, mids, ttls, hops, upset, intact, cws)
             if self._uniform_delay:
-                self._pending.setdefault(round_index + 1, []).append(
-                    _ArrivalChunk(
-                        dsts, mids, ttls, hops, upset, intact, alt_events
-                    )
-                )
+                self._pending.setdefault(round_index + 1, []).append(arrivals)
             else:
-                self._emit_delayed(
-                    round_index, self._delay[srcs, ports], dsts, mids, ttls,
-                    hops, upset, intact, alt_events,
-                )
+                delays = self._delay[srcs, ports]
+                for delay in np.unique(delays).tolist():
+                    mask = delays == delay
+                    self._pending.setdefault(round_index + delay, []).append(
+                        tuple(column[mask] for column in arrivals)
+                    )
         if observer is None and not (n_dead and self._dead_hook):
             return
         # Hooks only: without an observer just the dead entries fire.
@@ -1188,7 +1106,9 @@ class FastNocSimulator(NocSimulator):
         neighbors = self._neighbors
         if n_live and observer is not None:
             mid_l, ttl_l, hop_l = mids.tolist(), ttls.tolist(), hops.tolist()
-            upset_l = upset.tolist()
+            upset_l, intact_l, cw_l = (
+                upset.tolist(), intact.tolist(), cws.tolist()
+            )
         i = 0
         for row, port, ok in zip(
             e_rows.tolist(), e_ports.tolist(), live[e_rows, e_ports].tolist()
@@ -1201,23 +1121,21 @@ class FastNocSimulator(NocSimulator):
                 if observer is not None:
                     observer.on_dead_link_drop(round_index, src, neighbor)
                 continue
-            packet = alt_events.get(i)
+            packet = self._event_packet(
+                mid_l[i], ttl_l[i], hop_l[i], cw_l[i], intact_l[i]
+            )
             if upset_l[i]:
                 observer.on_upset_injected(round_index, src, neighbor, packet)
-            else:
-                packet = self._event_packet(mid_l[i], ttl_l[i], hop_l[i], packet)
             observer.on_transmission(round_index, src, neighbor, packet)
             i += 1
 
-    def _corrupted_events(
-        self, scrambled, at, mids, ttls, hops, intact, alt_events
-    ) -> None:
-        """CRC-check a round's corrupted copies, materialising few of them.
+    def _corrupted_codewords(self, scrambled, at, mids, intact, cws) -> None:
+        """CRC-check a round's corrupted copies and give few a codeword id.
 
         `at` holds the emitted positions of the `scrambled` codeword rows,
         in order.  Their codewords are checked a message at a time with
         :meth:`CRC.check_rows`; only escaped copies, which stay buffered,
-        and copies an observer will see become :class:`Packet` objects.
+        and copies an observer will see enter ``_codewords``.
         """
         self.stats.upsets_injected += at.size
         if not at.size:
@@ -1228,39 +1146,14 @@ class FastNocSimulator(NocSimulator):
             intact[at[group]] = self._msg_packets[mid].crc.check_rows(
                 scrambled[group, : self._msg_bits[mid] // 8]
             )
-        keep = (
-            intact[at] if self._event_observer is None
-            else np.ones(at.size, bool)
+        keep = intact[at] if self._event_observer is None else slice(None)
+        kept = at[keep]
+        lengths = self._msg_bits[mids[kept]] // 8
+        cws[kept] = len(self._codewords) + np.arange(kept.size)
+        self._codewords.extend(
+            row[:length].tobytes()
+            for row, length in zip(scrambled[keep], lengths.tolist())
         )
-        for j in np.nonzero(keep)[0].tolist():
-            i = int(at[j])
-            mid = int(mids[i])
-            alt_events[i] = self._event_packet(
-                mid, int(ttls[i]), int(hops[i]), intact=bool(intact[i]),
-                codeword=scrambled[j, : self._msg_bits[mid] // 8].tobytes(),
-            )
-
-    def _emit_delayed(
-        self, round_index, delays, dsts, mids, ttls, hops, upsets, intact, alt
-    ) -> None:
-        for delay in np.unique(delays).tolist():
-            mask = delays == delay
-            sub_alt: dict[int, Packet] = {}
-            if alt:
-                positions = np.nonzero(mask)[0]
-                remap = {
-                    int(old): new for new, old in enumerate(positions.tolist())
-                }
-                for old, packet in alt.items():
-                    new = remap.get(old)
-                    if new is not None:
-                        sub_alt[new] = packet
-            self._pending.setdefault(round_index + int(delay), []).append(
-                _ArrivalChunk(
-                    dsts[mask], mids[mask], ttls[mask], hops[mask],
-                    upsets[mask], intact[mask], sub_alt,
-                )
-            )
 
     def _scan_upsets(self, t_arr, m_arr, p_row, n_dec, n_fixed, live):
         """Read a round's upset send off one :class:`WordStream` block.
@@ -1305,23 +1198,22 @@ class FastNocSimulator(NocSimulator):
         the object engine's order.  The round is emitted as one matrix.
         """
         capacity = self.config.buffer_capacity
-        alt_packets, port_of = self._alt_packets, self._port_of
+        port_of = self._port_of
         injector = self.injector
         link_ok = self._effective_link_ok()
         transmit = np.zeros((t_arr.size, self._max_deg), dtype=bool)
         hits: list[int] = []
         scrambled: list[bytes] = []
         n_sent = 0
-        for row, (tile_id, mid, ttl, hop, occupancy) in enumerate(zip(
+        for row, (tile_id, mid, ttl, hop, cw, occupancy) in enumerate(zip(
             t_arr.tolist(),
             m_arr.tolist(),
             self._ttl[t_arr, m_arr].tolist(),
             self._hop[t_arr, m_arr].tolist(),
+            self._cw[t_arr, m_arr].tolist(),
             self._buflen[t_arr].tolist(),
         )):
-            packet = self._event_packet(
-                mid, ttl, hop, alt_packets.get((tile_id, mid))
-            )
+            packet = self._event_packet(mid, ttl, hop, cw)
             for decision in self.policy.decisions(
                 packet,
                 self._neighbors[tile_id],

@@ -114,9 +114,18 @@ def _run_one(backend: str, cell: dict, observe: bool = True):
         sim.schedule_link_crash(round_index, link)
     result = sim.run(cell.get("max_rounds", MAX_ROUNDS), until=_all_informed)
     metrics = collector.metrics() if observe else None
+    # An escaped codeword passes its CRC like the message's own, so no
+    # later CRC verdict differs: only the buffered packets show it.
+    buffers = [
+        [
+            (p.key, p.ttl, p.hop_count, p.codeword)
+            for p in tile.send_buffer.values()
+        ]
+        for _, tile in sorted(sim.tiles.items())
+    ]
     return (
         result, metrics, frozenset(sim.informed_tiles()),
-        sim.rng.bit_generator.state,
+        sim.rng.bit_generator.state, buffers,
     )
 
 
@@ -129,18 +138,23 @@ def _mounted(cell: dict) -> dict:
 
 
 def _assert_identical(cell: dict) -> None:
-    result_o, metrics_o, informed_o, state_o = _run_one(
+    result_o, metrics_o, informed_o, state_o, buffers_o = _run_one(
         "object", _mounted(cell)
     )
-    result_f, metrics_f, informed_f, state_f = _run_one("fast", _mounted(cell))
+    result_f, metrics_f, informed_f, state_f, buffers_f = _run_one(
+        "fast", _mounted(cell)
+    )
     # The whole generator state, PCG64's buffered half-word included.
     assert state_o == state_f
-    # Without an observer the fast backend materialises only the escaped
-    # upset copies; nothing an observer sees may change the run.
-    result_q, _, informed_q, state_q = _run_one(
+    assert buffers_o == buffers_f
+    # Without an observer the fast backend keeps only the escaped upset
+    # copies' codewords; nothing an observer sees may change the run.
+    result_q, _, informed_q, state_q, buffers_q = _run_one(
         "fast", _mounted(cell), observe=False
     )
-    assert (result_q, informed_q, state_q) == (result_o, informed_o, state_o)
+    assert (result_q, informed_q, state_q, buffers_q) == (
+        result_o, informed_o, state_o, buffers_o
+    )
 
     # Field-by-field comparison first so a mismatch names the field.
     for field in fields(result_o.stats):
@@ -313,7 +327,7 @@ GOLDEN_CELLS = {
         seed=3,
     ),
     # A CRC-8 lets about one scramble in 256 through: escaped copies sit
-    # in buffers as alt packets, and eviction must drop those too.
+    # in buffers with their own codeword, and eviction must drop those too.
     "capacity-upsets-crc8": dict(
         topology=Mesh2D(6, 6),
         protocol=StochasticProtocol(0.7),
@@ -321,6 +335,48 @@ GOLDEN_CELLS = {
         config={"buffer_capacity": 2, "crc": CRC8},
         mounts=_sources(36, 12),
         seed=7,
+    ),
+    # Escaped CRC-8 copies gossip with their own codeword, which each
+    # path below carries as a column: delayed arrivals, relay buffers,
+    # a crash of a tile holding escaped copies (tile 15 from round 2),
+    # and push-pull, whose per-tile pull corrupts an escaped codeword.
+    "crc8-escapes-link-delays": dict(
+        topology=Mesh2D(5, 5),
+        protocol=StochasticProtocol(0.7),
+        fault=FaultConfig(p_upset=0.5),
+        config={
+            "crc": CRC8,
+            "link_delays": {(0, 1): 3, (6, 7): 2, (7, 6): 4, (12, 13): 2},
+        },
+        mounts=_sources(25, 5),
+        seed=7,
+    ),
+    # Relay re-inserts a slot every round it arrives: at this seed a slot
+    # that held an escaped codeword is re-inserted with its own one.
+    "crc8-escapes-relay": dict(
+        topology=Mesh2D(5, 5),
+        protocol=StochasticProtocol(0.9),
+        fault=FaultConfig(p_upset=0.5),
+        config={"crc": CRC8, "buffer_mode": "relay"},
+        mounts=_sources(25, 5),
+        seed=3,
+    ),
+    "crc8-escapes-tile-crash": dict(
+        topology=Mesh2D(5, 5),
+        protocol=StochasticProtocol(0.7),
+        fault=FaultConfig(p_upset=0.5),
+        config={"crc": CRC8},
+        mounts=_sources(25, 5),
+        tile_crashes=((3, 15), (5, 11)),
+        seed=8,
+    ),
+    "crc8-escapes-pushpull": dict(
+        topology=Mesh2D(5, 5),
+        protocol=PolicySpec.of("push_pull", fanout=2),
+        fault=FaultConfig(p_upset=0.5),
+        config={"crc": CRC8},
+        mounts=_sources(25, 5),
+        seed=11,
     ),
     # Modelled buffers replace the overflow Bernoulli: nothing is drawn.
     "capacity-overflow": dict(

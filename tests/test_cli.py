@@ -531,6 +531,10 @@ BAD_FLAGS = [
     ["probe", "--dst", "99"],
     ["probe", "--upset", "3"],
     ["probe", "--overflow", "3"],
+    ["probe", "--target", "1.5"],
+    ["probe", "--sigma", "-1"],
+    ["mp3", "--sigma", "-1"],
+    ["profile", "--sigma", "-1"],
     ["mp3", "--frames", "0"],
     ["mp3", "--granule", "0"],
     ["mp3", "--max-rounds", "0"],

@@ -219,10 +219,11 @@ def test_xy_routing_sends_its_decision_matrix(destination, p_upset) -> None:
 
 def test_upset_send_makes_no_per_corruption_calls(monkeypatch) -> None:
     """Without an observer, corruptions are read off words and CRC-checked
-    in batch: no error-model or scalar CRC call, and a Packet only for a
-    copy that escaped its CRC."""
+    in batch: no error-model or scalar CRC call, and no Packet but the
+    source's.  The CRC-8 leg lets about one scramble in 256 through, and
+    those escaped copies cost no Packet either."""
     from repro.core.packet import Packet
-    from repro.crc import CRC
+    from repro.crc import CRC, CRC8, CRC16_CCITT
     from repro.faults.errors import RandomErrorVector
 
     def refuse(*args, **kwargs):
@@ -235,18 +236,28 @@ def test_upset_send_makes_no_per_corruption_calls(monkeypatch) -> None:
         built.append(1)
         init(self, *args, **kwargs)
 
+    # The process's one self-check corrupts through the model itself.
+    words.self_check()
     monkeypatch.setattr(RandomErrorVector, "corrupt", refuse)
     monkeypatch.setattr(CRC, "check", refuse)
     monkeypatch.setattr(Packet, "__init__", counting_init)
-    config = SimConfig(
-        Mesh2D(8, 8),
-        StochasticProtocol(0.6),
-        FaultConfig(p_upset=0.5),
-        default_ttl=40,
-        backend="fast",
-    )
-    sim, result = _broadcast(config)
-    stats = result.stats
-    assert sim.engine_paths["upset.corruptions"] == stats.upsets_injected > 100
-    # The source's own packet, then one per escaped copy at most.
-    assert len(built) <= 1 + stats.upsets_escaped
+    for crc in (CRC16_CCITT, CRC8):
+        built.clear()
+        config = SimConfig(
+            Mesh2D(8, 8),
+            StochasticProtocol(0.6),
+            FaultConfig(p_upset=0.5),
+            default_ttl=40,
+            crc=crc,
+            backend="fast",
+        )
+        sim, result = _broadcast(config)
+        stats = result.stats
+        paths = sim.engine_paths
+        assert paths["upset.corruptions"] == stats.upsets_injected > 100
+        if crc is CRC8:
+            assert stats.upsets_escaped > 0
+            assert len(built) == 1
+        else:
+            # The source's own packet, then one per escaped copy at most.
+            assert len(built) <= 1 + stats.upsets_escaped

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.packet import BROADCAST
 from repro.core.protocol import StochasticProtocol
+from repro.crc import CRC8
 from repro.faults import FaultConfig
 from repro.noc import Mesh2D, NocSimulator, SimConfig
 from repro.noc.tile import IPCore, TileContext
@@ -40,6 +41,11 @@ BUFFERS = {
     "unbounded": {},
     "capacity2": {"buffer_capacity": 2},
     "slow_links": {"link_delays": {(1, 2): 2, (5, 6): 3, (6, 5): 2, (9, 13): 2}},
+    # Escaped scrambles gossip, and are traced, with their own codeword.
+    "slow_links_crc8": {
+        "crc": CRC8,
+        "link_delays": {(1, 2): 2, (5, 6): 3, (6, 5): 2, (9, 13): 2},
+    },
     # Not a buffer shape: `_trace` mounts an on_receive IP for this one.
     "receive_hook": {},
 }

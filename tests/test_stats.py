@@ -196,6 +196,83 @@ class TestConfidenceSequence:
             test.update(0.0)
 
 
+# Known-answer streams for the confidence sequences: seeded draws on a
+# known range whose true mean is exactly `mean`.
+def _bernoulli(rng, mean, shape):
+    return rng.random(shape) < mean
+
+
+def _beta(rng, mean, shape):
+    # Concentration 10: variance mean (1 - mean) / 11.
+    return rng.beta(10 * mean, 10 * (1 - mean), shape)
+
+
+CS_STREAMS = {
+    # name: (draw on [0, 1], lo, hi, threshold as a fraction of the range)
+    "bernoulli": (_bernoulli, 0.0, 1.0, 0.7),
+    "beta": (_beta, 0.0, 1.0, 0.5),
+    "beta-scaled": (_beta, -2.0, 6.0, 0.4),
+}
+CS_STREAM_SEEDS = {"bernoulli": 11, "beta": 12, "beta-scaled": 13}
+CS_METHOD_SEEDS = {"hoeffding": 1, "empirical-bernstein": 2}
+
+
+def _run_streams(name, method, relation, offset, n_streams, budget):
+    """Feed `n_streams` seeded streams to fresh tests of one claim.
+
+    The true mean sits `offset` (a fraction of the range) past the
+    threshold: toward the claimed side when positive.  Returns the
+    verdicts and the observations each stream took.
+    """
+    draw, lo, hi, fraction = CS_STREAMS[name]
+    span = hi - lo
+    sign = 1.0 if relation == ">=" else -1.0
+    claim = BoundedMeanClaim(
+        threshold=lo + span * fraction, relation=relation, lo=lo, hi=hi,
+        method=method,
+    )
+    rng = np.random.default_rng(
+        [CS_STREAM_SEEDS[name], CS_METHOD_SEEDS[method], sign > 0, n_streams]
+    )
+    values = lo + span * draw(
+        rng, fraction + sign * offset, (n_streams, budget)
+    ).astype(float)
+    verdicts, lengths = [], []
+    for stream in values.tolist():
+        test = claim.test()
+        for value in stream:
+            test.update(value)
+            if test.verdict.decided:
+                break
+        verdicts.append(test.verdict)
+        lengths.append(test.n)
+    return claim, verdicts, lengths
+
+
+@pytest.mark.parametrize("relation", [">=", "<="])
+@pytest.mark.parametrize("method", sorted(CS_METHOD_SEEDS))
+@pytest.mark.parametrize("stream", sorted(CS_STREAMS))
+class TestConfidenceSequenceKnownAnswers:
+    """Validity and power of both radii, on streams whose mean is known."""
+
+    def test_false_accepts_stay_within_delta(self, stream, method, relation):
+        # A mean 1 % of the range on the wrong side: every accept is
+        # false.  The guarantee is anytime, so it holds at this horizon.
+        claim, verdicts, _ = _run_streams(
+            stream, method, relation, -0.01, n_streams=200, budget=150
+        )
+        rate = verdicts.count(Verdict.ACCEPT) / len(verdicts)
+        assert rate <= claim.delta
+
+    def test_a_clear_mean_accepts_within_the_budget(
+        self, stream, method, relation
+    ):
+        claim, verdicts, lengths = _run_streams(
+            stream, method, relation, 0.1, n_streams=3, budget=3000
+        )
+        assert verdicts == [Verdict.ACCEPT] * 3, lengths
+
+
 class TestExtractStatistic:
     OUTCOME = (True, 12, 0.997)
 

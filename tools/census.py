@@ -143,8 +143,8 @@ REASONS: list[tuple[str, str]] = [
      "walks it (test_backend_fast.py compares it with the object tiles)"),
     ("noc/backends/fast.py::_BufferView", "the send-buffer facade under "
      "the Tile API view; no fast engine path walks it"),
-    ("noc/backends/fast.py::", "fast-backend mirror of the object "
-     "engine's tile API / delay and crash paths, driven by the "
+    ("noc/backends/fast.py::FastNocSimulator._crash_tile", "fast-backend "
+     "mirror of the object engine's tile crash, driven by the "
      "bit-identity gates"),
     ("noc/backends/words.py::", "PCG64 word-model primitives the numpy "
      "canary pins (test_stream_words.py); the bit error model, which no "
