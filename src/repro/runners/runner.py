@@ -37,10 +37,12 @@ forward probabilities — whose individual simulations are independent.
   path to one), every completed task — executed or served from cache —
   is written through to the SQLite results/provenance store under the
   same content hash the pickle cache uses, and every :meth:`run` call
-  opens/closes a campaign row.  The pickle cache stays the hot read
-  path; the database is the durable, SQL-queryable record (see
-  ``docs/service.md``).  Per-task completion callbacks (``on_result``)
-  let a service layer stream results as they land.
+  opens/closes a campaign row.  A :meth:`run`'s cache hits are written
+  in one transaction, before anything executes; executed and poisoned
+  tasks are written one row at a time, as each lands.  The pickle cache
+  stays the hot read path; the database is the durable, SQL-queryable
+  record (see ``docs/service.md``).  Per-task completion callbacks
+  (``on_result``) let a service layer stream results as they land.
 
 Task functions must be module-level (importable by qualified name, so
 workers can unpickle them) and pure given their parameters and seed: no
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
@@ -409,6 +412,7 @@ class SweepRunner:
                     index_base + completion.index,
                     completion.task,
                     completion.value,
+                    key=key,
                     source="executed" if poisoned else completion.source,
                     duration_s=completion.duration_s,
                     status="poisoned" if poisoned else "ok",
@@ -416,6 +420,7 @@ class SweepRunner:
             if on_result is not None:
                 on_result(completion)
 
+        hits: list[tuple[TaskCompletion, str]] = []
         pending: list[tuple[int, SimTask, str | None]] = []
         try:
             for index, task in enumerate(ordered):
@@ -427,9 +432,17 @@ class SweepRunner:
                 if self.cache is not None:
                     hit, value = self.cache.lookup(key)
                     if hit:
-                        emit(TaskCompletion(index, task, value, "cache"), key)
+                        hits.append(
+                            (TaskCompletion(index, task, value, "cache"), key)
+                        )
                         continue
                 pending.append((index, task, key))
+
+            # The hits' rows share one transaction; executed rows below
+            # still commit one by one, each the moment its task lands.
+            with self.db.batch() if recording and hits else nullcontext():
+                for completion, key in hits:
+                    emit(completion, key)
 
             if pending:
                 from repro.runners.supervisor import FleetSupervisor

@@ -25,11 +25,16 @@ Division of labor:
 Writes happen in the coordinating process only (workers return results
 to the parent, which records them), so contention is low; WAL mode plus
 a generous ``busy_timeout`` make concurrent campaigns from separate
-processes safe.  On top of the SQLite-level timeout, every write
-retries a transient ``sqlite3.OperationalError`` ("database is locked"
-/ "database is busy") a bounded number of times with exponential
+processes safe.  Every write takes the write lock up front with
+``BEGIN IMMEDIATE``; on top of the SQLite-level timeout, a transient
+``sqlite3.OperationalError`` ("database is locked" / "database is
+busy") there is retried a bounded number of times with exponential
 backoff — a campaign row is not lost to a momentarily greedy sibling
-writer (see ``docs/operations.md``).
+writer (see ``docs/operations.md``).  A write is one transaction, or a
+``SAVEPOINT`` inside an open one: :meth:`ResultsDB.batch` holds one
+transaction around many rows (the runner writes a ``run()``'s cache
+hits that way), and a row that fails inside it leaves none of its own
+rows behind.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ import pickle
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runners.runner import SimTask
@@ -132,11 +138,12 @@ class ResultsDB:
             tests, invisible to other processes.
         timeout_s: how long a writer waits on a locked database before
             failing; generous by default because WAL writers only block
-            one another for the duration of a single row append.
-        lock_retries: times a write that still fails with a transient
-            "database is locked"/"busy" ``OperationalError`` (after the
-            SQLite-level `timeout_s` expired) is retried before the
-            error propagates.
+            one another for the duration of one row, or one ``run()``'s
+            cache hits.
+        lock_retries: times a ``BEGIN IMMEDIATE`` that still fails with
+            a transient "database is locked"/"busy" ``OperationalError``
+            (after the SQLite-level `timeout_s` expired) is retried
+            before the error propagates.
         lock_backoff_s: base delay between lock retries; retry *k*
             waits ``lock_backoff_s * 2**(k-1)`` seconds.
 
@@ -170,6 +177,11 @@ class ResultsDB:
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        # Open transaction levels (0: none) and, while one is open, the
+        # configs interned in it: id -> (config, token).  The entry holds
+        # the config alive, so its id cannot be reused meanwhile.
+        self._depth = 0
+        self._interned: dict[int, tuple[Any, str]] = {}
         self._connection = sqlite3.connect(
             self.path, timeout=timeout_s, check_same_thread=False
         )
@@ -202,21 +214,20 @@ class ResultsDB:
 
     # ------------------------------------------------------------ recording
 
-    def _write(self, operation: Any) -> Any:
-        """Run `operation` in a write transaction, retrying lock errors.
+    def _begin(self) -> None:
+        """``BEGIN IMMEDIATE``, retrying transient lock errors.
 
         A transient ``sqlite3.OperationalError`` ("database is locked" /
         "database is busy" — a sibling process holding the write lock
-        past our ``timeout_s``) rolls the transaction back and retries
-        with bounded exponential backoff; any other operational error,
-        or exhaustion of the `lock_retries` budget, propagates.  The
-        transaction context means a retried `operation` always starts
-        from a clean slate, so retries cannot double-append rows.
+        past our ``timeout_s``) is retried with bounded exponential
+        backoff; any other operational error, or exhaustion of the
+        `lock_retries` budget, propagates.  Once it returns, this
+        connection holds the write lock until commit or rollback.
         """
         for attempt in range(self.lock_retries + 1):
             try:
-                with self._lock, self._connection:
-                    return operation()
+                self._connection.execute("BEGIN IMMEDIATE")
+                return
             except sqlite3.OperationalError as error:
                 message = str(error).lower()
                 transient = "locked" in message or "busy" in message
@@ -224,17 +235,65 @@ class ResultsDB:
                     raise
                 self.lock_retries_used += 1
                 time.sleep(self.lock_backoff_s * (2**attempt))
-        raise AssertionError("unreachable")  # pragma: no cover
+
+    @contextmanager
+    def _write(self) -> Iterator[None]:
+        """Hold the write lock around the enclosed writes.
+
+        The outermost level opens a transaction (:meth:`_begin`) and
+        commits it on normal exit; a nested level is a ``SAVEPOINT``.
+        Either level undoes exactly its own writes when an exception
+        escapes it, and the exception propagates.
+        """
+        with self._lock:
+            depth = self._depth
+            if depth:
+                self._connection.execute(f"SAVEPOINT level{depth}")
+            else:
+                self._begin()
+            self._depth = depth + 1
+            try:
+                yield
+                if depth:
+                    self._connection.execute(f"RELEASE level{depth}")
+                else:
+                    self._connection.commit()
+            except BaseException:
+                if depth:
+                    self._connection.execute(f"ROLLBACK TO level{depth}")
+                    self._connection.execute(f"RELEASE level{depth}")
+                    # A config interned by the undone writes is gone.
+                    self._interned.clear()
+                else:
+                    self._connection.rollback()
+                raise
+            finally:
+                self._depth = depth
+                if not depth:
+                    self._interned.clear()
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Hold one write transaction around a block of writes.
+
+        Commits on normal exit and rolls every write of the block back
+        when an exception escapes it.  Each write inside still undoes
+        its own rows if it fails, so a caught failure leaves the rest
+        of the batch intact, and a config object recorded many times is
+        tokenised and interned once.  Other threads' writes wait for
+        the batch; other processes' wait up to ``timeout_s``.
+        """
+        with self._write():
+            yield
 
     def begin_run(self, label: str = "", n_tasks: int = 0) -> int:
         """Open a campaign row; returns its ``run_id``."""
-        cursor = self._write(
-            lambda: self._connection.execute(
+        with self._write():
+            cursor = self._connection.execute(
                 "INSERT INTO runs (label, status, n_tasks, started_at) "
                 "VALUES (?, 'running', ?, ?)",
                 (label, n_tasks, time.time()),
             )
-        )
         return int(cursor.lastrowid)
 
     def finish_run(
@@ -250,7 +309,7 @@ class ResultsDB:
         up front; passing `n_tasks` updates the count recorded by
         :meth:`begin_run` at close time.
         """
-        def operation() -> None:
+        with self._write():
             if n_tasks is None:
                 self._connection.execute(
                     "UPDATE runs SET status = ?, finished_at = ? "
@@ -264,8 +323,6 @@ class ResultsDB:
                     (status, time.time(), n_tasks, run_id),
                 )
 
-        self._write(operation)
-
     def record_task(
         self,
         run_id: int,
@@ -273,6 +330,7 @@ class ResultsDB:
         task: "SimTask",
         value: Any,
         *,
+        key: str | None = None,
         source: str = "executed",
         duration_s: float | None = None,
         status: str = "ok",
@@ -287,14 +345,17 @@ class ResultsDB:
         result fans out into ``round_metrics`` and ``scenario_drops``
         rows.  `status` is ``"ok"`` for ordinary completions or
         ``"poisoned"`` for tasks quarantined by the fleet supervisor
-        (their `value` is the diagnostics record).  Returns the new
+        (their `value` is the diagnostics record).  `key` is the task's
+        ``cache_key()`` when the caller already has it.  Returns the new
         ``task_id``.
         """
+        if key is None:
+            key = task.cache_key()
         params = dict(task.params)
         config = _find_config(params)
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
-        def operation() -> int:
+        with self._write():
             token = None
             if config is not None:
                 token = self._intern_config(config)
@@ -307,7 +368,7 @@ class ResultsDB:
                 (
                     run_id,
                     index,
-                    task.cache_key(),
+                    key,
                     task.fn,
                     task.label,
                     None if task.seed is None else str(task.seed),
@@ -324,12 +385,17 @@ class ResultsDB:
             task_id = int(cursor.lastrowid)
             for metrics_index, metrics in enumerate(_iter_run_metrics(value)):
                 self._record_metrics(task_id, metrics_index, metrics)
-            return task_id
-
-        return self._write(operation)
+        return task_id
 
     def _intern_config(self, config: Any) -> str:
-        """Upsert one ``SimConfig`` provenance row; returns its token."""
+        """Upsert one ``SimConfig`` provenance row; returns its token.
+
+        Once per config object per transaction: later calls in the same
+        transaction return the remembered token.
+        """
+        known = self._interned.get(id(config))
+        if known is not None:
+            return known[1]
         token = config.cache_token()
         scenario = (
             type(config.scenario).__name__
@@ -348,6 +414,7 @@ class ResultsDB:
                 time.time(),
             ),
         )
+        self._interned[id(config)] = (config, token)
         return token
 
     def _record_metrics(
@@ -407,8 +474,8 @@ class ResultsDB:
         """
         claim = certificate.claim
         payload = certificate.to_json_dict()
-        cursor = self._write(
-            lambda: self._connection.execute(
+        with self._write():
+            cursor = self._connection.execute(
                 "INSERT INTO certificates (run_id, label, claim_kind, "
                 "metric, claim_json, verdict, confidence, n_observed, "
                 "budget, base_seed, trajectory_json, created_at) "
@@ -430,7 +497,6 @@ class ResultsDB:
                     time.time(),
                 ),
             )
-        )
         return int(cursor.lastrowid)
 
     # -------------------------------------------------------------- reading
@@ -546,20 +612,17 @@ class ResultsDB:
             return 0
         if keep_runs < 0:
             raise ValueError(f"keep_runs must be >= 0, got {keep_runs}")
-        def operation() -> int:
-            cursor = self._connection.execute(
+        with self._write():
+            removed = self._connection.execute(
                 "DELETE FROM runs WHERE run_id NOT IN "
                 "(SELECT run_id FROM runs ORDER BY run_id DESC LIMIT ?)",
                 (keep_runs,),
-            )
+            ).rowcount
             self._connection.execute(
                 "DELETE FROM configs WHERE config_token NOT IN "
                 "(SELECT DISTINCT config_token FROM tasks "
                 " WHERE config_token IS NOT NULL)"
             )
-            return cursor.rowcount
-
-        removed = self._write(operation)
         if removed:
             with self._lock:
                 self._connection.execute("VACUUM")

@@ -11,7 +11,9 @@ surface:
 * the :class:`repro.metrics.RunMetrics` produced by a
   :class:`repro.metrics.MetricsCollector` observing the run — coverage,
   drop and energy per-round series and the event tallies behind them;
-* the final informed set.
+* the final informed set;
+* every tile's buffered ``(key, ttl, hop_count, codeword)`` rows, each
+  round and after the run.
 
 This is the contract that lets ``backend="fast"`` substitute for the
 reference engine anywhere (experiments, sweeps, caches): not
@@ -94,6 +96,17 @@ def _all_informed(sim: NocSimulator) -> bool:
     return len(sim.informed_tiles()) == sim.topology.n_tiles
 
 
+def _buffers(sim: NocSimulator) -> list:
+    """Every tile's buffered ``(key, ttl, hop_count, codeword)`` rows."""
+    return [
+        [
+            (p.key, p.ttl, p.hop_count, p.codeword)
+            for p in tile.send_buffer.values()
+        ]
+        for _, tile in sorted(sim.tiles.items())
+    ]
+
+
 def _run_one(backend: str, cell: dict, observe: bool = True):
     cfg = SimConfig(
         topology=cell["topology"],
@@ -112,17 +125,19 @@ def _run_one(backend: str, cell: dict, observe: bool = True):
         sim.schedule_tile_crash(round_index, tile_id)
     for round_index, link in cell.get("link_crashes", ()):
         sim.schedule_link_crash(round_index, link)
-    result = sim.run(cell.get("max_rounds", MAX_ROUNDS), until=_all_informed)
-    metrics = collector.metrics() if observe else None
     # An escaped codeword passes its CRC like the message's own, so no
-    # later CRC verdict differs: only the buffered packets show it.
-    buffers = [
-        [
-            (p.key, p.ttl, p.hop_count, p.codeword)
-            for p in tile.send_buffer.values()
-        ]
-        for _, tile in sorted(sim.tiles.items())
-    ]
+    # later CRC verdict differs: only the buffered packets show it, and
+    # only while buffered.  Snapshot them every round (the predicate runs
+    # after compute) and once more after the run.
+    buffers = []
+
+    def until(sim: NocSimulator) -> bool:
+        buffers.append(_buffers(sim))
+        return _all_informed(sim)
+
+    result = sim.run(cell.get("max_rounds", MAX_ROUNDS), until=until)
+    buffers.append(_buffers(sim))
+    metrics = collector.metrics() if observe else None
     return (
         result, metrics, frozenset(sim.informed_tiles()),
         sim.rng.bit_generator.state, buffers,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pickle
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -27,6 +28,29 @@ def _spread_task(n=16, seed=3, **extra):
 def _config_task(p=0.5, seed=0):
     config = SimConfig(Mesh2D(3, 3), StochasticProtocol(p))
     return SimTask(fn="m:f", params={"config": config}, seed=seed)
+
+
+def _metrics_cell(config: SimConfig, seed: int) -> tuple:
+    """Task function: one 8-round broadcast and its ``RunMetrics``."""
+    from repro.experiments.grid_spread import _BroadcastSeed
+
+    collector = MetricsCollector()
+    simulator = NocSimulator.from_config(config, seed=seed, observer=collector)
+    simulator.mount(0, _BroadcastSeed(ttl=16))
+    result = simulator.run(8)
+    return result.completed, result.rounds, collector.metrics()
+
+
+def _metrics_tasks(n=3):
+    config = SimConfig(Mesh2D(3, 3), StochasticProtocol(0.75))
+    return [
+        SimTask.call(_metrics_cell, config=config, seed=seed)
+        for seed in range(n)
+    ]
+
+
+def _count(db, table):
+    return db.query(f"SELECT COUNT(*) AS n FROM {table}")[0]["n"]
 
 
 @pytest.fixture
@@ -294,8 +318,166 @@ class TestRunnerWriteThrough:
         )
         assert agg["rounds"] == sum(len(curve) - 1 for curve in results)
 
+    def test_warm_run_hashes_each_task_once(
+        self, db, cache_dir, monkeypatch
+    ):
+        """The key the runner looks a hit up by is the key its row gets."""
+        tasks = [_spread_task(n=16, seed=s) for s in range(4)]
+        SweepRunner(cache_dir=cache_dir).run(tasks)
+        hashed = []
+        cache_key = SimTask.cache_key
+
+        def counting(task):
+            hashed.append(task)
+            return cache_key(task)
+
+        monkeypatch.setattr(SimTask, "cache_key", counting)
+        warm = SweepRunner(cache_dir=cache_dir, db=db)
+        warm.run(tasks)
+        assert warm.cache_hits == len(tasks)
+        assert hashed == tasks
+
+    def test_warm_rows_equal_cold_rows(self, db, cache_dir):
+        """Batched hit rows store the same bytes as executed rows."""
+        tasks = _metrics_tasks()
+        cold_run = SweepRunner(cache_dir=cache_dir, db=db)
+        cold_run.run(tasks)
+        warm_run = SweepRunner(cache_dir=cache_dir, db=db)
+        warm_run.run(tasks)
+        assert warm_run.cache_hits == len(tasks)
+        cold, warm = (run["run_id"] for run in db.runs())
+        assert _count(db, "configs") == 1
+
+        def tasks_rows(run_id):
+            rows = db.query(
+                "SELECT * FROM tasks WHERE run_id = ? ORDER BY task_index",
+                (run_id,),
+            )
+            for row in rows:
+                for column in ("task_id", "run_id", "source", "duration_s",
+                               "created_at"):
+                    del row[column]
+            return rows
+
+        def fan_out_rows(table, run_id):
+            rows = db.query(
+                f"SELECT t.task_index, m.* FROM {table} m "  # noqa: S608
+                "JOIN tasks t USING (task_id) WHERE t.run_id = ? "
+                "ORDER BY 1, 3, 4, 5",
+                (run_id,),
+            )
+            for row in rows:
+                del row["task_id"]
+            return rows
+
+        assert tasks_rows(warm) == tasks_rows(cold)
+        assert len(tasks_rows(cold)) == len(tasks)
+        for table in ("round_metrics", "scenario_drops"):
+            assert fan_out_rows(table, cold), table
+            assert fan_out_rows(table, warm) == fan_out_rows(table, cold)
+
+
+def _explode(metrics):
+    raise RuntimeError("drops")
+
+
+class TestBatch:
+    def test_caught_row_failure_leaves_no_rows_of_its_own(
+        self, db, monkeypatch
+    ):
+        """A failing row inside a batch is undone; its siblings commit."""
+        from repro.metrics import RunMetrics
+
+        ok, fails_late = _metrics_tasks(2)
+        config_task = _config_task(p=0.25)
+        run_id = db.begin_run()
+        with db.batch():
+            db.record_task(run_id, 0, ok, ok.execute())
+            # Fails at the tasks insert, after interning a new config.
+            with pytest.raises(sqlite3.IntegrityError):
+                db.record_task(run_id, 1, config_task, 1, status="exploded")
+            # Fails after its round_metrics rows were written.
+            value = fails_late.execute()
+            with monkeypatch.context() as patch:
+                patch.setattr(RunMetrics, "drops_by_scenario", _explode)
+                with pytest.raises(RuntimeError, match="drops"):
+                    db.record_task(run_id, 2, fails_late, value)
+            # The config the failed row interned is interned again.
+            db.record_task(run_id, 3, config_task, 3)
+        rows = db.query("SELECT task_id, task_index FROM tasks")
+        assert [row["task_index"] for row in rows] == [0, 3]
+        task_ids = {row["task_id"] for row in rows}
+        for table in ("round_metrics", "scenario_drops"):
+            owners = db.query(f"SELECT DISTINCT task_id FROM {table}")
+            assert {row["task_id"] for row in owners} == {min(task_ids)}
+        assert _count(db, "configs") == 2
+
+    def test_escaping_exception_rolls_the_batch_back(self, db):
+        task = _config_task()
+        run_id = db.begin_run()
+        with pytest.raises(RuntimeError, match="boom"):
+            with db.batch():
+                db.record_task(run_id, 0, task, 1)
+                raise RuntimeError("boom")
+        assert _count(db, "tasks") == 0
+        assert _count(db, "configs") == 0
+        # The connection is usable, and interns the same config afresh.
+        db.record_task(run_id, 0, task, 1)
+        assert _count(db, "configs") == 1
+
+    def test_runner_stamps_failed_when_a_hit_callback_raises(
+        self, db, cache_dir
+    ):
+        tasks = [_spread_task(n=8, seed=s) for s in range(4)]
+        SweepRunner(cache_dir=cache_dir).run(tasks)
+
+        def on_result(completion):
+            if completion.index == 2:
+                raise RuntimeError("callback")
+
+        with pytest.raises(RuntimeError, match="callback"):
+            SweepRunner(cache_dir=cache_dir, db=db).run(
+                tasks, on_result=on_result
+            )
+        (run,) = db.runs()
+        assert run["status"] == "failed"
+        assert _count(db, "tasks") == 0
+
 
 class TestConcurrentWriters:
+    def test_threads_share_one_store_through_batches(self, db):
+        """Batches and single writes from several threads on one store."""
+        per_thread, n_threads = 5, 4
+        task = _config_task()
+        run_id = db.begin_run("shared")
+        errors: list[BaseException] = []
+
+        def write(thread: int) -> None:
+            try:
+                with db.batch():
+                    for index in range(per_thread):
+                        db.record_task(run_id, thread * 100 + index, task, 1)
+                db.record_task(run_id, thread * 100 + per_thread, task, 2)
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=write, args=(t,)) for t in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert _count(db, "tasks") == n_threads * (per_thread + 1)
+        assert _count(db, "configs") == 1
+
     def test_wal_allows_parallel_connections(self, tmp_path):
         path = tmp_path / "shared.db"
         ResultsDB(path).close()  # migrate once up front
@@ -358,6 +540,35 @@ class TestLockRetry:
                 ]
         finally:
             timer.cancel()
+
+    def test_warm_run_waits_out_a_held_write_lock(self, tmp_path, cache_dir):
+        """A held lock stalls a run()'s batch of hit rows, not loses it."""
+        tasks = [_spread_task(n=8, seed=s) for s in range(4)]
+        SweepRunner(cache_dir=cache_dir).run(tasks)
+        path = tmp_path / "contended.db"
+        with ResultsDB(
+            path, timeout_s=0.05, lock_retries=8, lock_backoff_s=0.02
+        ) as store:
+            run_id = store.begin_run("warm", n_tasks=len(tasks))
+            blocker = sqlite3.connect(path, check_same_thread=False)
+            blocker.execute("BEGIN IMMEDIATE")
+
+            def release() -> None:
+                blocker.commit()
+                blocker.close()
+
+            timer = threading.Timer(0.3, release)
+            try:
+                timer.start()
+                results = SweepRunner(cache_dir=cache_dir, db=store).run(
+                    tasks, run_id=run_id
+                )
+                assert store.lock_retries_used > 0
+            finally:
+                timer.cancel()
+            assert store.results_for_run(run_id) == results
+            rows = store.query("SELECT source FROM tasks")
+            assert [row["source"] for row in rows] == ["cache"] * len(tasks)
 
     def test_exhausted_lock_retries_propagate(self, tmp_path):
         path = tmp_path / "stuck.db"
