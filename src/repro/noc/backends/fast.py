@@ -20,8 +20,10 @@ supported configuration the fast engine consumes the *same* draws from
 the *same* ``numpy.random.default_rng(seed)`` stream in the same order
 as the object engine, and produces equal :class:`SimulationResult`,
 :class:`NetworkStats` (including both per-round series) and observer
-aggregates.  The golden-trace harness in
-``tests/test_backends_equivalence.py`` enforces this over a grid of
+aggregates.  Every cross-backend test checks this through one
+comparator, ``tests/twins.py`` (generator state, result, energy,
+informed set, per-round buffer rows, metrics and trace); the
+golden-trace grid in ``tests/test_backends_equivalence.py`` runs it over
 (seed, topology, policy, fault scenario) cells.
 
 Stream discipline (matching the object engine draw for draw):
@@ -77,7 +79,8 @@ Per-event observer hooks are replayed only to an observer that listens
 listens to none — it differences ``NetworkStats`` and calls
 :meth:`round_sample` — so a collector-only run takes the unobserved
 paths and builds no :class:`Packet` per event.  For a listening observer,
-ordering is a contract with three clauses, enforced by
+ordering is a contract with three clauses, checked by ``tests/twins.py``
+wherever both runs are traced and path by path by
 ``tests/test_observer_ordering.py``: on every path (a) each per-kind
 subsequence of hook calls and (b) each round's multiset of events equal
 the object engine's; (c) the *full* sequence is equal in rounds whose

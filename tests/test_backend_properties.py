@@ -4,7 +4,7 @@ Where ``test_backends_equivalence.py`` pins a curated golden grid, this
 module lets Hypothesis *search* the configuration space for a divergence:
 random topologies, forwarding policies, fault probabilities, buffer
 shapes and mid-run crash schedules, each run through both engine
-backends and compared field-for-field.
+backends and compared by :func:`tests.twins.assert_twins`.
 
 A shrunk counterexample from this test is the fastest possible bug
 report against the fast backend's stream discipline — Hypothesis will
@@ -14,7 +14,6 @@ diverges.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -27,12 +26,12 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.core.packet import BROADCAST  # noqa: E402
 from repro.core.protocol import StochasticProtocol  # noqa: E402
 from repro.faults import FaultConfig  # noqa: E402
-from repro.metrics import MetricsCollector  # noqa: E402
 from repro.noc import Mesh2D, NocSimulator, SimConfig, Torus2D  # noqa: E402
 from repro.noc.backends import words  # noqa: E402
 from repro.noc.tile import IPCore, TileContext  # noqa: E402
 from repro.noc.topology import FullyConnected, RingTopology  # noqa: E402
 from repro.policies import PolicySpec  # noqa: E402
+from tests.twins import assert_twins, run_twins  # noqa: E402
 
 MAX_ROUNDS = 40
 
@@ -119,32 +118,6 @@ def _cells(draw) -> dict:
     }
 
 
-def _run_one(backend: str, cell: dict):
-    cfg = SimConfig(
-        topology=cell["topology"],
-        protocol=cell["protocol"],
-        fault_config=cell["fault"],
-        buffer_capacity=cell["buffer_capacity"],
-        buffer_mode=cell["buffer_mode"],
-        backend=backend,
-    )
-    collector = MetricsCollector()
-    sim = NocSimulator.from_config(cfg, seed=cell["seed"], observer=collector)
-    sim.mount(0, _Seed())
-    for round_index, tile_id in cell["tile_crashes"]:
-        sim.schedule_tile_crash(round_index, tile_id)
-    for round_index, link in cell["link_crashes"]:
-        sim.schedule_link_crash(round_index, link)
-    result = sim.run(
-        MAX_ROUNDS,
-        until=lambda s: len(s.informed_tiles()) == s.topology.n_tiles,
-    )
-    return (
-        result, collector.metrics(), frozenset(sim.informed_tiles()),
-        sim.rng.bit_generator.state,
-    )
-
-
 _SEARCH = settings(
     max_examples=25,
     deadline=None,
@@ -168,17 +141,27 @@ def test_backends_agree_at_small_pool_chunks(chunk: int, cell: dict) -> None:
 
 
 def _assert_backends_agree(cell: dict) -> None:
-    result_o, metrics_o, informed_o, state_o = _run_one("object", cell)
-    result_f, metrics_f, informed_f, state_f = _run_one("fast", cell)
-    assert state_o == state_f
-    for field in fields(result_o.stats):
-        assert getattr(result_o.stats, field.name) == getattr(
-            result_f.stats, field.name
-        ), f"stats.{field.name} diverged"
-    assert result_o == result_f
-    for field in fields(metrics_o):
-        assert getattr(metrics_o, field.name) == getattr(
-            metrics_f, field.name
-        ), f"metrics.{field.name} diverged"
-    assert metrics_o == metrics_f
-    assert informed_o == informed_f
+    def make(backend: str, observer) -> NocSimulator:
+        cfg = SimConfig(
+            topology=cell["topology"],
+            protocol=cell["protocol"],
+            fault_config=cell["fault"],
+            buffer_capacity=cell["buffer_capacity"],
+            buffer_mode=cell["buffer_mode"],
+            backend=backend,
+        )
+        sim = NocSimulator.from_config(cfg, seed=cell["seed"], observer=observer)
+        sim.mount(0, _Seed())
+        for round_index, tile_id in cell["tile_crashes"]:
+            sim.schedule_tile_crash(round_index, tile_id)
+        for round_index, link in cell["link_crashes"]:
+            sim.schedule_link_crash(round_index, link)
+        return sim
+
+    assert_twins(
+        run_twins(
+            make,
+            rounds=MAX_ROUNDS,
+            until=lambda s: len(s.informed_tiles()) == s.topology.n_tiles,
+        )
+    )

@@ -1,19 +1,13 @@
 """Golden-trace equivalence gate: object engine vs the fast SoA backend.
 
 Every cell in the grid below runs the *same* (seed, topology, policy,
-fault scenario, workload) configuration through both registered engine
-backends and asserts the runs are indistinguishable at every observable
-surface:
-
-* the :class:`~repro.noc.engine.SimulationResult` — completion flag,
-  round count, wall-clock time, energy, and the full ``stats`` record
-  including the ``per_round_*`` time series;
-* the :class:`repro.metrics.RunMetrics` produced by a
-  :class:`repro.metrics.MetricsCollector` observing the run — coverage,
-  drop and energy per-round series and the event tallies behind them;
-* the final informed set;
-* every tile's buffered ``(key, ttl, hop_count, codeword)`` rows, each
-  round and after the run.
+fault scenario, workload) configuration on the object engine and on the
+fast backend three times (with a collector only, traced, and with no
+observer), and :func:`tests.twins.assert_twins` holds the runs
+indistinguishable at every observable surface: the result and its
+``stats`` series, ``energy_j``, the generator state, the informed set,
+every tile's buffer rows each round, the collector's metrics and the
+trace.
 
 This is the contract that lets ``backend="fast"`` substitute for the
 reference engine anywhere (experiments, sweeps, caches): not
@@ -27,7 +21,7 @@ backend follows to keep this gate green.
 
 from __future__ import annotations
 
-from dataclasses import fields
+import functools
 
 import pytest
 
@@ -43,12 +37,12 @@ from repro.faults import (
     RampOverflow,
     RegionOutage,
 )
-from repro.metrics import MetricsCollector
 from repro.noc import Mesh2D, NocSimulator, SimConfig, Torus2D
 from repro.noc.backends import words
 from repro.noc.tile import IPCore, TileContext
 from repro.noc.topology import FullyConnected, RingTopology
 from repro.policies import PolicySpec
+from tests.twins import assert_twins, run_twins
 
 MAX_ROUNDS = 80
 
@@ -92,97 +86,48 @@ def _sources(n_tiles: int, count: int) -> tuple:
     return tuple((tile, _Seed) for tile in range(0, step * count, step))
 
 
-def _all_informed(sim: NocSimulator) -> bool:
-    return len(sim.informed_tiles()) == sim.topology.n_tiles
+def _run(cell: dict, runs: tuple) -> list:
+    def make(backend: str, observer) -> NocSimulator:
+        cfg = SimConfig(
+            topology=cell["topology"],
+            protocol=cell["protocol"],
+            fault_config=cell.get("fault", FF),
+            scenario=cell.get("scenario"),
+            crash_plan=cell.get("crash_plan"),
+            backend=backend,
+            **cell.get("config", {}),
+        )
+        sim = NocSimulator.from_config(cfg, seed=cell["seed"], observer=observer)
+        # Mounted IPCore instances carry state, so the cell stores mount
+        # *factories* and each run realises its own copies.
+        for tile_id, make_ip in cell.get("mounts", ((0, _Seed),)):
+            sim.mount(tile_id, make_ip())
+        for round_index, tile_id in cell.get("tile_crashes", ()):
+            sim.schedule_tile_crash(round_index, tile_id)
+        for round_index, link in cell.get("link_crashes", ()):
+            sim.schedule_link_crash(round_index, link)
+        return sim
 
-
-def _buffers(sim: NocSimulator) -> list:
-    """Every tile's buffered ``(key, ttl, hop_count, codeword)`` rows."""
-    return [
-        [
-            (p.key, p.ttl, p.hop_count, p.codeword)
-            for p in tile.send_buffer.values()
-        ]
-        for _, tile in sorted(sim.tiles.items())
-    ]
-
-
-def _run_one(backend: str, cell: dict, observe: bool = True):
-    cfg = SimConfig(
-        topology=cell["topology"],
-        protocol=cell["protocol"],
-        fault_config=cell.get("fault", FF),
-        scenario=cell.get("scenario"),
-        crash_plan=cell.get("crash_plan"),
-        backend=backend,
-        **cell.get("config", {}),
-    )
-    collector = MetricsCollector() if observe else None
-    sim = NocSimulator.from_config(cfg, seed=cell["seed"], observer=collector)
-    for tile_id, ip in cell.get("mounts", ((0, _Seed()),)):
-        sim.mount(tile_id, ip)
-    for round_index, tile_id in cell.get("tile_crashes", ()):
-        sim.schedule_tile_crash(round_index, tile_id)
-    for round_index, link in cell.get("link_crashes", ()):
-        sim.schedule_link_crash(round_index, link)
-    # An escaped codeword passes its CRC like the message's own, so no
-    # later CRC verdict differs: only the buffered packets show it, and
-    # only while buffered.  Snapshot them every round (the predicate runs
-    # after compute) and once more after the run.
-    buffers = []
-
-    def until(sim: NocSimulator) -> bool:
-        buffers.append(_buffers(sim))
-        return _all_informed(sim)
-
-    result = sim.run(cell.get("max_rounds", MAX_ROUNDS), until=until)
-    buffers.append(_buffers(sim))
-    metrics = collector.metrics() if observe else None
-    return (
-        result, metrics, frozenset(sim.informed_tiles()),
-        sim.rng.bit_generator.state, buffers,
+    return run_twins(
+        make,
+        rounds=MAX_ROUNDS,
+        until=lambda s: len(s.informed_tiles()) == s.topology.n_tiles,
+        runs=runs,
     )
 
 
-def _mounted(cell: dict) -> dict:
-    # Mounted IPCore instances carry state, so each run needs its own
-    # copies: the cell stores mount *factories* and we realise them here.
-    return dict(cell, mounts=tuple(
-        (tid, make()) for tid, make in cell.get("mounts", ((0, _Seed),))
-    ))
+@functools.cache
+def _reference(name: str) -> list:
+    """A golden cell's object run.  The object engine never reads the
+    fast backend's word block, so a cell's three tests share it."""
+    return _run(GOLDEN_CELLS[name], ("object",))
 
 
-def _assert_identical(cell: dict) -> None:
-    result_o, metrics_o, informed_o, state_o, buffers_o = _run_one(
-        "object", _mounted(cell)
-    )
-    result_f, metrics_f, informed_f, state_f, buffers_f = _run_one(
-        "fast", _mounted(cell)
-    )
-    # The whole generator state, PCG64's buffered half-word included.
-    assert state_o == state_f
-    assert buffers_o == buffers_f
+def _assert_identical(cell: dict, reference: list | None = None) -> None:
+    reference = reference or _run(cell, ("object",))
     # Without an observer the fast backend keeps only the escaped upset
     # copies' codewords; nothing an observer sees may change the run.
-    result_q, _, informed_q, state_q, buffers_q = _run_one(
-        "fast", _mounted(cell), observe=False
-    )
-    assert (result_q, informed_q, state_q, buffers_q) == (
-        result_o, informed_o, state_o, buffers_o
-    )
-
-    # Field-by-field comparison first so a mismatch names the field.
-    for field in fields(result_o.stats):
-        assert getattr(result_o.stats, field.name) == getattr(
-            result_f.stats, field.name
-        ), f"stats.{field.name} diverged"
-    assert result_o == result_f
-    for field in fields(metrics_o):
-        assert getattr(metrics_o, field.name) == getattr(
-            metrics_f, field.name
-        ), f"metrics.{field.name} diverged"
-    assert metrics_o == metrics_f
-    assert informed_o == informed_f
+    assert_twins(reference + _run(cell, ("fast", "fast-traced", "fast-bare")))
 
 
 # One entry per golden cell: (name, cell dict).  Kept deliberately wide —
@@ -649,10 +594,7 @@ GOLDEN_CELLS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CELLS))
 def test_golden_cell_bit_identical(name: str) -> None:
-    cell = GOLDEN_CELLS[name]
-    if "mounts" not in cell:
-        cell = dict(cell, mounts=((0, _Seed),))
-    _assert_identical(cell)
+    _assert_identical(GOLDEN_CELLS[name], _reference(name))
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
@@ -678,7 +620,6 @@ def test_seed_sweep_bit_identical(seed: int) -> None:
             topology=Mesh2D(4, 4),
             protocol=StochasticProtocol(0.7),
             fault=FaultConfig(p_upset=0.05, p_overflow=0.05, p_link=0.1),
-            mounts=((0, _Seed),),
             seed=seed,
         )
     )

@@ -18,6 +18,7 @@ from repro.noc import Mesh2D, NocSimulator, SimConfig, XYRoutingProtocol
 from repro.noc.backends import words
 from repro.noc.tile import IPCore, TileContext
 from repro.policies import PolicySpec
+from tests.twins import assert_twins, run_twins
 
 SEND_PATHS = ("send.vectorized", "send.pooled", "send.matrix", "send.sequential")
 RECEIVE_PATHS = ("receive.vectorized", "receive.ordered")
@@ -198,8 +199,8 @@ def test_decision_matrix_rounds_under_upsets_walk_the_word_stream() -> None:
 )
 def test_xy_routing_sends_its_decision_matrix(destination, p_upset) -> None:
     """XY's decide_batch keeps every round off the scalar send, same run."""
-    runs = []
-    for backend in ("object", "fast"):
+
+    def make(backend: str, observer) -> NocSimulator:
         config = SimConfig(
             Mesh2D(4, 4),
             XYRoutingProtocol(Mesh2D(4, 4)),
@@ -207,12 +208,13 @@ def test_xy_routing_sends_its_decision_matrix(destination, p_upset) -> None:
             default_ttl=12,
             backend=backend,
         )
-        sim = NocSimulator.from_config(config, seed=4)
+        sim = NocSimulator.from_config(config, seed=4, observer=observer)
         sim.mount(0, _Seed(destination))
-        result = sim.run(12, until=lambda s: False)
-        runs.append((repr(result), sim.rng.bit_generator.state))
-    assert runs[0] == runs[1]
-    paths = sim.engine_paths
+        return sim
+
+    twins = run_twins(make, rounds=12, until=lambda s: False)
+    assert_twins(twins)
+    paths = twins[1].sim.engine_paths
     assert paths["send.sequential"] == 0
     assert paths["send.matrix"] > 0
 

@@ -10,11 +10,14 @@ import pytest
 
 from repro.apps import Fft2dApp, MasterSlavePiApp, run_on_bus, run_on_noc
 from repro.bus.simulator import BusSimulator
+from repro.core.packet import BROADCAST
 from repro.core.protocol import FloodingProtocol, StochasticProtocol
 from repro.faults import FaultConfig
 from repro.mp3 import Mp3Decoder, ParallelMp3App, reconstruction_snr_db
 from repro.noc.engine import NocSimulator
 from repro.noc.topology import Mesh2D, Torus2D
+from tests.test_engine import OneShotProducer, Sink
+from tests.twins import assert_twins, run_twins
 
 
 class TestSameAppBothSubstrates:
@@ -139,23 +142,25 @@ class TestBackendToggle:
         assert app.pi_error < 1e-5
 
     def test_backend_matches_object_reference(self, engine_backend):
-        def broadcast(backend):
-            from repro.core.packet import BROADCAST
-            from repro.noc.tile import IPCore
-
-            class Seed(IPCore):
-                def on_start(self, ctx):
-                    ctx.send(BROADCAST, b"rumor")
-
+        def broadcast(backend, observer):
             sim = NocSimulator(
-                Mesh2D(4, 4), StochasticProtocol(0.5), seed=9, backend=backend
+                Mesh2D(4, 4),
+                StochasticProtocol(0.5),
+                seed=9,
+                backend=backend,
+                observer=observer,
             )
-            sim.mount(0, Seed())
-            return sim.run(
-                60, until=lambda s: len(s.informed_tiles()) == 16
-            )
+            sim.mount(0, OneShotProducer(BROADCAST, b"rumor"))
+            return sim
 
-        assert broadcast(engine_backend) == broadcast("object")
+        assert_twins(
+            run_twins(
+                broadcast,
+                rounds=60,
+                until=lambda s: len(s.informed_tiles()) == 16,
+                runs=("object", engine_backend),
+            )
+        )
 
 
 class TestRedundancyIsTheMechanism:
@@ -177,8 +182,6 @@ class TestRedundancyIsTheMechanism:
                 seed=seed,
                 default_ttl=6,
             )
-            from tests.test_engine import OneShotProducer, Sink
-
             sink = Sink()
             sim.mount(0, OneShotProducer(3))
             sim.mount(3, sink)

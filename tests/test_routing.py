@@ -9,6 +9,7 @@ from repro.experiments import grid_spread
 from repro.faults import CrashPlan
 from repro.noc import Mesh2D, NocSimulator, XYRoutingProtocol
 from tests.test_engine import OneShotProducer, Sink
+from tests.twins import assert_twins, run_twins
 
 
 class TestNextHop:
@@ -90,13 +91,9 @@ RULES = {
 class TestFragility:
     """§1's claim: one fault on the static path is fatal; gossip survives."""
 
-    def _sim(self, protocol, crash_plan=None, seed=0, backend="object"):
+    def _sim(self, protocol, crash_plan=None, seed=0, **engine):
         sim = NocSimulator(
-            Mesh2D(4, 4),
-            protocol,
-            seed=seed,
-            crash_plan=crash_plan,
-            backend=backend,
+            Mesh2D(4, 4), protocol, seed=seed, crash_plan=crash_plan, **engine
         )
         sim.mount(0, OneShotProducer(15))
         sim.mount(15, Sink())
@@ -138,15 +135,16 @@ class TestFragility:
     @pytest.mark.parametrize("plan", FRAGILITY_PLANS)
     @pytest.mark.parametrize("rule", RULES)
     def test_backends_agree(self, rule, plan):
-        crash_plan = FRAGILITY_PLANS[plan]
-        obj = self._run(RULES[rule](), crash_plan)
-        fast_sim = self._sim(RULES[rule](), crash_plan, backend="fast")
-        fast = fast_sim.run(100)
-        assert repr(fast) == repr(obj)
-        assert fast.stats.summary() == obj.stats.summary()
-        assert fast.energy_j == obj.energy_j
+        twins = run_twins(
+            lambda backend, observer: self._sim(
+                RULES[rule](), FRAGILITY_PLANS[plan], backend=backend,
+                observer=observer,
+            ),
+            rounds=100,
+        )
+        assert_twins(twins)
         # XY's decide_batch matrix keeps it off the scalar send.
-        assert fast_sim.engine_paths["send.sequential"] == 0
+        assert twins[1].sim.engine_paths["send.sequential"] == 0
 
 
 class TestGridSpread:
