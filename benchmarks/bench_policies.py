@@ -1,31 +1,19 @@
-"""Benchmark: forwarding-policy dispatch overhead and policy trade-offs.
+"""Benchmark: the headline trade-off of the policy comparison sweep.
 
-The policies PR replaced the engine's inlined Bernoulli coin-flip with a
-pluggable :class:`repro.policies.ForwardingPolicy` dispatch.  This file
-guards the cost of that indirection: a ``BernoulliPolicy`` run must stay
-within 10 % of the legacy ``StochasticProtocol`` path (which reaches the
-engine through a verbatim adapter — the exact pre-refactor call sequence),
-on a workload where every round re-offers every buffered packet, i.e. the
-dispatch-heaviest case the engine has.
-
-It also records the headline policy trade-off of the comparison sweep:
-counter gossip must spend measurably fewer transmissions than flooding at
-equal (full) delivery on the grid-spread workload.
+Counter gossip must spend measurably fewer transmissions than flooding
+at equal (full) delivery, on a broadcast where every round re-offers
+every buffered packet.
 """
 
-import time
-
 from repro.core.packet import BROADCAST
-from repro.core.protocol import StochasticProtocol
 from repro.noc.engine import NocSimulator
 from repro.noc.tile import IPCore
 from repro.noc.topology import Mesh2D
-from repro.policies import BernoulliPolicy, CounterGossipPolicy, FloodPolicy
+from repro.policies import CounterGossipPolicy, FloodPolicy
 
 SIDE = 6
 ROUNDS = 40
 TTL = 40
-REPEATS = 5
 
 
 class _Rumor(IPCore):
@@ -42,41 +30,6 @@ def _run_once(protocol, seed=3):
     )
     sim.mount(0, _Rumor())
     return sim.run(ROUNDS, until=lambda s: False)
-
-
-def _best_of(protocol_factory, repeats=REPEATS):
-    """Min wall-clock over `repeats` runs (min is the noise-robust stat)."""
-    best = float("inf")
-    for _ in range(repeats):
-        protocol = protocol_factory()
-        start = time.perf_counter()
-        _run_once(protocol)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_policy_dispatch_overhead_under_10_percent(benchmark, shape_report):
-    legacy_s = _best_of(lambda: StochasticProtocol(0.5))
-    native_s = _best_of(lambda: BernoulliPolicy(0.5))
-
-    # Same numbers first: the dispatch layers may differ only in speed.
-    legacy = _run_once(StochasticProtocol(0.5))
-    native = _run_once(BernoulliPolicy(0.5))
-    assert legacy.stats.summary() == native.stats.summary()
-
-    overhead = native_s / legacy_s - 1.0
-    assert overhead < 0.10, (
-        f"policy dispatch costs {overhead:.1%} over the inlined-era path "
-        f"(native {native_s * 1e3:.1f} ms vs legacy {legacy_s * 1e3:.1f} ms)"
-    )
-
-    benchmark(_run_once, BernoulliPolicy(0.5))
-    shape_report["policy_dispatch_overhead"] = {
-        "legacy_ms": round(legacy_s * 1e3, 2),
-        "native_ms": round(native_s * 1e3, 2),
-        "overhead": f"{overhead:+.1%}",
-        "per_round_us": round(native_s / ROUNDS * 1e6, 1),
-    }
 
 
 def test_counter_gossip_saves_transmissions_vs_flooding(shape_report):

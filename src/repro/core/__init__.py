@@ -13,11 +13,7 @@ from repro.core.analysis import (
     minimum_ttl,
 )
 from repro.core.packet import BROADCAST, Packet, PacketFactory
-from repro.core.protocol import (
-    FloodingProtocol,
-    ForwardDecision,
-    StochasticProtocol,
-)
+from repro.core.protocol import FloodingProtocol, StochasticProtocol
 from repro.core.theory import (
     deterministic_spread,
     expected_rounds_to_inform_all,
@@ -32,7 +28,6 @@ __all__ = [
     "PacketFactory",
     "StochasticProtocol",
     "FloodingProtocol",
-    "ForwardDecision",
     "deterministic_spread",
     "expected_rounds_to_inform_all",
     "recommended_ttl",

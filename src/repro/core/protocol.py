@@ -14,10 +14,9 @@ so their pre-policy cache tokens stay pinned.
 
 from __future__ import annotations
 
-from repro.policies.base import ForwardDecision
 from repro.policies.bernoulli import BernoulliPolicy
 
-__all__ = ["ForwardDecision", "StochasticProtocol", "FloodingProtocol"]
+__all__ = ["StochasticProtocol", "FloodingProtocol"]
 
 
 class StochasticProtocol(BernoulliPolicy):

@@ -67,8 +67,9 @@ Configurations that are supported but fall back to slower exact paths:
   one batch;
 * policies without a :meth:`ForwardingPolicy.decide_batch`, or whose
   hook returns None for the round (push-pull under upsets), decide row by
-  row through ``policy.decisions``, each row's upsets drawn right after
-  its decisions;
+  row: ``policy.decisions`` returns the row's per-port mask, which is
+  the row of the round's transmit matrix, and the row's upsets are drawn
+  right after it;
 * pull phases without a :meth:`ForwardingPolicy.pull_ports_batch` mask
   — the hook is missing or declined, or ``p_upset > 0`` — ask
   ``pull_targets`` tile by tile, each request's upsets drawn before the
@@ -693,26 +694,23 @@ class FastNocSimulator(NocSimulator):
         n_dup = int(np.count_nonzero(duplicates))
         if n_dup:
             stats.duplicates_suppressed += n_dup
-            if self._dup_batch or self._dup_scalar:
+            if self._dup_batch:
                 dup_pos = np.nonzero(duplicates)[0]
-                handled = False
-                if self._dup_batch:
-                    handled = self.policy.on_duplicates_batch(
-                        dst[dup_pos],
-                        self._msg_source[mid[dup_pos]],
-                        self._msg_id[mid[dup_pos]],
+                self.policy.on_duplicates_batch(
+                    dst[dup_pos],
+                    self._msg_source[mid[dup_pos]],
+                    self._msg_id[mid[dup_pos]],
+                    round_index,
+                )
+            elif self._dup_scalar:
+                for i in np.nonzero(duplicates)[0].tolist():
+                    self.policy.on_duplicate_received(
+                        int(dst[i]),
+                        self._event_packet(
+                            int(mid[i]), int(ttl[i]), int(hop[i]), int(cw[i])
+                        ),
                         round_index,
                     )
-                if not handled and self._dup_scalar:
-                    for i in dup_pos.tolist():
-                        self.policy.on_duplicate_received(
-                            int(dst[i]),
-                            self._event_packet(
-                                int(mid[i]), int(ttl[i]), int(hop[i]),
-                                int(cw[i]),
-                            ),
-                            round_index,
-                        )
         # Deliveries derive from the same per-key firsts: a packet's
         # destination is a per-message constant, so either every eligible
         # occurrence of a key is delivery-addressed or none is — the
@@ -853,17 +851,17 @@ class FastNocSimulator(NocSimulator):
             )
             if not inserted:
                 stats.duplicates_suppressed += 1
-                if self._dup_scalar:
-                    self.policy.on_duplicate_received(
-                        tile_id,
-                        self._event_packet(mid_i, ttl_l[i], hop_l[i], cw_l[i]),
-                        round_index,
-                    )
-                elif self._dup_batch:
+                if self._dup_batch:
                     self.policy.on_duplicates_batch(
                         np.asarray([tile_id], dtype=np.int64),
                         self._msg_source[mid_i : mid_i + 1],
                         self._msg_id[mid_i : mid_i + 1],
+                        round_index,
+                    )
+                elif self._dup_scalar:
+                    self.policy.on_duplicate_received(
+                        tile_id,
+                        self._event_packet(mid_i, ttl_l[i], hop_l[i], cw_l[i]),
                         round_index,
                     )
             destination = int(msg_dest[mid_i])
@@ -1201,7 +1199,6 @@ class FastNocSimulator(NocSimulator):
         the object engine's order.  The round is emitted as one matrix.
         """
         capacity = self.config.buffer_capacity
-        port_of = self._port_of
         injector = self.injector
         link_ok = self._effective_link_ok()
         transmit = np.zeros((t_arr.size, self._max_deg), dtype=bool)
@@ -1217,7 +1214,7 @@ class FastNocSimulator(NocSimulator):
             self._buflen[t_arr].tolist(),
         )):
             packet = self._event_packet(mid, ttl, hop, cw)
-            for decision in self.policy.decisions(
+            mask = self.policy.decisions(
                 packet,
                 self._neighbors[tile_id],
                 self.rng,
@@ -1225,10 +1222,10 @@ class FastNocSimulator(NocSimulator):
                 round_index=round_index,
                 buffer_occupancy=occupancy,
                 buffer_capacity=capacity,
-            ):
-                if not decision.transmit:
+            )
+            for port, sent in enumerate(mask):
+                if not sent:
                     continue
-                port = port_of[(tile_id, decision.neighbor)]
                 transmit[row, port] = True
                 if not link_ok[tile_id, port]:
                     continue

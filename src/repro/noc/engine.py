@@ -646,7 +646,7 @@ class NocSimulator:
             for packet in packets:
                 if budget is not None and budget <= 0:
                     break
-                decisions = self.policy.decisions(
+                mask = self.policy.decisions(
                     packet,
                     neighbors,
                     self.rng,
@@ -655,15 +655,15 @@ class NocSimulator:
                     buffer_occupancy=occupancy,
                     buffer_capacity=tile.buffer_capacity,
                 )
-                for decision in decisions:
-                    if not decision.transmit:
+                for port, transmit in enumerate(mask):
+                    if not transmit:
                         continue
                     if budget is not None:
                         if budget <= 0:
                             break
                         budget -= 1  # a grant is consumed even if wasted
                     self._transmit(
-                        round_index, tile_id, decision.neighbor, packet,
+                        round_index, tile_id, neighbors[port], packet,
                         sender_end,
                     )
 

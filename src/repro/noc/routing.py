@@ -21,11 +21,7 @@ import numpy as np
 
 from repro.core.packet import BROADCAST, Packet
 from repro.noc.topology import Mesh2D
-from repro.policies.base import (
-    BatchDecisionView,
-    ForwardDecision,
-    ForwardingPolicy,
-)
+from repro.policies.base import BatchDecisionView, ForwardingPolicy
 
 
 class XYRoutingProtocol(ForwardingPolicy):
@@ -80,18 +76,12 @@ class XYRoutingProtocol(ForwardingPolicy):
         round_index: int,
         buffer_occupancy: int = 0,
         buffer_capacity: int | None = None,
-    ) -> list[ForwardDecision]:
+    ) -> list[bool]:
         """Transmit on the single XY port (or every port for broadcast)."""
         if packet.destination == BROADCAST:
-            return [
-                ForwardDecision(port, neighbor, True)
-                for port, neighbor in enumerate(neighbors)
-            ]
+            return [True] * len(neighbors)
         target = self.next_hop(tile_id, packet.destination)
-        return [
-            ForwardDecision(port, neighbor, neighbor == target)
-            for port, neighbor in enumerate(neighbors)
-        ]
+        return [neighbor == target for neighbor in neighbors]
 
     def decide_batch(self, batch: BatchDecisionView) -> np.ndarray | None:
         """The round's 0/1 port matrix: :meth:`decisions`, row by row.

@@ -38,7 +38,6 @@ from repro.policies.base import (
     POLICY_REGISTRY,
     BatchDecisionView,
     ForwardingPolicy,
-    PolicyContext,
     PolicySpec,
     build_policy,
     make_policy,
@@ -53,7 +52,6 @@ __all__ = [
     "POLICY_REGISTRY",
     "BatchDecisionView",
     "ForwardingPolicy",
-    "PolicyContext",
     "PolicySpec",
     "build_policy",
     "make_policy",

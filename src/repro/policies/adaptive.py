@@ -26,9 +26,7 @@ import numpy as np
 
 from repro.policies.base import (
     BatchDecisionView,
-    ForwardDecision,
     ForwardingPolicy,
-    PolicyContext,
     register_policy,
 )
 
@@ -153,17 +151,6 @@ class AdaptiveProbabilityPolicy(ForwardingPolicy):
         p += self.fault_boost * min(1.0, self.drop_score(tile_id))
         return min(self.p_max, max(self.p_min, p))
 
-    def decide(
-        self, packet: "Packet", link: tuple[int, int], ctx: PolicyContext
-    ) -> bool:
-        del packet, link
-        p = self.effective_probability(
-            ctx.tile_id, ctx.buffer_occupancy, ctx.buffer_capacity
-        )
-        if p >= 1.0:
-            return True
-        return bool(ctx.rng.random() < p)
-
     def decisions(
         self,
         packet: "Packet",
@@ -174,23 +161,15 @@ class AdaptiveProbabilityPolicy(ForwardingPolicy):
         round_index: int,
         buffer_occupancy: int = 0,
         buffer_capacity: int | None = None,
-    ) -> list[ForwardDecision]:
+    ) -> list[bool]:
         # p_eff is per (tile, round), not per port: compute once, then
-        # draw the per-port coins vectorised (stream-identical to the
-        # per-link contract).
+        # draw the per-port coins as one block.
         p = self.effective_probability(
             tile_id, buffer_occupancy, buffer_capacity
         )
         if p >= 1.0:
-            return [
-                ForwardDecision(port, neighbor, True)
-                for port, neighbor in enumerate(neighbors)
-            ]
-        draws = rng.random(len(neighbors)) < p
-        return [
-            ForwardDecision(port, neighbor, bool(draws[port]))
-            for port, neighbor in enumerate(neighbors)
-        ]
+            return [True] * len(neighbors)
+        return (rng.random(len(neighbors)) < p).tolist()
 
     def decide_batch(self, batch: BatchDecisionView) -> np.ndarray:
         # p_eff is a pure function of the owning tile's occupancy and

@@ -43,7 +43,6 @@ import numpy as np
 from repro.policies.base import (
     BatchDecisionView,
     ForwardingPolicy,
-    PolicyContext,
     register_policy,
 )
 
@@ -148,23 +147,40 @@ class AdaptiveRoutePolicy(ForwardingPolicy):
 
     # ------------------------------------------------------------- decisions
 
-    def decide(
-        self, packet: "Packet", link: tuple[int, int], ctx: PolicyContext
-    ) -> bool:
-        tile_id, neighbor = link
-        sent_key = (tile_id, packet.key, neighbor)
-        if sent_key in self._sent:
-            return False
-        if self.in_detour(tile_id, ctx.round_index):
-            self._sent.add(sent_key)
-            return True
-        dist = self._distances(packet.source)
-        d_self = dist.get(tile_id)
-        d_neighbor = dist.get(neighbor)
-        if d_self is None or d_neighbor is None or d_neighbor != d_self + 1:
-            return False
-        self._sent.add(sent_key)
-        return True
+    def decisions(
+        self,
+        packet: "Packet",
+        neighbors: tuple[int, ...],
+        rng: np.random.Generator,
+        *,
+        tile_id: int,
+        round_index: int,
+        buffer_occupancy: int = 0,
+        buffer_capacity: int | None = None,
+    ) -> list[bool]:
+        del rng, buffer_occupancy, buffer_capacity
+        key = packet.key
+        detour = self.in_detour(tile_id, round_index)
+        dist = None if detour else self._distances(packet.source)
+        d_self = None if dist is None else dist.get(tile_id)
+        mask = []
+        for neighbor in neighbors:
+            sent_key = (tile_id, key, neighbor)
+            if sent_key in self._sent:
+                forward = False
+            elif detour:
+                forward = True
+            else:
+                d_neighbor = dist.get(neighbor)
+                forward = (
+                    d_self is not None
+                    and d_neighbor is not None
+                    and d_neighbor == d_self + 1
+                )
+            if forward:
+                self._sent.add(sent_key)
+            mask.append(forward)
+        return mask
 
     def decide_batch(self, batch: BatchDecisionView) -> np.ndarray | None:
         max_degree = batch.max_degree

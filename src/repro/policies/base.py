@@ -18,8 +18,9 @@ drives it through four hooks:
 
 * :meth:`ForwardingPolicy.on_round_begin` — once per gossip round, before
   any traffic of that round moves;
-* :meth:`ForwardingPolicy.decide` — once per (packet, output link) pair
-  during the send phase; returning True transmits a copy on that link;
+* :meth:`ForwardingPolicy.decisions` — once per buffered packet during
+  the send phase; it returns one truth value per output port, and a
+  True transmits a copy on that port's link;
 * :meth:`ForwardingPolicy.on_duplicate_received` — whenever a tile's
   receive path suppresses an intact duplicate (the signal counter-based
   gossip feeds on);
@@ -33,11 +34,9 @@ run builds a fresh policy instance via :func:`build_policy`, so no state
 ever leaks between runs and cached sweep results can never alias across
 policies (the spec participates in the config's content hash).
 
-Performance note: :meth:`ForwardingPolicy.decisions` is the engine-facing
-batch entry point (one call per packet per round).  Its default loops over
-ports calling :meth:`decide`; policies with a vectorisable rule override
-it (see :class:`repro.policies.bernoulli.BernoulliPolicy`) — the per-link
-``decide`` stays the semantic contract either way.
+The fast backend may instead answer a whole send phase through
+:meth:`ForwardingPolicy.decide_batch`; ``decisions`` stays the rule the
+object engine runs, and the batch form must agree with it draw for draw.
 """
 
 from __future__ import annotations
@@ -49,21 +48,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.packet import Packet
-
-
-@dataclass(frozen=True)
-class ForwardDecision:
-    """The outcome of one RND-circuit draw.
-
-    Attributes:
-        port: index of the output port in the tile's neighbor tuple.
-        neighbor: destination tile id of the port's link.
-        transmit: whether the packet is sent on that link this round.
-    """
-
-    port: int
-    neighbor: int
-    transmit: bool
 
 
 @dataclass(frozen=True)
@@ -111,28 +95,6 @@ class BatchDecisionView:
 
     def __len__(self) -> int:
         return len(self.tile_ids)
-
-
-@dataclass(frozen=True)
-class PolicyContext:
-    """What a policy may observe when deciding one (packet, link) pair.
-
-    Attributes:
-        tile_id: the forwarding tile.
-        round_index: current gossip round.
-        rng: the simulation's single RNG (policies must draw all
-            randomness from it so runs stay seed-reproducible).
-        neighbors: the tile's full output-port neighbor tuple.
-        buffer_occupancy: packets currently in the tile's send-buffer.
-        buffer_capacity: the buffer bound, or None when unbounded.
-    """
-
-    tile_id: int
-    round_index: int
-    rng: np.random.Generator
-    neighbors: tuple[int, ...]
-    buffer_occupancy: int = 0
-    buffer_capacity: int | None = None
 
 
 @dataclass(frozen=True)
@@ -184,7 +146,7 @@ class PolicySpec:
 class ForwardingPolicy:
     """Base class for per-run forwarding policies.
 
-    Subclasses set :attr:`kind`, implement :meth:`decide`, and return
+    Subclasses set :attr:`kind`, implement :meth:`decisions`, and return
     their constructor arguments from :meth:`spec_params`; the stateful
     ones also override :meth:`reset` (called once by the engine before
     round 0) and whichever observation hooks they feed on.
@@ -315,15 +277,6 @@ class ForwardingPolicy:
 
     # ------------------------------------------------------------- decisions
 
-    def decide(
-        self, packet: "Packet", link: tuple[int, int], ctx: PolicyContext
-    ) -> bool:
-        """Should `packet` be transmitted over `link` this round?
-
-        `link` is the directed pair ``(sending tile, neighbor)``.
-        """
-        raise NotImplementedError
-
     def decisions(
         self,
         packet: "Packet",
@@ -334,28 +287,18 @@ class ForwardingPolicy:
         round_index: int,
         buffer_occupancy: int = 0,
         buffer_capacity: int | None = None,
-    ) -> list[ForwardDecision]:
-        """Per-port decisions for one packet (the engine entry point).
+    ) -> list[bool]:
+        """Which ports `packet` leaves `tile_id` on this round.
 
-        The default builds one :class:`PolicyContext` and asks
-        :meth:`decide` per port; override for vectorised rules.  RND
-        draws must come from `rng` in port order so results stay
-        reproducible for a given seed.
+        Returns one truth value per port, in `neighbors` order; a True
+        transmits a copy to that neighbor.  `buffer_occupancy` and
+        `buffer_capacity` (None when unbounded) are the tile's local
+        congestion signals.  Every RND draw must come from `rng`, in
+        port order, and a deterministic rule (a silenced message, a
+        probability of 1) must make no draw at all: that is what keeps
+        a run reproducible from its seed on either backend.
         """
-        ctx = PolicyContext(
-            tile_id=tile_id,
-            round_index=round_index,
-            rng=rng,
-            neighbors=neighbors,
-            buffer_occupancy=buffer_occupancy,
-            buffer_capacity=buffer_capacity,
-        )
-        return [
-            ForwardDecision(
-                port, neighbor, self.decide(packet, (tile_id, neighbor), ctx)
-            )
-            for port, neighbor in enumerate(neighbors)
-        ]
+        raise NotImplementedError
 
     def decide_batch(self, batch: BatchDecisionView) -> np.ndarray | None:
         """Per-row forwarding probabilities for a whole send phase.
@@ -392,17 +335,15 @@ class ForwardingPolicy:
         sources: np.ndarray,
         message_ids: np.ndarray,
         round_index: int,
-    ) -> bool:
+    ) -> None:
         """Vectorised form of :meth:`on_duplicate_received`.
 
         The fast backend reports one receive phase's suppressed intact
-        duplicates as parallel arrays (processing order preserved).
-        Return True when handled; the default returns False, telling the
-        engine to replay the events through
-        :meth:`on_duplicate_received` one by one.
+        duplicates as parallel arrays (processing order preserved) when
+        a policy overrides this hook, and replays them through
+        :meth:`on_duplicate_received` one by one otherwise.
         """
         del tile_ids, sources, message_ids, round_index
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.spec_params()!r})"

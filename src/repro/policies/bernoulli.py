@@ -10,8 +10,8 @@ The thesis-named :class:`repro.core.protocol.StochasticProtocol` is a
 :class:`BernoulliPolicy` subclass, so both run this one draw code: one
 vectorised ``rng.random(n_ports)`` per packet for ``p < 1``, no draw for
 ``p = 1``.  numpy's ``Generator.random(n)`` consumes exactly the stream
-of ``n`` scalar ``random()`` calls, so the batch path and the per-link
-:meth:`BernoulliPolicy.decide` contract agree draw for draw.
+of ``n`` scalar ``random()`` calls, so the block is one coin per port,
+drawn in port order.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import numpy as np
 
 from repro.policies.base import (
     BatchDecisionView,
-    ForwardDecision,
     ForwardingPolicy,
-    PolicyContext,
     register_policy,
 )
 
@@ -54,15 +52,6 @@ class BernoulliPolicy(ForwardingPolicy):
     def spec_params(self) -> dict[str, Any]:
         return {"forward_probability": self.forward_probability}
 
-    def decide(
-        self, packet: "Packet", link: tuple[int, int], ctx: PolicyContext
-    ) -> bool:
-        del packet, link  # memoryless: same rule everywhere
-        p = self.forward_probability
-        if p == 1.0:
-            return True
-        return bool(ctx.rng.random() < p)
-
     def decisions(
         self,
         packet: "Packet",
@@ -73,19 +62,11 @@ class BernoulliPolicy(ForwardingPolicy):
         round_index: int,
         buffer_occupancy: int = 0,
         buffer_capacity: int | None = None,
-    ) -> list[ForwardDecision]:
-        # Vectorised fast path, stream-identical to the per-link contract.
+    ) -> list[bool]:
         p = self.forward_probability
         if p == 1.0:
-            return [
-                ForwardDecision(port, neighbor, True)
-                for port, neighbor in enumerate(neighbors)
-            ]
-        draws = rng.random(len(neighbors)) < p
-        return [
-            ForwardDecision(port, neighbor, bool(draws[port]))
-            for port, neighbor in enumerate(neighbors)
-        ]
+            return [True] * len(neighbors)
+        return (rng.random(len(neighbors)) < p).tolist()
 
     def decide_batch(self, batch: BatchDecisionView) -> np.ndarray:
         # Memoryless: every row forwards with the same p, as a float.
@@ -109,12 +90,6 @@ class FloodPolicy(ForwardingPolicy):
     #: kept for API parity with the stochastic protocols.
     forward_probability = 1.0
 
-    def decide(
-        self, packet: "Packet", link: tuple[int, int], ctx: PolicyContext
-    ) -> bool:
-        del packet, link, ctx
-        return True
-
     def decisions(
         self,
         packet: "Packet",
@@ -125,11 +100,8 @@ class FloodPolicy(ForwardingPolicy):
         round_index: int,
         buffer_occupancy: int = 0,
         buffer_capacity: int | None = None,
-    ) -> list[ForwardDecision]:
-        return [
-            ForwardDecision(port, neighbor, True)
-            for port, neighbor in enumerate(neighbors)
-        ]
+    ) -> list[bool]:
+        return [True] * len(neighbors)
 
     def decide_batch(self, batch: BatchDecisionView) -> np.ndarray:
         # Deterministic transmit everywhere; p = 1 rows never draw.

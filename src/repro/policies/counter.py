@@ -19,7 +19,6 @@ import numpy as np
 from repro.policies.base import (
     BatchDecisionView,
     ForwardingPolicy,
-    PolicyContext,
     register_policy,
 )
 from repro.policies.termination import FeedbackTermination
@@ -79,10 +78,9 @@ class CounterGossipPolicy(ForwardingPolicy):
         sources: np.ndarray,
         message_ids: np.ndarray,
         round_index: int,
-    ) -> bool:
+    ) -> None:
         del round_index
         self._termination.observe_batch(tile_ids, sources, message_ids)
-        return True
 
     # ------------------------------------------------------------- decisions
 
@@ -90,19 +88,27 @@ class CounterGossipPolicy(ForwardingPolicy):
         """Has `tile_id` written the death certificate for `key`?"""
         return self._termination.is_silenced(tile_id, key)
 
-    def decide(
-        self, packet: "Packet", link: tuple[int, int], ctx: PolicyContext
-    ) -> bool:
-        if self.is_silenced(ctx.tile_id, packet.key):
-            return False
+    def decisions(
+        self,
+        packet: "Packet",
+        neighbors: tuple[int, ...],
+        rng: np.random.Generator,
+        *,
+        tile_id: int,
+        round_index: int,
+        buffer_occupancy: int = 0,
+        buffer_capacity: int | None = None,
+    ) -> list[bool]:
+        if self.is_silenced(tile_id, packet.key):
+            return [False] * len(neighbors)
         p = self.forward_probability
         if p == 1.0:
-            return True
-        return bool(ctx.rng.random() < p)
+            return [True] * len(neighbors)
+        return (rng.random(len(neighbors)) < p).tolist()
 
     def decide_batch(self, batch: BatchDecisionView) -> np.ndarray:
         # Silenced (tile, message) rows get p = 0 (no draw, matching the
-        # draw-free `decide` early-out); live rows behave like Bernoulli.
+        # draw-free `decisions` early-out); live rows behave like Bernoulli.
         out = np.full(len(batch), self.forward_probability)
         silenced = self._termination.silenced_rows(
             batch.tile_ids, batch.sources, batch.message_ids

@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.policies.base import (
     BatchDecisionView,
-    ForwardDecision,
     ForwardingPolicy,
     register_policy,
 )
@@ -115,11 +114,10 @@ class PushPullPolicy(ForwardingPolicy):
         sources: np.ndarray,
         message_ids: np.ndarray,
         round_index: int,
-    ) -> bool:
+    ) -> None:
         del round_index
         if self._termination is not None:
             self._termination.observe_batch(tile_ids, sources, message_ids)
-        return True
 
     def is_silenced(self, tile_id: int, key: tuple[int, int]) -> bool:
         """Has `tile_id` stopped pushing `key` (feedback termination)?"""
@@ -139,27 +137,19 @@ class PushPullPolicy(ForwardingPolicy):
         round_index: int,
         buffer_occupancy: int = 0,
         buffer_capacity: int | None = None,
-    ) -> list[ForwardDecision]:
+    ) -> list[bool]:
         del round_index, buffer_occupancy, buffer_capacity
         n = len(neighbors)
         if self.is_silenced(tile_id, packet.key):
             # Death certificate written: no transmissions, and crucially
             # no RNG draw (keeps the stream backend-independent).
-            return [
-                ForwardDecision(port, neighbor, False)
-                for port, neighbor in enumerate(neighbors)
-            ]
+            return [False] * n
         if self.fanout >= n:
-            return [
-                ForwardDecision(port, neighbor, True)
-                for port, neighbor in enumerate(neighbors)
-            ]
-        picks = rng.choice(n, size=self.fanout, replace=False)
-        chosen = set(picks.tolist())
-        return [
-            ForwardDecision(port, neighbor, port in chosen)
-            for port, neighbor in enumerate(neighbors)
-        ]
+            return [True] * n
+        mask = [False] * n
+        for port in rng.choice(n, size=self.fanout, replace=False).tolist():
+            mask[port] = True
+        return mask
 
     def decide_batch(self, batch: BatchDecisionView) -> np.ndarray | None:
         if batch.rng is None:

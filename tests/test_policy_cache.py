@@ -143,12 +143,12 @@ class TestLoudFailures:
         # ('PolicySpec', '', ()): equal tokens, and a failure only at
         # engine build.  Neither has a spec, so both raise up front.
         class KeepLeft(ForwardingPolicy):
-            def decide(self, packet, link, ctx):
-                return link[1] < link[0]
+            def decisions(self, packet, neighbors, rng, *, tile_id, **_):
+                return [neighbor < tile_id for neighbor in neighbors]
 
         class KeepRight(ForwardingPolicy):
-            def decide(self, packet, link, ctx):
-                return link[1] > link[0]
+            def decisions(self, packet, neighbors, rng, *, tile_id, **_):
+                return [neighbor > tile_id for neighbor in neighbors]
 
         class Unregistered(BernoulliPolicy):  # inherits kind "bernoulli"
             pass

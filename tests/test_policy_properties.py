@@ -4,10 +4,9 @@ Two guarantees the refactor must keep forever:
 
 * ``BernoulliPolicy(p=1.0)`` is *event-identical* to ``FloodPolicy`` —
   same transmissions, drops and deliveries in the same rounds;
-* ``BernoulliPolicy(p)`` is bit-identical to the pre-refactor inlined
-  path (the legacy :class:`repro.core.protocol.StochasticProtocol` run
-  through the engine's verbatim adapter) for any p and seed — the
-  extraction changed the code's shape, not one bit of its behaviour.
+* ``BernoulliPolicy(p)`` is bit-identical to the thesis-named
+  :class:`repro.core.protocol.StochasticProtocol` for any p and seed —
+  the extraction changed the code's shape, not one bit of its behaviour.
 """
 
 from hypothesis import given, settings
@@ -83,9 +82,9 @@ def test_bernoulli_p1_is_event_identical_to_flood(rows, cols, seed, p_upset):
 def test_bernoulli_policy_matches_prerefactor_inlined_path(
     p, seed, p_upset, sigma
 ):
-    """The legacy protocol object rides the engine's verbatim adapter —
-    the exact pre-refactor call sequence and RNG stream — so equality here
-    proves the extracted BernoulliPolicy introduced zero behaviour drift.
+    """The thesis-named protocol object and the registered policy run one
+    send rule: equal traces and results, under upsets and clock skew,
+    mean the name changes nothing of the behaviour or the RNG stream.
     """
     faults = FaultConfig(p_upset=p_upset, sigma_synchr=sigma)
     legacy_events, legacy_result = _traced_run(

@@ -34,10 +34,7 @@ class TestFlooding:
     def test_always_transmits_everywhere(self):
         rng = np.random.default_rng(0)
         protocol = FloodingProtocol()
-        decisions = _decide(protocol, (1, 2, 3, 4), rng)
-        assert len(decisions) == 4
-        assert all(d.transmit for d in decisions)
-        assert [d.neighbor for d in decisions] == [1, 2, 3, 4]
+        assert _decide(protocol, (1, 2, 3, 4), rng) == [True] * 4
 
     def test_is_deterministic_flag(self):
         # p = 1 never draws from the RNG; any p < 1 does.
@@ -59,9 +56,7 @@ class TestStochastic:
         sent = 0
         trials = 3000
         for _ in range(trials):
-            sent += sum(
-                d.transmit for d in _decide(protocol, (1, 2), rng)
-            )
+            sent += sum(_decide(protocol, (1, 2), rng))
         assert sent / (2 * trials) == pytest.approx(0.3, abs=0.03)
 
     def test_ports_independent(self):
@@ -71,18 +66,17 @@ class TestStochastic:
         both = 0
         trials = 3000
         for _ in range(trials):
-            decisions = _decide(protocol, (1, 2), rng)
-            both += decisions[0].transmit and decisions[1].transmit
+            mask = _decide(protocol, (1, 2), rng)
+            both += mask[0] and mask[1]
         assert both / trials == pytest.approx(0.25, abs=0.03)
 
     def test_port_indices_match_neighbors(self):
-        rng = np.random.default_rng(3)
-        decisions = _decide(StochasticProtocol(0.7), (9, 4, 6), rng)
-        assert [(d.port, d.neighbor) for d in decisions] == [
-            (0, 9),
-            (1, 4),
-            (2, 6),
-        ]
+        # One truth value per port, in neighbor order: port i is the
+        # i-th draw of the block.
+        mask = _decide(StochasticProtocol(0.7), (9, 4, 6),
+                       np.random.default_rng(3))
+        draws = np.random.default_rng(3).random(3)
+        assert mask == [bool(draw < 0.7) for draw in draws]
 
     def test_empty_neighbors(self):
         rng = np.random.default_rng(4)
@@ -93,9 +87,8 @@ class TestStochastic:
         def mean_copies(protocol, trials=2000):
             rng = np.random.default_rng(5)
             return sum(
-                d.transmit
+                sum(_decide(protocol, (1, 2, 3, 4), rng))
                 for _ in range(trials)
-                for d in _decide(protocol, (1, 2, 3, 4), rng)
             ) / trials
 
         assert mean_copies(StochasticProtocol(0.25)) == pytest.approx(
@@ -105,14 +98,8 @@ class TestStochastic:
 
     def test_seeded_reproducibility(self):
         protocol = StochasticProtocol(0.5)
-        a = [
-            d.transmit
-            for d in _decide(protocol, (1, 2, 3), np.random.default_rng(99))
-        ]
-        b = [
-            d.transmit
-            for d in _decide(protocol, (1, 2, 3), np.random.default_rng(99))
-        ]
+        a = _decide(protocol, (1, 2, 3), np.random.default_rng(99))
+        b = _decide(protocol, (1, 2, 3), np.random.default_rng(99))
         assert a == b
 
     def test_int_probability_keeps_its_token_and_a_float_batch(self):

@@ -49,10 +49,11 @@ class TestDecide:
         proto = XYRoutingProtocol(mesh)
         packet = Packet.create(0, 15, 0, b"x", ttl=8)
         rng = np.random.default_rng(0)
-        decisions = proto.decisions(
-            packet, mesh.neighbors(0), rng, tile_id=0, round_index=0
+        neighbors = mesh.neighbors(0)
+        mask = proto.decisions(
+            packet, neighbors, rng, tile_id=0, round_index=0
         )
-        transmitted = [d.neighbor for d in decisions if d.transmit]
+        transmitted = [n for n, sent in zip(neighbors, mask) if sent]
         assert transmitted == [1]
 
     def test_broadcast_floods(self):
@@ -60,10 +61,10 @@ class TestDecide:
         proto = XYRoutingProtocol(mesh)
         packet = Packet.create(5, BROADCAST, 0, b"x", ttl=8)
         rng = np.random.default_rng(0)
-        decisions = proto.decisions(
+        mask = proto.decisions(
             packet, mesh.neighbors(5), rng, tile_id=5, round_index=0
         )
-        assert all(d.transmit for d in decisions)
+        assert mask == [True] * len(mesh.neighbors(5))
 
     def test_requires_tile_id(self):
         proto = XYRoutingProtocol(Mesh2D(4, 4))

@@ -2,7 +2,7 @@
 
 Shipped policies reach the fast backend's per-row send and per-tile pull
 only through push-pull under upsets; the two policies here reach them on
-purpose: one that implements nothing but ``decide``, and one that also
+purpose: one that implements nothing but ``decisions``, and one that also
 pulls through ``pull_targets`` without a ``pull_ports_batch``.  Both run
 on both backends over fault-free, upset (both error models) and crash
 plus slow-link cells, traced, and must agree bit for bit
@@ -32,13 +32,13 @@ from tests.twins import assert_twins, run_twins
 
 
 class _CoinPush(ForwardingPolicy):
-    """A push rule with only ``decide``: one ``ctx.rng`` coin per port."""
+    """A push rule with only ``decisions``: one scalar coin per port."""
 
     kind = "test_coin_push"
 
-    def decide(self, packet, link, ctx) -> bool:
-        del packet, link
-        return bool(ctx.rng.random() < 0.45)
+    def decisions(self, packet, neighbors, rng, **_) -> list[bool]:
+        del packet
+        return [bool(rng.random() < 0.45) for _ in neighbors]
 
 
 class _TargetPull(_CoinPush):
