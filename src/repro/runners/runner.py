@@ -187,11 +187,6 @@ class SimTask:
         )
 
 
-def _execute_task(task: SimTask) -> Any:
-    """Module-level trampoline so the pool pickles only the task spec."""
-    return task.execute()
-
-
 @dataclass(frozen=True)
 class TaskCompletion:
     """One finished sweep cell, as delivered to ``on_result`` callbacks.
@@ -207,9 +202,10 @@ class TaskCompletion:
             from the on-disk pickle cache) or ``"poisoned"`` (the task
             was quarantined after repeatedly crashing its worker; its
             value is the diagnostics record, never cached).
-        duration_s: wall-clock of the successful attempt — measured
-            around the call on the serial path, submit-to-completion on
-            the pool path; ``None`` for cache hits and poisoned tasks.
+        duration_s: wall-clock of the successful attempt, measured
+            around the task's call on both paths (on the pool path by
+            the worker, so it excludes queueing and batch-mates);
+            ``None`` for cache hits and poisoned tasks.
     """
 
     index: int

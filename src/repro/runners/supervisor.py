@@ -5,16 +5,31 @@ of uncached tasks to :meth:`FleetSupervisor.execute`, which runs it
 in-process (``n_workers == 1``, or one task without a timeout) or on a
 ``ProcessPoolExecutor``.  Both paths carry one :class:`_TaskState` per
 task and consult one pure function, :func:`transition`, on every
-failure.  It applies the paper's fault-tolerance discipline to the
-harness itself, one response per fault kind:
+failure.
+
+On the pool path one future carries a *batch* of tasks, run in order by
+:func:`_execute_batch`, which times each task and returns one outcome
+per task; every task is then emitted, retried or blamed on its own.  A
+batch holds ``min(ceil(queued / (4 * workers)), max(1,
+floor(_BATCH_TARGET_S / mean task time)))`` tasks, so each worker still
+gets at least four batches and a batch carries about 50 ms of work;
+cells of 50 ms or more go one per future.  A batch is one task until
+the first result lands, always when ``task_timeout_s`` is set (the
+timeout is per task, and a task inside a batch cannot be preempted),
+and for the rest of an :meth:`~FleetSupervisor.execute` call once its
+pool broke or a batch failed as a whole.
+
+The table applies the paper's fault-tolerance discipline to the harness
+itself, one response per fault kind:
 
 * a deterministic error (``ValueError``/``TypeError``) fails at once;
   any other exception, or a pool task past ``task_timeout_s``, is
   retried after :func:`backoff_delay`, up to ``max_attempts`` in total;
-* a worker death (``BrokenProcessPool``) blames every task in flight,
-  and the pool is rebuilt after the same backoff.  The in-flight tasks
-  were never emitted, so they are resubmitted; seeds are explicit on
-  every spec, so the recovered campaign is bit-identical;
+* a worker death (``BrokenProcessPool``) blames every task of every
+  batch in flight, and the pool is rebuilt after the same backoff.  The
+  in-flight tasks were never emitted, so they are resubmitted; seeds
+  are explicit on every spec, so the recovered campaign is
+  bit-identical;
 * a task blamed twice, or alone, is re-run *alone*: one more crash
   convicts it with certainty, one clean run exonerates a bystander.  A
   convicted task completes as a :class:`PoisonedTask` (source
@@ -24,7 +39,7 @@ harness itself, one response per fault kind:
   times, degrades to in-process execution with a ``RuntimeWarning``.
   Tasks keep their attempt counts; crash suspects are quarantined, never
   risked in the coordinating process;
-* ``KeyboardInterrupt`` flushes every finished future through the
+* ``KeyboardInterrupt`` flushes every finished batch through the
   checkpoint (cache + DB) before the pool is reaped.
 
 ``repro.service.chaos`` certifies the tolerance envelope;
@@ -39,16 +54,11 @@ import time
 import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, _ExceptionWithTraceback
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.runners.runner import (
-    RetryExhaustedError,
-    SimTask,
-    TaskCompletion,
-    _execute_task,
-)
+from repro.runners.runner import RetryExhaustedError, SimTask, TaskCompletion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.runners.runner import SweepRunner
@@ -73,6 +83,36 @@ _POOL_TROUBLE = (OSError, ImportError)
 
 #: Ceiling on every backoff delay, task retries and pool rebuilds alike.
 _MAX_BACKOFF_S = 30.0
+
+#: Worker time one pool future should carry.  Against a ~2 ms
+#: submit-to-result round trip this keeps dispatch a few percent of a
+#: batch, and a task of this length or more goes one per future.
+_BATCH_TARGET_S = 0.05
+
+#: One task's outcome from a worker: its result (``None`` on failure),
+#: the exception it raised (``None`` on success) and its seconds.
+_Outcome = tuple[Any, BaseException | None, float]
+
+
+def _execute_batch(tasks: tuple[SimTask, ...]) -> list[_Outcome]:
+    """Worker-side trampoline of one pool future: run `tasks` in order.
+
+    Each task is timed around its call, as the in-process path times
+    it, and an exception fails only its own task.  The exception is
+    wrapped the way ``ProcessPoolExecutor`` wraps a failed future's, so
+    the coordinator sees the same type, message and remote traceback.
+    """
+    outcomes: list[_Outcome] = []
+    for task in tasks:
+        started = time.perf_counter()
+        try:
+            value, error = task.execute(), None
+        except Exception as raised:  # noqa: BLE001 - the coordinator decides
+            value, error = None, _ExceptionWithTraceback(
+                raised, raised.__traceback__
+            )
+        outcomes.append((value, error, time.perf_counter() - started))
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -220,6 +260,12 @@ class FleetSupervisor:
         self._pool: ProcessPoolExecutor | None = None
         self._breaks = 0
         self._workers = runner.n_workers
+        # Batch sizing: off under a timeout, and for good once a pool
+        # breaks or a batch fails as a whole; sized from the running
+        # mean of the worker-measured task times.
+        self._batching = runner.task_timeout_s is None
+        self._timed_s = 0.0
+        self._timed = 0
 
     # ------------------------------------------------------------------ api
 
@@ -314,6 +360,9 @@ class FleetSupervisor:
         """
         runner = self.runner
         self._teardown(cancel=True)
+        # From here on one task per future, so blame is as exact as it
+        # was before batching.
+        self._batching = False
         alone = len(broken) == 1
         for state in broken:
             action, state = transition(
@@ -384,7 +433,7 @@ class FleetSupervisor:
             while True:
                 started = time.perf_counter()
                 try:
-                    value = _execute_task(state.task)
+                    value = state.task.execute()
                 except Exception as error:  # noqa: BLE001 - the table decides
                     state = self._retry(state, Event.RAISED, error)
                     continue
@@ -394,6 +443,45 @@ class FleetSupervisor:
                 )
                 emit(completion, state.key)
                 break
+
+    def _batch_size(self, queued: int) -> int:
+        """Tasks the next pool future carries, with `queued` waiting."""
+        if not self._batching or not self._timed:
+            return 1
+        share = -(-queued // (4 * self._workers))
+        fits = int(_BATCH_TARGET_S * self._timed / max(self._timed_s, 1e-9))
+        return max(1, min(share, fits))
+
+    def _land(
+        self,
+        batch: list[_TaskState],
+        outcomes: list[_Outcome],
+        emit: Callable[[TaskCompletion, str | None], None],
+    ) -> list[tuple[_TaskState, BaseException]]:
+        """Emit a finished batch's results; return the tasks that raised.
+
+        An interrupt raised by one ``emit`` is re-raised only after the
+        rest of the batch is emitted: its batch-mates finished too, and
+        belong in the checkpoint.
+        """
+        raised = []
+        interrupt: KeyboardInterrupt | None = None
+        for state, (value, error, elapsed) in zip(batch, outcomes):
+            self._timed_s += elapsed
+            self._timed += 1
+            if error is not None:
+                raised.append((state, error))
+                continue
+            completion = TaskCompletion(
+                state.index, state.task, value, "executed", elapsed
+            )
+            try:
+                emit(completion, state.key)
+            except KeyboardInterrupt as stop:
+                interrupt = interrupt or stop
+        if interrupt is not None:
+            raise interrupt
+        return raised
 
     def _drive(
         self,
@@ -405,70 +493,96 @@ class FleetSupervisor:
     ) -> list[_TaskState]:
         """Pump `queue` through `pool` until it (and all flights) drain.
 
-        Submission is bounded by the worker count, so the in-flight set
-        is a tight superset of what is actually *running* — which is
-        what makes crash blame meaningful.  Requeues in-flight states
-        and re-raises on pool *infrastructure* errors (``OSError``
-        family) so the caller can degrade to in-process execution.
+        Each future carries a batch of :meth:`_batch_size` tasks.
+        In-flight futures are bounded by the worker count, so the
+        in-flight tasks are a tight superset of what is actually
+        *running* — which is what makes crash blame meaningful.
+        Requeues in-flight states and re-raises on pool *infrastructure*
+        errors (``OSError`` family) so the caller can degrade to
+        in-process execution.
 
         Returns:
-            the states in flight when a worker death broke the pool, or
-            ``[]`` once everything drained.
+            every task of every batch in flight when a worker death
+            broke the pool, or ``[]`` once everything drained.
         """
         timeout = self.runner.task_timeout_s
         limit = self._workers if limit is None else limit
-        #: future -> (state, deadline, submitted_at)
-        inflight: dict[Future, tuple[_TaskState, float | None, float]] = {}
+        #: future -> (its batch, deadline)
+        inflight: dict[Future, tuple[list[_TaskState], float | None]] = {}
+
+        def in_flight() -> list[_TaskState]:
+            return [state for batch, _ in inflight.values() for state in batch]
+
+        def requeue(states: list[_TaskState]) -> None:
+            """Put `states`, then everything in flight, back in `queue`."""
+            queue.extendleft(reversed(states))
+            queue.extend(in_flight())
+            inflight.clear()
+
         try:
             while queue or inflight:
                 while queue and len(inflight) < limit:
-                    state = queue.popleft()
+                    size = self._batch_size(len(queue))
+                    batch = [queue.popleft() for _ in range(size)]
                     try:
-                        future = pool.submit(_execute_task, state.task)
+                        future = pool.submit(
+                            _execute_batch, tuple(s.task for s in batch)
+                        )
                     except BrokenProcessPool:
-                        return [state, *(s for s, _, _ in inflight.values())]
-                    now = time.monotonic()
-                    deadline = now + timeout if timeout is not None else None
-                    inflight[future] = (state, deadline, now)
+                        return [*batch, *in_flight()]
+                    except _POOL_TROUBLE:
+                        requeue(batch)
+                        raise
+                    deadline = (
+                        time.monotonic() + timeout if timeout is not None else None
+                    )
+                    inflight[future] = (batch, deadline)
                 poll = 0.1 if timeout is not None else None
                 done, _ = wait(
                     inflight, timeout=poll, return_when=FIRST_COMPLETED
                 )
-                now = time.monotonic()
                 # Successful results first: a dying worker fails every
                 # other in-flight future at once, but results that
                 # landed before the crash are good — checkpoint them
                 # before assigning blame for the break.
-                failures: list[tuple[Future, _TaskState, BaseException]] = []
+                failures: list[tuple[list[_TaskState], BaseException]] = []
+                broke = False
                 for future in done:
-                    state, _, submitted = inflight[future]
                     error = future.exception()
-                    if error is None:
-                        inflight.pop(future)
-                        value, elapsed = future.result(), now - submitted
-                        completion = TaskCompletion(
-                            state.index, state.task, value, "executed", elapsed
-                        )
-                        emit(completion, state.key)
-                    else:
-                        failures.append((future, state, error))
-                for future, state, error in failures:
                     if isinstance(error, BrokenProcessPool):
-                        return [s for s, _, _ in inflight.values()]
-                    inflight.pop(future)
+                        broke = True
+                        continue
+                    batch, _ = inflight.pop(future)
+                    if error is None:
+                        raised = self._land(batch, future.result(), emit)
+                        failures += [([state], e) for state, e in raised]
+                    else:
+                        failures.append((batch, error))
+                for position, (batch, error) in enumerate(failures):
                     if isinstance(error, _POOL_TROUBLE):
                         # Pool infrastructure trouble, not a task
                         # failure: requeue the survivors and surface it
                         # so the supervisor degrades to in-process.
-                        queue.appendleft(state)
-                        queue.extend(s for s, _, _ in inflight.values())
-                        inflight.clear()
+                        requeue(
+                            [s for b, _ in failures[position:] for s in b]
+                        )
                         raise error
-                    queue.append(self._retry(state, Event.RAISED, error))
+                    if len(batch) > 1:
+                        # The batch failed as a whole (say, a result
+                        # that does not pickle): rerun its tasks one per
+                        # future, where the error lands on its own
+                        # task.  No attempt is charged.
+                        self._batching = False
+                        queue.extendleft(reversed(batch))
+                    else:
+                        queue.append(self._retry(batch[0], Event.RAISED, error))
+                if broke:
+                    return in_flight()
                 if timeout is None:
                     continue
+                now = time.monotonic()
                 for future in list(inflight):
-                    state, deadline, _ = inflight[future]
+                    batch, deadline = inflight[future]
                     if now < deadline:
                         continue
                     inflight.pop(future)
@@ -477,7 +591,8 @@ class FleetSupervisor:
                         # future (its eventual result is discarded) and
                         # retry the task on a fresh submission.
                         future.add_done_callback(lambda f: f.exception())
-                    queue.append(self._retry(state, Event.TIMED_OUT, None))
+                    for state in batch:
+                        queue.append(self._retry(state, Event.TIMED_OUT, None))
         except KeyboardInterrupt:
             # Clean drain: flush everything that already finished into
             # the checkpoint before the supervisor reaps the pool.
@@ -487,20 +602,15 @@ class FleetSupervisor:
 
     def _flush_finished(
         self,
-        inflight: dict[Future, tuple[_TaskState, float | None, float]],
+        inflight: dict[Future, tuple[list[_TaskState], float | None]],
         emit: Callable[[TaskCompletion, str | None], None],
     ) -> None:
-        """Emit every already-completed in-flight future (non-blocking)."""
+        """Emit every already-finished in-flight batch (non-blocking)."""
         done, _ = wait(inflight, timeout=0)
-        now = time.monotonic()
         for future in done:
-            state, _, submitted = inflight.pop(future)
+            batch, _ = inflight.pop(future)
             if future.exception() is None:
-                value, elapsed = future.result(), now - submitted
-                completion = TaskCompletion(
-                    state.index, state.task, value, "executed", elapsed
-                )
-                emit(completion, state.key)
+                self._land(batch, future.result(), emit)
 
     # ------------------------------------------------ quarantine & degrade
 

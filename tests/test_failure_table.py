@@ -3,16 +3,22 @@
 :func:`repro.runners.supervisor.transition` is the one function that
 decides retry / probe / quarantine / fail for every sweep task.  These
 tests pin its table row by row, check it as a property over random event
-sequences for one task, and pin that degradation to in-process execution
-keeps a task's attempt budget.
+sequences for one task, pin that degradation to in-process execution
+keeps a task's attempt budget, and check the supervisor itself against
+the table over random task outcomes on a real pool that batches tasks.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import tempfile
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.runners import RetryExhaustedError, SimTask, SweepRunner
@@ -156,3 +162,100 @@ def test_degradation_keeps_the_attempt_budget(tmp_path):
     with open(counter) as handle:
         assert handle.read() == "2"  # attempts 2 and 3, not three more
     assert runner.tasks_retried == 1
+
+
+def _scripted(fate: str, runs_dir: str, seed: int = 0) -> tuple[int, int]:
+    """A task whose fate is set: ``ok``, ``transient`` (a RuntimeError on
+    its first run only) or ``value`` (a ValueError on every run).  Each
+    run leaves one marker file in `runs_dir`."""
+    run = 0
+    while True:
+        path = os.path.join(runs_dir, f"{seed}.{run}")
+        try:
+            os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            break
+        except FileExistsError:
+            run += 1
+    if fate == "value":
+        raise ValueError(f"task {seed} is malformed")
+    if fate == "transient" and run == 0:
+        raise RuntimeError(f"task {seed} hit a transient fault")
+    return seed, seed * seed
+
+
+_N_SCRIPTED = 40
+
+
+@settings(max_examples=8, deadline=None)
+@example(fates={}, max_attempts=2)
+@example(fates={3: "transient", 25: "value", 31: "transient"}, max_attempts=2)
+@given(
+    fates=st.dictionaries(
+        st.integers(0, _N_SCRIPTED - 1),
+        st.sampled_from(("transient", "value")),
+        max_size=8,
+    ),
+    max_attempts=st.integers(2, 3),
+)
+def test_batched_pool_follows_the_table(fates, max_attempts):
+    """The supervisor on a 2-worker pool, batches engaged, obeys the table.
+
+    Every task ends in one terminal action (emitted once, or the one
+    that fails the sweep), none runs more than ``max_attempts`` times, a
+    ValueError fails the sweep on its first attempt, and every emitted
+    result is pickle-identical to the serial run of the same seed.
+    """
+    submit = ProcessPoolExecutor.submit
+    sizes: list[int] = []
+
+    def spy(self, fn, /, *args, **kwargs):
+        sizes.append(len(args[0]))
+        return submit(self, fn, *args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as serial_dir:
+        reference = SweepRunner().run(
+            [
+                SimTask.call(_scripted, seed=seed, fate="ok", runs_dir=serial_dir)
+                for seed in range(_N_SCRIPTED)
+            ]
+        )
+    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as runs_dir:
+        tasks = [
+            SimTask.call(
+                _scripted, seed=seed, fate=fates.get(seed, "ok"), runs_dir=runs_dir
+            )
+            for seed in range(_N_SCRIPTED)
+        ]
+        runner = SweepRunner(
+            n_workers=2, max_attempts=max_attempts, retry_backoff_s=0.0
+        )
+        completions: list = []
+        failed = None
+        with mock.patch.object(ProcessPoolExecutor, "submit", spy):
+            try:
+                results = runner.run(tasks, on_result=completions.append)
+            except RetryExhaustedError as error:
+                failed = error
+        runs = Counter(int(name.split(".")[0]) for name in os.listdir(runs_dir))
+
+    emitted = Counter(completion.index for completion in completions)
+    assert set(emitted.values()) <= {1}
+    assert max(runs.values()) <= max_attempts
+    for completion in completions:
+        assert pickle.dumps(completion.value) == pickle.dumps(
+            reference[completion.index]
+        )
+    if failed is None:
+        assert "value" not in fates.values()
+        assert set(emitted) == set(range(_N_SCRIPTED))
+        assert pickle.dumps(results) == pickle.dumps(reference)
+        assert max(sizes) > 1  # batches were engaged
+        for seed, fate in fates.items():
+            assert runs[seed] == 2  # the transient task ran once more
+    else:
+        seed = failed.task.seed
+        assert fates.get(seed) == "value"
+        assert failed.attempts == 1
+        assert isinstance(failed.last_error, ValueError)
+        assert runs[seed] == 1
+        assert seed not in emitted
