@@ -23,17 +23,25 @@ SWEEP = dict(
 
 def test_serial_vs_parallel_wall_clock(benchmark, shape_report):
     serial_start = time.perf_counter()
-    serial = fig4_4.run(**SWEEP, options=ExperimentOptions(n_workers=1))
+    serial = fig4_4.run(
+        **SWEEP, options=ExperimentOptions(runner=SweepRunner(n_workers=1))
+    )
     serial_s = time.perf_counter() - serial_start
 
     parallel_start = time.perf_counter()
-    parallel = fig4_4.run(**SWEEP, options=ExperimentOptions(n_workers=4))
+    parallel = fig4_4.run(
+        **SWEEP, options=ExperimentOptions(runner=SweepRunner(n_workers=4))
+    )
     parallel_s = time.perf_counter() - parallel_start
 
     # The tentpole guarantee: worker count never changes the numbers.
     assert serial == parallel
 
-    benchmark(fig4_4.run, **SWEEP, options=ExperimentOptions(n_workers=4))
+    benchmark(
+        fig4_4.run,
+        **SWEEP,
+        options=ExperimentOptions(runner=SweepRunner(n_workers=4)),
+    )
     shape_report["runner_serial_vs_parallel"] = {
         "serial_s": round(serial_s, 3),
         "parallel4_s": round(parallel_s, 3),

@@ -48,8 +48,9 @@ completed tasks through to a results database), the retry/timeout trio
 ``--max-attempts``/``--retry-backoff``/``--task-timeout`` (validated up
 front: non-positive budgets are argparse errors, not mid-sweep
 crashes), plus ``--backend`` and ``--metrics-out`` where the harness
-supports them.  The flags map 1:1 onto
-:class:`repro.experiments.common.ExperimentOptions`.
+supports them.  The execution flags build one
+:class:`repro.runners.SweepRunner` per invocation, which every sweep of
+the command shares.
 """
 
 from __future__ import annotations
@@ -114,25 +115,26 @@ _EXECUTION_DEFAULTS = {
 
 
 def _sweep_options(args: argparse.Namespace, **extra):
-    """The `ExperimentOptions` equivalent of a command's execution flags.
+    """The `ExperimentOptions` of a command's execution flags.
 
-    `extra` carries per-command knobs (``backend=``,
-    ``collect_metrics=``) on top of the universal
-    ``--workers/--cache-dir/--db`` trio and the retry/timeout knobs.
+    One `SweepRunner` is built from the ``--workers/--cache-dir/--db``
+    trio and the retry/timeout knobs; `extra` carries the per-command
+    knobs (``backend=``, ``collect_metrics=``) beside it.
     """
     # Deferred: keep `repro probe --help` etc. from importing the whole
     # experiments package.
     from repro.experiments.common import ExperimentOptions
+    from repro.runners import SweepRunner
 
-    return ExperimentOptions(
+    runner = SweepRunner(
         n_workers=args.workers,
         cache_dir=args.cache_dir,
         db=args.db,
         max_attempts=args.max_attempts,
         retry_backoff_s=args.retry_backoff,
         task_timeout_s=args.task_timeout,
-        **extra,
     )
+    return ExperimentOptions(runner=runner, **extra)
 
 
 def _notice_ignored(
@@ -404,12 +406,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
             )
             return 2
     module = getattr(experiments, args.name)
+    # One runner per invocation: two-panel figures reuse the same worker
+    # pool settings, cache directory and results database.
     opts = _sweep_options(
         args, collect_metrics=collect_metrics, backend=args.backend
     )
-    # One shared runner per invocation: two-panel figures reuse the same
-    # worker pool, cache directory and results database.
-    opts = opts.with_runner(opts.make_runner())
     print(f"=== {args.name} ===")
     if args.name in ("fig4_10", "fig4_11"):
         for point in module.run_overflow(options=opts):
@@ -770,8 +771,8 @@ def _execution_parent() -> argparse.ArgumentParser:
 
     Declared once and attached to every command via ``parents=`` so
     ``--workers``, ``--cache-dir`` and ``--db`` read identically
-    everywhere (they map onto
-    :class:`repro.experiments.common.ExperimentOptions`).
+    everywhere (they build the command's
+    :class:`repro.runners.SweepRunner`).
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("execution")

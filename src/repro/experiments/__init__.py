@@ -11,16 +11,17 @@ Execution convention
 
 Every sweep-running entry point accepts one trailing keyword argument::
 
-    run(..., options=ExperimentOptions(n_workers=4, cache_dir="cache"))
+    runner = SweepRunner(n_workers=4, cache_dir="cache")
+    run(..., options=ExperimentOptions(runner=runner))
 
-:class:`repro.experiments.common.ExperimentOptions` bundles every
-execution knob — ``n_workers`` (process fan-out; results are
-bit-identical for any worker count), ``runner`` (a pre-built, shared
-:class:`repro.runners.SweepRunner`), ``cache_dir`` (on-disk result
-memoization), ``db`` (a :class:`repro.service.ResultsDB` write-through
-record), and, on harnesses that support them, ``backend`` and
-``collect_metrics``.  It is the only way to pass execution settings
-(see ``docs/runners.md``).
+The :class:`repro.runners.SweepRunner` holds every execution setting —
+``n_workers`` (process fan-out; results are bit-identical for any
+worker count), ``cache_dir`` (on-disk result memoization), ``db`` (a
+:class:`repro.service.ResultsDB` write-through record) and the
+retry/timeout knobs.  :class:`repro.experiments.common.ExperimentOptions`
+carries that runner and, on harnesses that support them, ``backend``
+and ``collect_metrics``; without a runner a harness runs on a fresh
+serial one (see ``docs/runners.md``).
 
 Options are pure execution plumbing: they never enter task cache keys,
 and harnesses keep their historical per-repetition seed strides, so

@@ -119,8 +119,8 @@ def certify_chaos_envelope(
         beta: false-reject bound.
         batch_size: replicates per sweep batch (throughput only).
         max_replicates: per-cell replicate budget.
-        options: execution options (workers, cache, results database,
-            engine backend).
+        options: the runner (workers, cache, results database) and the
+            engine backend.
 
     Returns:
         The :class:`CertifiedEnvelope`; with a results database attached
@@ -137,7 +137,7 @@ def certify_chaos_envelope(
         beta=beta,
     )
     certified, thresholds = certify_cells(
-        opts.make_runner(),
+        opts.runner,
         claim,
         "repro.experiments.chaos:_chaos_once",
         [(kind, level) for kind in kinds for level in levels],

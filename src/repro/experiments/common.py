@@ -2,15 +2,16 @@
 
 Every ``experiments.*.run(...)`` accepts one execution keyword::
 
-    run(..., options=ExperimentOptions(n_workers=4, cache_dir="cache"))
+    runner = SweepRunner(n_workers=4, cache_dir="cache")
+    run(..., options=ExperimentOptions(runner=runner))
 
-:class:`ExperimentOptions` is the frozen bundle of every execution knob
-— how to run (``runner``/``n_workers``/``cache_dir``), which engine
-(``backend``), whether to instrument (``collect_metrics``), and where to
-record provenance (``db``, a :class:`repro.service.ResultsDB` or a path
-to one).  It is the only way to pass execution settings to a harness,
-and pure execution plumbing: the object is never hashed into a task, so
-the cache keys of the submitted tasks do not depend on it.
+The :class:`~repro.runners.SweepRunner` holds every execution setting
+(worker count, cache directory, results database, retries, timeout);
+:class:`ExperimentOptions` carries that runner plus the two knobs that
+change what a task computes — which engine (``backend``) and whether to
+instrument (``collect_metrics``).  The options object is never hashed
+into a task, so the cache keys of the submitted tasks do not depend on
+the runner.
 
 Every grid-shaped harness is one :func:`sweep_cells` call: the kernel
 resolves the options, validates ``repetitions``, submits the whole
@@ -31,7 +32,7 @@ instrumented and uninstrumented runs never alias in the on-disk cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,60 +45,34 @@ from repro.noc.engine import NocSimulator, SimulationResult
 from repro.noc.topology import Mesh2D, Topology
 from repro.runners import SimTask, SweepRunner
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.db import ResultsDB
-
-
 @dataclass(frozen=True)
 class ExperimentOptions:
-    """Every execution knob of an experiment harness, in one object.
+    """How an experiment harness runs, in one object.
 
     Attributes:
-        runner: a pre-built :class:`~repro.runners.SweepRunner` shared
-            across calls (its cache, DB and counters are then shared
-            too).  When set, ``n_workers`` and ``cache_dir`` are ignored.
-        n_workers: process-pool size (default 1: serial, the historical
-            behavior).  Results are bit-identical for any worker count.
-        cache_dir: on-disk memoization directory (default None: off).
+        runner: the :class:`~repro.runners.SweepRunner` the sweep
+            executes on — it alone holds the execution settings (worker
+            count, cache directory, results database, retries, timeout)
+            and its counters.  ``None`` (the default) runs on a fresh
+            serial runner with no cache and no database.
         backend: engine backend for harnesses that support it
             (``"fast"`` for the vectorised engine; results are
             bit-identical, only wall-clock changes).
         collect_metrics: record per-round :class:`repro.metrics`
             time series on harnesses that support it.  Participates in
             task cache keys (instrumented tasks hash separately).
-        db: write-through results/provenance store — a
-            :class:`repro.service.ResultsDB` or a path to one.  Every
-            completed task is recorded there while the pickle cache
-            stays the hot read path (see ``docs/service.md``).
-        max_attempts: times a failing task is tried before the sweep
-            aborts (default 1: fail fast, the historical behavior).
-            Also the fleet supervisor's poison-conviction bar (see
-            ``docs/operations.md``).
-        retry_backoff_s: base delay before a retry (exponential).
-        task_timeout_s: per-task wall-clock budget on the pool path;
-            ``None`` (the default) disables timeouts.
 
-    Like ``n_workers``/``cache_dir``, the retry/timeout knobs are
-    ignored when a pre-built ``runner`` is set — the runner's own
-    configuration wins.
-
-    The object is frozen: share it freely across harness calls.  It is
-    never hashed into a task, so two sweeps differing only in options
-    plumbing (worker count, cache location, DB) share cache entries —
-    while ``backend``/``collect_metrics``, which *do* change the task
-    parameters, enter the keys as the task parameters
-    :func:`sweep_cells` adds.
+    The object is frozen: share it freely across harness calls (they
+    then share the runner's pool settings, cache, DB and counters).  It
+    is never hashed into a task, so two sweeps differing only in their
+    runner share cache entries — while ``backend``/``collect_metrics``,
+    which *do* change the task parameters, enter the keys as the task
+    parameters :func:`sweep_cells` adds.
     """
 
     runner: SweepRunner | None = None
-    n_workers: int = 1
-    cache_dir: str | None = None
     backend: str = "object"
     collect_metrics: bool = False
-    db: "ResultsDB | str | None" = None
-    max_attempts: int = 1
-    retry_backoff_s: float = 0.5
-    task_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.runner is not None and not isinstance(
@@ -107,53 +82,9 @@ class ExperimentOptions:
                 f"runner must be a SweepRunner or None, got "
                 f"{type(self.runner).__name__}"
             )
-        if self.n_workers < 1:
-            raise ValueError(
-                f"n_workers must be >= 1, got {self.n_workers}"
-            )
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError(
-                f"task_timeout_s must be > 0 or None, got "
-                f"{self.task_timeout_s}"
-            )
         from repro.noc.backends import check_backend
 
         check_backend(self.backend)
-
-    def make_runner(self) -> SweepRunner:
-        """The runner this sweep executes on.
-
-        Returns the pre-built ``runner`` when one is set (attaching the
-        ``db`` to it if the runner has none), else builds a fresh
-        :class:`SweepRunner` from the scalar knobs.
-        """
-        if self.runner is not None:
-            if self.db is not None and self.runner.db is None:
-                from repro.service.db import as_results_db
-
-                self.runner.db = as_results_db(self.db)
-            return self.runner
-        return SweepRunner(
-            n_workers=self.n_workers,
-            cache_dir=self.cache_dir,
-            db=self.db,
-            max_attempts=self.max_attempts,
-            retry_backoff_s=self.retry_backoff_s,
-            task_timeout_s=self.task_timeout_s,
-        )
-
-    def with_runner(self, runner: SweepRunner) -> "ExperimentOptions":
-        """A copy pinned to `runner` — for harnesses delegating to
-        sub-harnesses that must share one pool/cache/DB."""
-        return replace(self, runner=runner)
 
 
 def resolve_options(
@@ -163,6 +94,11 @@ def resolve_options(
 ) -> ExperimentOptions:
     """A harness's ``options=`` argument, defaulted and checked.
 
+    The result always carries a runner: a fresh serial
+    :class:`SweepRunner` when the caller gave none, so a harness that
+    delegates to sub-harnesses passes the resolved options on and every
+    sub-sweep runs on that one runner.
+
     Args:
         options: the caller's options object, or None for the defaults.
         supports: which of the result-affecting knobs
@@ -171,7 +107,7 @@ def resolve_options(
             ``ValueError`` instead of being silently ignored.
     """
     if options is None:
-        return ExperimentOptions()
+        options = ExperimentOptions()
     defaults = ExperimentOptions()
     for knob in ("collect_metrics", "backend"):
         if knob in supports:
@@ -181,6 +117,8 @@ def resolve_options(
                 f"this harness does not support {knob}= (it has no "
                 f"instrumented/vectorised path); leave it at its default"
             )
+    if options.runner is None:
+        options = replace(options, runner=SweepRunner())
     return options
 
 
@@ -247,7 +185,7 @@ def sweep_cells(
     cells = list(cells)
     knobs = {"collect_metrics": True} if opts.collect_metrics else {}
     knobs.update(backend_params(opts.backend))
-    results = opts.make_runner().run(
+    results = opts.runner.run(
         SimTask.call(
             fn,
             **params(cell),

@@ -85,5 +85,4 @@ def run_scaling(
 ) -> list[SpreadCurve]:
     """The §3.1 asymptotic across population sizes."""
     opts = resolve_options(options)
-    shared = opts.with_runner(opts.make_runner())
-    return [run(n, repetitions, seed, options=shared) for n in sizes]
+    return [run(n, repetitions, seed, options=opts) for n in sizes]

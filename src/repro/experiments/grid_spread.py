@@ -215,7 +215,6 @@ def run(
     """Compare mesh / torus / complete-graph saturation at n = side^2."""
     n = side * side
     opts = resolve_options(options, supports=SUPPORTS)
-    shared = opts.with_runner(opts.make_runner())
     return [
         measure_spread(
             topology,
@@ -223,7 +222,7 @@ def run(
             repetitions=repetitions,
             seed=seed,
             name=name,
-            options=shared,
+            options=opts,
         )
         for topology, name in (
             (FullyConnected(n), "fully connected"),

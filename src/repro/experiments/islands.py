@@ -142,13 +142,12 @@ def run_voltage_sweep(
 ) -> list[IslandComparison]:
     """The island design space: deeper undervolting saves more, costs more."""
     opts = resolve_options(options)
-    shared = opts.with_runner(opts.make_runner())
     return [
         run(
             island_voltage=v,
             repetitions=repetitions,
             seed=seed,
-            options=shared,
+            options=opts,
         )
         for v in voltages
     ]

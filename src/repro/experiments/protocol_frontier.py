@@ -163,7 +163,7 @@ def run(
         deadline_rounds: the soft real-time deadline behind
             ``deadline_rate`` (defaults to ``max_rounds``, making
             ``deadline_rate`` coincide with ``completion_rate``).
-        options: execution options (workers, cache, backend, database).
+        options: the runner (workers, cache, database) and backend.
 
     Returns:
         The :class:`FrontierReport` with one point per (protocol, axis,
@@ -343,7 +343,7 @@ def certify_frontier(
         beta=beta,
     )
     certified, thresholds = certify_cells(
-        opts.make_runner(),
+        opts.runner,
         claim,
         "repro.experiments.protocol_frontier:_frontier_chaos_once",
         [

@@ -24,7 +24,9 @@ itself, one response per fault kind:
 
 * a deterministic error (``ValueError``/``TypeError``) fails at once;
   any other exception, or a pool task past ``task_timeout_s``, is
-  retried after :func:`backoff_delay`, up to ``max_attempts`` in total;
+  retried after :func:`backoff_delay`, up to ``max_attempts`` in total.
+  On the pool path the retry waits in a side heap while the other
+  tasks keep running; in-process, nothing else can run, so it sleeps;
 * a worker death (``BrokenProcessPool``) blames every task of every
   batch in flight, and the pool is rebuilt after the same backoff.  The
   in-flight tasks were never emitted, so they are resubmitted; seeds
@@ -49,6 +51,7 @@ itself, one response per fault kind:
 from __future__ import annotations
 
 import enum
+import heapq
 import logging
 import time
 import warnings
@@ -78,7 +81,10 @@ _SUSPECT_AFTER = 2
 #: Task errors no retry can fix: the same spec raises them every time.
 _DETERMINISTIC = (ValueError, TypeError)
 
-#: Errors that mean the process pool itself is unusable, not the task.
+#: Errors that mean the process pool itself is unusable, not the task,
+#: when a submit or a whole future raises them.  From one task of a
+#: batch only an ``ImportError`` does (the worker cannot import the
+#: task's module); any other is the task's own, for :func:`transition`.
 _POOL_TROUBLE = (OSError, ImportError)
 
 #: Ceiling on every backoff delay, task retries and pool rebuilds alike.
@@ -401,11 +407,12 @@ class FleetSupervisor:
 
     def _retry(
         self, state: _TaskState, event: Event, error: BaseException | None
-    ) -> _TaskState:
+    ) -> tuple[_TaskState, float]:
         """Apply a *raised* / *timed out* event: back off, or abort.
 
         Returns:
-            the state of the next attempt, after sleeping its backoff.
+            the state of the next attempt, and the seconds it must wait
+            before it starts.
 
         Raises:
             RetryExhaustedError: the table said *fail* (chained to
@@ -418,10 +425,7 @@ class FleetSupervisor:
         if action is Action.FAIL:
             raise RetryExhaustedError(state.task, state.attempt, error) from error
         runner.tasks_retried += 1
-        delay = backoff_delay(runner, state.attempt)
-        if delay > 0:
-            time.sleep(delay)
-        return retried
+        return retried, backoff_delay(runner, state.attempt)
 
     def _run_inline(
         self,
@@ -435,7 +439,9 @@ class FleetSupervisor:
                 try:
                     value = state.task.execute()
                 except Exception as error:  # noqa: BLE001 - the table decides
-                    state = self._retry(state, Event.RAISED, error)
+                    state, delay = self._retry(state, Event.RAISED, error)
+                    if delay > 0:
+                        time.sleep(delay)
                     continue
                 elapsed = time.perf_counter() - started
                 completion = TaskCompletion(
@@ -496,10 +502,13 @@ class FleetSupervisor:
         Each future carries a batch of :meth:`_batch_size` tasks.
         In-flight futures are bounded by the worker count, so the
         in-flight tasks are a tight superset of what is actually
-        *running* — which is what makes crash blame meaningful.
-        Requeues in-flight states and re-raises on pool *infrastructure*
-        errors (``OSError`` family) so the caller can degrade to
-        in-process execution.
+        *running* — which is what makes crash blame meaningful.  A
+        retried task waits out its backoff in a side heap, not on this
+        thread: it rejoins `queue` once due, and the wait for results
+        is bounded by the earliest due time, so the other workers keep
+        busy meanwhile.  Requeues in-flight and waiting states and
+        re-raises on pool *infrastructure* errors (``_POOL_TROUBLE``)
+        so the caller can degrade to in-process execution.
 
         Returns:
             every task of every batch in flight when a worker death
@@ -509,18 +518,41 @@ class FleetSupervisor:
         limit = self._workers if limit is None else limit
         #: future -> (its batch, deadline)
         inflight: dict[Future, tuple[list[_TaskState], float | None]] = {}
+        #: (due time, index, state) of each retry waiting out its backoff
+        waiting: list[tuple[float, int, _TaskState]] = []
 
         def in_flight() -> list[_TaskState]:
             return [state for batch, _ in inflight.values() for state in batch]
 
+        def unwait() -> None:
+            """Move every waiting retry to `queue`, earliest due first."""
+            queue.extend(state for _, _, state in sorted(waiting))
+            waiting.clear()
+
         def requeue(states: list[_TaskState]) -> None:
-            """Put `states`, then everything in flight, back in `queue`."""
+            """Put `states`, then everything in flight or waiting, back
+            in `queue`."""
             queue.extendleft(reversed(states))
             queue.extend(in_flight())
             inflight.clear()
+            unwait()
+
+        def retry(
+            state: _TaskState, event: Event, error: BaseException | None
+        ) -> None:
+            state, delay = self._retry(state, event, error)
+            if delay > 0:
+                due = time.monotonic() + delay
+                heapq.heappush(waiting, (due, state.index, state))
+            else:
+                queue.append(state)
 
         try:
-            while queue or inflight:
+            while queue or inflight or waiting:
+                if waiting:
+                    now = time.monotonic()
+                    while waiting and waiting[0][0] <= now:
+                        queue.append(heapq.heappop(waiting)[2])
                 while queue and len(inflight) < limit:
                     size = self._batch_size(len(queue))
                     batch = [queue.popleft() for _ in range(size)]
@@ -529,6 +561,7 @@ class FleetSupervisor:
                             _execute_batch, tuple(s.task for s in batch)
                         )
                     except BrokenProcessPool:
+                        unwait()
                         return [*batch, *in_flight()]
                     except _POOL_TROUBLE:
                         requeue(batch)
@@ -538,14 +571,22 @@ class FleetSupervisor:
                     )
                     inflight[future] = (batch, deadline)
                 poll = 0.1 if timeout is not None else None
+                if waiting:
+                    until = max(0.0, waiting[0][0] - time.monotonic())
+                    if not inflight:
+                        # Every worker is idle: nothing to collect.
+                        time.sleep(until)
+                        continue
+                    poll = until if poll is None else min(poll, until)
                 done, _ = wait(
                     inflight, timeout=poll, return_when=FIRST_COMPLETED
                 )
                 # Successful results first: a dying worker fails every
                 # other in-flight future at once, but results that
                 # landed before the crash are good — checkpoint them
-                # before assigning blame for the break.
-                failures: list[tuple[list[_TaskState], BaseException]] = []
+                # before assigning blame for the break.  Each failure
+                # carries whether it means pool trouble.
+                failures: list[tuple[list[_TaskState], BaseException, bool]] = []
                 broke = False
                 for future in done:
                     error = future.exception()
@@ -555,16 +596,21 @@ class FleetSupervisor:
                     batch, _ = inflight.pop(future)
                     if error is None:
                         raised = self._land(batch, future.result(), emit)
-                        failures += [([state], e) for state, e in raised]
+                        failures += [
+                            ([state], e, isinstance(e, ImportError))
+                            for state, e in raised
+                        ]
                     else:
-                        failures.append((batch, error))
-                for position, (batch, error) in enumerate(failures):
-                    if isinstance(error, _POOL_TROUBLE):
+                        failures.append(
+                            (batch, error, isinstance(error, _POOL_TROUBLE))
+                        )
+                for position, (batch, error, trouble) in enumerate(failures):
+                    if trouble:
                         # Pool infrastructure trouble, not a task
                         # failure: requeue the survivors and surface it
                         # so the supervisor degrades to in-process.
                         requeue(
-                            [s for b, _ in failures[position:] for s in b]
+                            [s for b, _, _ in failures[position:] for s in b]
                         )
                         raise error
                     if len(batch) > 1:
@@ -575,8 +621,9 @@ class FleetSupervisor:
                         self._batching = False
                         queue.extendleft(reversed(batch))
                     else:
-                        queue.append(self._retry(batch[0], Event.RAISED, error))
+                        retry(batch[0], Event.RAISED, error)
                 if broke:
+                    unwait()
                     return in_flight()
                 if timeout is None:
                     continue
@@ -592,7 +639,7 @@ class FleetSupervisor:
                         # retry the task on a fresh submission.
                         future.add_done_callback(lambda f: f.exception())
                     for state in batch:
-                        queue.append(self._retry(state, Event.TIMED_OUT, None))
+                        retry(state, Event.TIMED_OUT, None)
         except KeyboardInterrupt:
             # Clean drain: flush everything that already finished into
             # the checkpoint before the supervisor reaps the pool.

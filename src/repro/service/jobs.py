@@ -23,7 +23,7 @@ in cancellable chunks — so a job's results are bit-identical to one
 blocking :meth:`SweepRunner.run` call over the same tasks, regardless of
 chunk size.  Because every completed cell is checkpointed to the
 runner's cache (and written through to its :class:`ResultsDB` when one
-is attached, PR 5's retry machinery underneath), resubmitting a
+is attached, the runner's retry machinery underneath), resubmitting a
 cancelled or crashed job resumes from the completed cells: they return
 as ``source="cache"`` completions without re-executing.
 """
@@ -134,20 +134,20 @@ class JobQueue:
     """An asyncio job queue in front of one :class:`SweepRunner`.
 
     Args:
-        runner: the shared runner jobs execute on; ``None`` builds one
-            from the remaining keyword arguments.
-        n_workers / cache_dir / base_seed / db: forwarded to the built
-            runner when `runner` is ``None`` (``db`` may be a
-            :class:`repro.service.ResultsDB` or a path).
+        runner: the shared runner jobs execute on — its worker count,
+            cache, results database and retry settings apply to every
+            job; ``None`` builds a serial one with neither cache nor
+            database.
         chunk_size: tasks per cancellable :meth:`SweepRunner.run` call;
-            defaults to ``4 * n_workers``.  Smaller chunks cancel
+            defaults to ``4 * runner.n_workers``.  Smaller chunks cancel
             sooner, larger ones amortise pool startup better.  Chunking
             never changes results (seeds are batch-global).
 
     Use as an async context manager (or call :meth:`start` /
     :meth:`close` explicitly)::
 
-        async with JobQueue(n_workers=4, db="campaign.db") as queue:
+        runner = SweepRunner(n_workers=4, db="campaign.db")
+        async with JobQueue(runner) as queue:
             job_id = await queue.submit(tasks, priority=1)
             async for completion in queue.stream(job_id):
                 ...
@@ -157,19 +157,10 @@ class JobQueue:
         self,
         runner: SweepRunner | None = None,
         *,
-        n_workers: int = 1,
-        cache_dir: str | None = None,
-        base_seed: int | None = None,
-        db: Any = None,
         chunk_size: int | None = None,
     ) -> None:
         if runner is None:
-            runner = SweepRunner(
-                n_workers=n_workers,
-                cache_dir=cache_dir,
-                base_seed=base_seed,
-                db=db,
-            )
+            runner = SweepRunner()
         self.runner = runner
         if chunk_size is None:
             chunk_size = 4 * runner.n_workers

@@ -23,8 +23,9 @@ Determinism contract:
   the stopping point (the overrun shows in the runner's
   ``tasks_executed`` counter), but never consume them.
 
-With a :class:`repro.service.ResultsDB` attached, every replicate is
-written through as an ordinary task row under one campaign row spanning
+With a :class:`repro.service.ResultsDB` on the sweep runner
+(``SweepRunner(db=...)``, the one place a database is attached), every
+replicate is written through as an ordinary task row under one campaign row spanning
 all batches, and the final certificate lands in the ``certificates``
 table with its full decision trajectory (``repro db query`` /
 ``repro db export --table certificates``).
@@ -39,7 +40,6 @@ from repro.runners import SimTask, SweepRunner, spawn_seeds
 from repro.stats.claims import Claim, TrajectoryPoint, Verdict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.service.db import ResultsDB
     from repro.service.jobs import JobQueue
 
 __all__ = [
@@ -200,11 +200,10 @@ class CertificationRunner:
             after this many observations certifies ``UNDECIDED``.
         base_seed: root seed for replicate seeding (overridable per
             :meth:`certify` call).
-        db: where certificates (and, via the runner, replicate tasks)
-            are recorded — a :class:`repro.service.ResultsDB` or a path.
-            Defaults to the runner's own ``db``; when the runner has
-            none, the store is attached to it so task write-through and
-            certificate rows land in the same database.
+
+    Certificates are recorded in the runner's ``db``, beside the
+    replicate tasks it writes through; a runner without one records
+    nothing.
     """
 
     def __init__(
@@ -214,7 +213,6 @@ class CertificationRunner:
         batch_size: int = 8,
         max_replicates: int = 64,
         base_seed: int | None = 0,
-        db: "ResultsDB | str | None" = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -226,13 +224,6 @@ class CertificationRunner:
         self.batch_size = batch_size
         self.max_replicates = max_replicates
         self.base_seed = base_seed
-        if db is not None and not hasattr(db, "record_certificate"):
-            from repro.service.db import as_results_db
-
-            db = as_results_db(db)
-        if db is not None and self.runner.db is None:
-            self.runner.db = db
-        self.db = db if db is not None else self.runner.db
 
     # ------------------------------------------------------------------ api
 
@@ -264,7 +255,7 @@ class CertificationRunner:
             run_label: campaign-row label (defaults to `label`).
         """
         decision = _Decision(self, claim, fn, params, label, base_seed)
-        db = self.db
+        db = self.runner.db
         run_id = (
             db.begin_run(
                 label=run_label if run_label is not None else label,
@@ -312,8 +303,9 @@ class CertificationRunner:
         decision stream consumes job results in replicate order.
 
         Certificates are recorded into the *queue runner's* database
-        when it has one; each batch keeps the job queue's own one-row-
-        per-job campaign accounting.
+        when it has one (this certifier's own runner is not used); each
+        batch keeps the job queue's own one-row-per-job campaign
+        accounting.
         """
         decision = _Decision(self, claim, fn, params, label, base_seed)
         for start, stop, batch in decision.batches():
@@ -324,7 +316,7 @@ class CertificationRunner:
             )
             decision.consume(await queue.result(job_id))
         certificate = decision.certificate()
-        db = queue.runner.db if queue.runner.db is not None else self.db
+        db = queue.runner.db
         if db is not None:
             db.record_certificate(certificate)
         return certificate

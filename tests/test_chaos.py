@@ -62,7 +62,9 @@ class TestCampaign:
             options=ExperimentOptions(collect_metrics=True), **_FAST
         )
         pooled = chaos.run(
-            options=ExperimentOptions(collect_metrics=True, n_workers=4),
+            options=ExperimentOptions(
+                runner=SweepRunner(n_workers=4), collect_metrics=True
+            ),
             **_FAST,
         )
         for cell_s, cell_p in zip(serial.cells, pooled.cells):

@@ -81,10 +81,10 @@ class TestRunnerArgumentValidation:
                 "--task-timeout", "5",
             ]
         )
-        options = _sweep_options(args)
-        assert options.max_attempts == 3
-        assert options.retry_backoff_s == 0.1
-        assert options.task_timeout_s == 5.0
+        runner = _sweep_options(args).runner
+        assert runner.max_attempts == 3
+        assert runner.retry_backoff_s == 0.1
+        assert runner.task_timeout_s == 5.0
 
 
 class TestInfo:
@@ -347,6 +347,72 @@ class TestFrontier:
         output = capsys.readouterr().out
         assert "certified protocol-frontier envelope" in output
         assert "certified thresholds" in output
+
+    def test_certify_db_rows_match_two_separate_runners(self, tmp_path, capsys):
+        """Both legs of one invocation share a runner and a DB connection;
+        the rows are those of the two legs run on runners of their own."""
+        from repro.experiments import protocol_frontier
+        from repro.experiments.common import ExperimentOptions
+        from repro.runners import SweepRunner
+        from repro.service import ResultsDB
+
+        argv = [
+            "frontier", "--certify", "--certify-levels", "0.0",
+            "--upsets", "0.0", "--link-crashes", "1", "--repetitions", "1",
+        ]
+        cli_db, library_db = tmp_path / "A.db", tmp_path / "B.db"
+        assert main(argv + ["--db", str(cli_db)]) == 0
+        capsys.readouterr()
+
+        args = build_parser().parse_args(argv)
+
+        def options() -> ExperimentOptions:
+            runner = SweepRunner(db=library_db)
+            return ExperimentOptions(runner=runner, backend=args.backend)
+
+        protocol_frontier.run(
+            side=args.side,
+            upset_rates=tuple(args.upsets),
+            link_crash_counts=tuple(args.link_crashes),
+            repetitions=args.repetitions,
+            seed=args.seed,
+            max_rounds=args.max_rounds,
+            deadline_rounds=args.deadline_rounds,
+            options=options(),
+        )
+        protocol_frontier.certify_frontier(
+            kinds=tuple(args.certify_kinds),
+            levels=tuple(args.certify_levels),
+            side=args.side,
+            seed=args.seed,
+            max_rounds=args.certify_max_rounds,
+            coverage_target=args.coverage_target,
+            max_replicates=args.max_replicates,
+            options=options(),
+        )
+
+        def rows(path) -> dict[str, list[dict]]:
+            with ResultsDB(path) as db:
+                return {
+                    "runs": db.query(
+                        "SELECT run_id, label, status, n_tasks FROM runs "
+                        "ORDER BY run_id"
+                    ),
+                    "tasks": db.query(
+                        "SELECT run_id, task_index, cache_key, status, "
+                        "result_json FROM tasks ORDER BY run_id, task_index"
+                    ),
+                    "certificates": db.query(
+                        "SELECT run_id, label, claim_json, verdict, "
+                        "n_observed, budget, base_seed, trajectory_json "
+                        "FROM certificates ORDER BY cert_id"
+                    ),
+                }
+
+        from_cli, from_library = rows(cli_db), rows(library_db)
+        assert len(from_cli["certificates"]) == 4
+        assert from_cli["tasks"]
+        assert from_cli == from_library
 
 
 class TestChaosService:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import warnings
 
@@ -60,7 +61,8 @@ REPEATED = [
 def _cache_keys(harness, tmp_path, name, **knobs):
     """The on-disk cache keys one `harness(options=...)` call leaves."""
     cache_dir = tmp_path / name
-    harness(options=ExperimentOptions(cache_dir=str(cache_dir), **knobs))
+    runner = SweepRunner(cache_dir=str(cache_dir))
+    harness(options=ExperimentOptions(runner=runner, **knobs))
     return list(ResultCache(cache_dir).keys())
 
 
@@ -84,57 +86,43 @@ class TestExperimentOptions:
     def test_defaults_match_the_legacy_scalars(self):
         opts = ExperimentOptions()
         assert opts.runner is None
-        assert opts.n_workers == 1
-        assert opts.cache_dir is None
         assert opts.backend == "object"
         assert opts.collect_metrics is False
-        assert opts.db is None
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            ExperimentOptions(n_workers=0)
         with pytest.raises(ValueError, match="backend"):
             ExperimentOptions(backend="nope")
         with pytest.raises(TypeError, match="runner"):
             ExperimentOptions(runner=object())
 
-    def test_make_runner_builds_from_scalars(self, cache_dir):
-        opts = ExperimentOptions(n_workers=2, cache_dir=cache_dir)
-        runner = opts.make_runner()
-        assert runner.n_workers == 2
-        assert runner.cache is not None
-
-    def test_make_runner_prefers_prebuilt_runner(self):
-        prebuilt = SweepRunner(n_workers=1)
-        opts = ExperimentOptions(runner=prebuilt, n_workers=4)
-        assert opts.make_runner() is prebuilt
-
-    def test_make_runner_attaches_db_to_prebuilt_runner(self, tmp_path):
-        prebuilt = SweepRunner()
-        opts = ExperimentOptions(runner=prebuilt, db=tmp_path / "runs.db")
-        assert opts.make_runner() is prebuilt
-        assert isinstance(prebuilt.db, ResultsDB)
-
-    def test_with_runner_pins_only_the_runner(self, cache_dir):
-        opts = ExperimentOptions(cache_dir=cache_dir, n_workers=3)
-        runner = SweepRunner()
-        pinned = opts.with_runner(runner)
-        assert pinned.runner is runner
-        assert pinned.cache_dir == opts.cache_dir
-        assert pinned.n_workers == 3
-        assert opts.runner is None  # the original is untouched
+    def test_execution_settings_live_on_the_runner_alone(self):
+        fields = {field.name for field in dataclasses.fields(ExperimentOptions)}
+        assert fields == {"runner", "backend", "collect_metrics"}
+        with pytest.raises(TypeError):
+            ExperimentOptions(n_workers=2)
 
 
 class TestResolveOptions:
     def test_no_arguments_yields_defaults(self):
-        assert resolve_options(None) == ExperimentOptions()
-        assert resolve_options() == ExperimentOptions()
+        for opts in (resolve_options(None), resolve_options()):
+            assert isinstance(opts.runner, SweepRunner)
+            assert opts.runner.n_workers == 1
+            assert opts.runner.cache is None and opts.runner.db is None
+            assert dataclasses.replace(opts, runner=None) == ExperimentOptions()
+        assert resolve_options().runner is not resolve_options().runner
 
     def test_options_pass_through_unwarned(self):
-        opts = ExperimentOptions(n_workers=2)
+        opts = ExperimentOptions(runner=SweepRunner(n_workers=2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_options(opts) is opts
+
+    def test_a_runnerless_options_gets_a_fresh_serial_runner(self):
+        opts = ExperimentOptions(backend="fast")
+        resolved = resolve_options(opts, supports=("backend",))
+        assert resolved.backend == "fast"
+        assert resolved.runner.n_workers == 1
+        assert opts.runner is None  # the original is untouched
 
     def test_unsupported_knob_is_a_value_error(self):
         with pytest.raises(ValueError, match="does not support"):
@@ -146,7 +134,9 @@ class TestResolveOptions:
                 ExperimentOptions(backend="fast"), supports=()
             )
         # Declared support passes.
-        opts = ExperimentOptions(collect_metrics=True, backend="fast")
+        opts = ExperimentOptions(
+            runner=SweepRunner(), collect_metrics=True, backend="fast"
+        )
         assert (
             resolve_options(opts, supports=("collect_metrics", "backend"))
             is opts
@@ -249,7 +239,7 @@ class TestHarnessBehavior:
         points = grid_spread.run(
             side=3,
             repetitions=2,
-            options=ExperimentOptions(db=db_path),
+            options=ExperimentOptions(runner=SweepRunner(db=db_path)),
         )
         assert points
         with ResultsDB(db_path) as db:
@@ -271,7 +261,9 @@ class TestHarnessBehavior:
             side=3,
             forward_probability=0.75,
             repetitions=1,
-            options=ExperimentOptions(collect_metrics=True, db=db_path),
+            options=ExperimentOptions(
+                runner=SweepRunner(db=db_path), collect_metrics=True
+            ),
         )
         assert points[0].metrics is not None
         with ResultsDB(db_path) as db:

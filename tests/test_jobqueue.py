@@ -42,7 +42,7 @@ class TestSubmitAndResult:
         tasks = _tasks(6)
 
         async def scenario():
-            async with JobQueue(n_workers=1) as queue:
+            async with JobQueue(SweepRunner(n_workers=1)) as queue:
                 job_id = await queue.submit(tasks, label="six")
                 return await queue.result(job_id)
 
@@ -223,7 +223,8 @@ class TestCancellation:
         ]
 
         async def cancel_mid_run():
-            async with JobQueue(cache_dir=cache_dir, chunk_size=2) as queue:
+            runner = SweepRunner(cache_dir=cache_dir)
+            async with JobQueue(runner, chunk_size=2) as queue:
                 job_id = await queue.submit(tasks)
                 while queue.status(job_id).n_done < 2:
                     await asyncio.sleep(0.002)
@@ -237,7 +238,8 @@ class TestCancellation:
         assert 2 <= done < 10
 
         async def resume():
-            async with JobQueue(cache_dir=cache_dir, chunk_size=2) as queue:
+            runner = SweepRunner(cache_dir=cache_dir)
+            async with JobQueue(runner, chunk_size=2) as queue:
                 job_id = await queue.submit(tasks)
                 result = await queue.result(job_id)
                 return result, queue.status(job_id)
@@ -266,9 +268,8 @@ class TestCancellation:
         ]
 
         async def cancel_mid_chunk():
-            async with JobQueue(
-                cache_dir=cache_dir, db=db_path, chunk_size=3
-            ) as queue:
+            runner = SweepRunner(cache_dir=cache_dir, db=db_path)
+            async with JobQueue(runner, chunk_size=3) as queue:
                 job_id = await queue.submit(tasks, label="race")
                 # Wait for the first write-through, i.e. mid-chunk: the
                 # chunk has started delivering but has not finished.
@@ -302,9 +303,8 @@ class TestCancellation:
             assert orphans[0]["n"] == 0
 
         async def resume():
-            async with JobQueue(
-                cache_dir=cache_dir, db=db_path, chunk_size=3
-            ) as queue:
+            runner = SweepRunner(cache_dir=cache_dir, db=db_path)
+            async with JobQueue(runner, chunk_size=3) as queue:
                 job_id = await queue.submit(tasks, label="race resume")
                 result = await queue.result(job_id)
                 return result, queue.status(job_id)
@@ -339,7 +339,7 @@ class TestDatabaseParity:
         db_path = tmp_path / "campaign.db"
 
         async def scenario():
-            async with JobQueue(db=db_path) as queue:
+            async with JobQueue(SweepRunner(db=db_path)) as queue:
                 job_id = await queue.submit(cells, label="nine-cell")
                 return await queue.result(job_id)
 
@@ -369,7 +369,8 @@ class TestDatabaseParity:
         db_path = tmp_path / "big.db"
 
         async def scenario():
-            async with JobQueue(db=db_path, chunk_size=128) as queue:
+            runner = SweepRunner(db=db_path)
+            async with JobQueue(runner, chunk_size=128) as queue:
                 job_id = await queue.submit(cells, label="thousand-cell")
                 result = await queue.result(job_id)
                 return result, queue.status(job_id)

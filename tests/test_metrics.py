@@ -190,7 +190,8 @@ class TestSweepIntegration:
             m = measure_spread(
                 Torus2D(4, 4), repetitions=4, seed=21,
                 options=ExperimentOptions(
-                    n_workers=n_workers, collect_metrics=True
+                    runner=SweepRunner(n_workers=n_workers),
+                    collect_metrics=True,
                 ),
             )
             results[n_workers] = m

@@ -14,6 +14,7 @@ from repro.noc.config import SimConfig
 from repro.noc.engine import NocSimulator
 from repro.noc.tile import IPCore, TileContext
 from repro.noc.topology import Mesh2D
+from repro.runners import SweepRunner
 from repro.policies import (
     POLICY_REGISTRY,
     AdaptiveProbabilityPolicy,
@@ -346,7 +347,8 @@ class TestPolicyCompareHarness:
             max_rounds=24,
         )
         assert policy_compare.run(**kwargs) == policy_compare.run(
-            **kwargs, options=ExperimentOptions(n_workers=4)
+            **kwargs,
+            options=ExperimentOptions(runner=SweepRunner(n_workers=4)),
         )
 
     def test_format_table_mentions_every_policy(self):

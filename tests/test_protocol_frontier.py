@@ -22,7 +22,7 @@ from repro.policies import (
     build_policy,
     make_policy,
 )
-from repro.runners import SimTask
+from repro.runners import SimTask, SweepRunner
 from repro.stats import Verdict
 from tests.test_harness_pins import RecordingRunner
 
@@ -206,10 +206,12 @@ class TestDeterminism:
 
     def test_worker_counts_bit_identical(self):
         serial = protocol_frontier.run(
-            **self._KWARGS, options=ExperimentOptions(n_workers=1)
+            **self._KWARGS,
+            options=ExperimentOptions(runner=SweepRunner(n_workers=1)),
         )
         fanned = protocol_frontier.run(
-            **self._KWARGS, options=ExperimentOptions(n_workers=2)
+            **self._KWARGS,
+            options=ExperimentOptions(runner=SweepRunner(n_workers=2)),
         )
         assert serial == fanned
 

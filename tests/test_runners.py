@@ -207,9 +207,11 @@ class TestExperimentDeterminism:
             repetitions=2,
             max_rounds=200,
         )
-        serial = fig4_4.run(**kwargs, options=ExperimentOptions(n_workers=1))
+        serial = fig4_4.run(
+            **kwargs, options=ExperimentOptions(runner=SweepRunner(n_workers=1))
+        )
         parallel = fig4_4.run(
-            **kwargs, options=ExperimentOptions(n_workers=4)
+            **kwargs, options=ExperimentOptions(runner=SweepRunner(n_workers=4))
         )
         assert serial == parallel
 

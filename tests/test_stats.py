@@ -392,7 +392,7 @@ class TestDatabaseRecording:
     def test_certificate_and_campaign_rows_land_together(self):
         db = ResultsDB(":memory:")
         runner = CertificationRunner(
-            batch_size=4, max_replicates=48, base_seed=11, db=db
+            SweepRunner(db=db), batch_size=4, max_replicates=48, base_seed=11
         )
         certificate = runner.certify(
             SURE_CLAIM, self.FN, {"bias": 1.0}, label="coin accept"
@@ -419,7 +419,7 @@ class TestDatabaseRecording:
     def test_failed_certification_stamps_the_run_failed(self):
         db = ResultsDB(":memory:")
         runner = CertificationRunner(
-            batch_size=4, max_replicates=8, base_seed=11, db=db
+            SweepRunner(db=db), batch_size=4, max_replicates=8, base_seed=11
         )
         with pytest.raises(ValueError, match="indicator"):
             runner.certify(
@@ -433,7 +433,7 @@ class TestDatabaseRecording:
 
     def test_db_path_argument_opens_a_store(self, tmp_path):
         runner = CertificationRunner(
-            batch_size=4, max_replicates=48, db=tmp_path / "cert.db"
+            SweepRunner(db=tmp_path / "cert.db"), batch_size=4, max_replicates=48
         )
         runner.certify(SURE_CLAIM, self.FN, {"bias": 1.0})
         with ResultsDB(tmp_path / "cert.db") as store:
@@ -442,7 +442,7 @@ class TestDatabaseRecording:
     def test_certificates_filter_by_run(self):
         db = ResultsDB(":memory:")
         runner = CertificationRunner(
-            batch_size=4, max_replicates=48, base_seed=11, db=db
+            SweepRunner(db=db), batch_size=4, max_replicates=48, base_seed=11
         )
         runner.certify(SURE_CLAIM, self.FN, {"bias": 1.0}, label="one")
         runner.certify(SURE_CLAIM, self.FN, {"bias": 0.0}, label="two")
@@ -479,7 +479,7 @@ class TestAsyncCertification:
             certifier = CertificationRunner(
                 batch_size=4, max_replicates=48, base_seed=11
             )
-            async with JobQueue(db=db) as queue:
+            async with JobQueue(SweepRunner(db=db)) as queue:
                 return await certifier.certify_async(
                     queue, SURE_CLAIM, self.FN, {"bias": 1.0}, label="async"
                 )

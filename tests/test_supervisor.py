@@ -16,6 +16,7 @@ import pickle
 import signal
 import threading
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -51,6 +52,20 @@ def _bad_cell(seed: int = 0) -> None:
 
 def _unpicklable(seed: int = 0) -> threading.Lock:
     return threading.Lock()
+
+
+def _read(path: str, seed: int = 0) -> str:
+    with open(path) as handle:
+        return handle.read()
+
+
+def _nap_failing_once(marker: str, fail: bool, seed: int = 0) -> int:
+    """Naps 10 ms; with `fail`, raises on its first call (marked on disk)."""
+    time.sleep(0.01)
+    if fail and not os.path.exists(marker):
+        open(marker, "w").close()
+        raise RuntimeError("transient failure")
+    return seed
 
 
 def _kill_self(seed: int = 0) -> None:
@@ -349,6 +364,53 @@ class TestBatchedDispatch:
         first, *reruns = [len(batch) for batch in submitted if tasks[20] in batch]
         assert first > 1
         assert reruns == [1]
+
+    @pytest.mark.parametrize("max_attempts", [1, 2])
+    def test_a_task_os_error_is_not_pool_trouble(
+        self, tmp_path, submitted, max_attempts
+    ):
+        """A task's own OSError fails (or retries) that task on the pool;
+        the sweep does not degrade to serial."""
+        tasks = [SimTask.call(_square, x=n) for n in range(20)]
+        tasks[10] = SimTask.call(_read, path=str(tmp_path / "missing"))
+        runner = SweepRunner(
+            n_workers=2, max_attempts=max_attempts, retry_backoff_s=0.01
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RetryExhaustedError) as excinfo:
+                runner.run(tasks)
+        assert type(excinfo.value.__cause__) is FileNotFoundError
+        assert excinfo.value.attempts == max_attempts
+        assert runner.tasks_retried == max_attempts - 1
+        # Every attempt was a pool submission, none ran in-process.
+        assert sum(tasks[10] in batch for batch in submitted) == max_attempts
+
+    def test_a_retry_backoff_does_not_idle_the_pool(self, tmp_path):
+        """Eight retries of 0.2 s each wait side by side, not in turn."""
+        def tasks(folder: str, fail: bool) -> list[SimTask]:
+            (tmp_path / folder).mkdir()
+            return [
+                SimTask.call(
+                    _nap_failing_once,
+                    marker=str(tmp_path / folder / str(n)),
+                    fail=fail and n % 5 == 0,
+                    seed=n,
+                )
+                for n in range(40)
+            ]
+
+        runner = SweepRunner(
+            n_workers=2, max_attempts=2, retry_backoff_s=0.2, retry_jitter=0
+        )
+        started = time.perf_counter()
+        results = runner.run(tasks("flaky", True))
+        elapsed = time.perf_counter() - started
+        clean = SweepRunner().run(tasks("clean", False))
+        assert pickle.dumps(results) == pickle.dumps(clean)
+        assert runner.tasks_retried == 8
+        # The backoff is still honoured, but not 8 x 0.2 s in a row.
+        assert 0.2 <= elapsed < 1.2
 
     def test_pool_trouble_at_submit_loses_no_task(self, monkeypatch):
         """A submit that cannot start a worker degrades with every task."""
