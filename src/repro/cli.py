@@ -42,21 +42,25 @@ These commands cover the common workflows without writing a script
   JSON/CSV) and ``repro db gc`` (prune old runs) — see
   ``docs/service.md``.
 
-Every sweep-running command shares one execution flag set, declared once
-on a parent parser: ``--workers``, ``--cache-dir``, ``--db`` (write
-completed tasks through to a results database), the retry/timeout trio
-``--max-attempts``/``--retry-backoff``/``--task-timeout`` (validated up
-front: non-positive budgets are argparse errors, not mid-sweep
-crashes), plus ``--backend`` and ``--metrics-out`` where the harness
-supports them.  The execution flags build one
-:class:`repro.runners.SweepRunner` per invocation, which every sweep of
-the command shares.
+A command accepts exactly the execution flags it honours.  The sweep
+commands (``spread``, ``figure``, ``chaos``, ``certify``, ``frontier``,
+``policies compare``) share one set, declared once on a parent parser:
+``--workers`` (default: the CPUs this process may run on),
+``--cache-dir``, ``--db`` (write completed tasks through to a results
+database) and ``--max-attempts``/``--retry-backoff``/``--task-timeout``
+(validated up front: non-positive budgets are argparse errors, not
+mid-sweep crashes), plus ``--backend`` and ``--metrics-out`` where the
+harness supports them.  They build one :class:`repro.runners.SweepRunner`
+per invocation, shared by every sweep of the command.  ``chaos-service``
+declares its own ``--workers`` (the attacked fleet), ``--max-attempts``
+and ``--db``; ``probe``, ``mp3`` and ``profile`` take none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from typing import Sequence
@@ -102,18 +106,6 @@ def _fault_config(args: argparse.Namespace) -> FaultConfig:
     )
 
 
-#: Default of every shared execution flag, keyed by Namespace attribute —
-#: what `_notice_ignored` compares against, in the order it names them.
-_EXECUTION_DEFAULTS = {
-    "workers": 1,
-    "cache_dir": None,
-    "db": None,
-    "max_attempts": 1,
-    "retry_backoff": 0.5,
-    "task_timeout": None,
-}
-
-
 def _sweep_options(args: argparse.Namespace, **extra):
     """The `ExperimentOptions` of a command's execution flags.
 
@@ -135,28 +127,6 @@ def _sweep_options(args: argparse.Namespace, **extra):
         task_timeout_s=args.task_timeout,
     )
     return ExperimentOptions(runner=runner, **extra)
-
-
-def _notice_ignored(
-    args: argparse.Namespace,
-    why: str,
-    flags: Sequence[str] = tuple(_EXECUTION_DEFAULTS),
-) -> None:
-    """Tell the user when a command ignores execution `flags`, and `why`.
-
-    The shared parent parser gives every command a uniform interface;
-    commands that run a single in-process simulation (or provision
-    their own runners) accept the flags but cannot honor them — surface
-    that instead of silently dropping an explicitly requested cache or
-    database.
-    """
-    explicit = [
-        "--" + flag.replace("_", "-")
-        for flag in flags
-        if getattr(args, flag) != _EXECUTION_DEFAULTS[flag]
-    ]
-    if explicit:
-        print(f"note: {why}; {', '.join(explicit)} ignored", file=sys.stderr)
 
 
 def _note_certificates(args: argparse.Namespace) -> None:
@@ -243,7 +213,6 @@ def cmd_spread(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    _notice_ignored(args, "probe runs in-process (no sweep)")
     topology = _build_topology(args.topology, args.side)
     fault_config = _fault_config(args)
     profile = latency_profile(
@@ -285,7 +254,6 @@ def cmd_mp3(args: argparse.Namespace) -> int:
     from repro.apps.base import run_on_noc
     from repro.mp3 import Mp3Decoder, ParallelMp3App, reconstruction_snr_db
 
-    _notice_ignored(args, "mp3 runs in-process (no sweep)")
     app = ParallelMp3App(
         n_frames=args.frames,
         granule=args.granule,
@@ -514,12 +482,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_chaos_service(args: argparse.Namespace) -> int:
     from repro.service import chaos
 
-    _notice_ignored(
-        args,
-        "chaos-service provisions its own disturbed runners "
-        "(timeouts derive from --hang-s)",
-        ("cache_dir", "retry_backoff", "task_timeout"),
-    )
     envelope = chaos.certify_service_envelope(
         injectors=tuple(args.injectors),
         levels=tuple(args.levels),
@@ -615,7 +577,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.experiments.grid_spread import _BroadcastSeed
     from repro.metrics import PhaseProfiler
 
-    _notice_ignored(args, "profile runs in-process (no sweep)")
     topology = _build_topology(args.topology, args.side)
     profiler = PhaseProfiler()
     engine_paths: Counter[str] = Counter()
@@ -656,8 +617,6 @@ def _open_results_db(path: str):
     recording but wrong for inspection — a typo'd path would silently
     materialise an empty database.  Exits with a usage error instead.
     """
-    import os
-
     from repro.service.db import ResultsDB
 
     if not os.path.exists(path):
@@ -751,8 +710,6 @@ def _writable_cache_dir(text: str) -> str:
     Failing here turns an hours-later mid-sweep crash ("cannot cache
     completed cell") into an immediate, clear usage error.
     """
-    import os
-
     try:
         os.makedirs(text, exist_ok=True)
     except OSError as error:
@@ -766,11 +723,18 @@ def _writable_cache_dir(text: str) -> str:
     return text
 
 
-def _execution_parent() -> argparse.ArgumentParser:
-    """Parent parser with the universal execution flags.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, if known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Declared once and attached to every command via ``parents=`` so
-    ``--workers``, ``--cache-dir`` and ``--db`` read identically
+
+def _execution_parent() -> argparse.ArgumentParser:
+    """Parent parser with the sweep commands' execution flags.
+
+    Declared once and attached to every sweep command via ``parents=``
+    so ``--workers``, ``--cache-dir`` and ``--db`` read identically
     everywhere (they build the command's
     :class:`repro.runners.SweepRunner`).
     """
@@ -779,10 +743,10 @@ def _execution_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--workers",
         type=_positive_int,
-        default=1,
+        default=_usable_cpus(),
         metavar="N",
-        help="worker processes for the sweep (default: 1, serial; "
-        "results are identical for any worker count)",
+        help="worker processes for the sweep (default: the CPUs this "
+        "process may run on; results are identical for any worker count)",
     )
     group.add_argument(
         "--cache-dir",
@@ -985,11 +949,11 @@ def _claim_flags(
     )
     parser.add_argument(
         "--alpha", type=float, default=0.05,
-        help="false-accept bound (default: 0.05)",
+        help="nominal SPRT false-accept rate (default: 0.05)",
     )
     parser.add_argument(
         "--beta", type=float, default=0.05,
-        help="false-reject bound (default: 0.05)",
+        help="nominal SPRT false-reject rate (default: 0.05)",
     )
     parser.add_argument(
         "--batch-size",
@@ -1020,12 +984,26 @@ def _claim_flags(
     _add_check(parser, check)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand parser that reports an unknown flag in its own usage
+    (plain argparse defers it to the top-level one, which names no command).
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="On-Chip Stochastic Communication — reproduction toolkit",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
 
     execution = _execution_parent()
     backend = _backend_parent()
@@ -1047,7 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
     probe = subparsers.add_parser(
         "probe",
         help="unicast delivery probability / latency / min TTL",
-        parents=[execution],
     )
     _topology_flags(probe, side=4)
     probe.add_argument("--src", type=int, default=0)
@@ -1068,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp3 = subparsers.add_parser(
         "mp3",
         help="run the Fig 4-7 parallel encoder under faults",
-        parents=[execution, backend],
+        parents=[backend],
     )
     mp3.add_argument("--frames", type=_positive_int, default=6)
     mp3.add_argument("--granule", type=_positive_int, default=288)
@@ -1090,7 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = subparsers.add_parser(
         "profile",
         help="time the engine's per-round phases on a broadcast workload",
-        parents=[execution, backend],
+        parents=[backend],
     )
     _topology_flags(profile, side=8)
     profile.add_argument("--rounds", type=_positive_int, default=64)
@@ -1139,7 +1116,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="attack the execution layer itself — SIGKILL workers, hang "
         "tasks, corrupt payloads — and certify the service's tolerance "
         "envelope (repro.service.chaos)",
-        parents=[execution, backend],
+        parents=[backend],
+    )
+    fleet = chaos_service.add_argument_group("execution")
+    fleet.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=4,
+        metavar="N",
+        help="size of the worker fleet each replicate campaign attacks "
+        "(default: 4)",
+    )
+    fleet.add_argument(
+        "--max-attempts",
+        type=_positive_int,
+        default=5,
+        metavar="N",
+        help="the attacked fleet's retry budget and poison-conviction "
+        "bar (default: 5; see docs/operations.md)",
+    )
+    fleet.add_argument(
+        "--db",
+        default=None,
+        metavar="FILE",
+        help="record each cell's certificate and replicate campaigns in "
+        "this SQLite results database (created on first use)",
     )
     chaos_service.add_argument(
         "--injectors",
@@ -1182,9 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
         batch_help="replicate campaigns per certification batch",
         max_replicates=16,
     )
-    chaos_service.set_defaults(
-        handler=cmd_chaos_service, workers=4, max_attempts=5
-    )
+    chaos_service.set_defaults(handler=cmd_chaos_service)
 
     frontier = subparsers.add_parser(
         "frontier",

@@ -115,8 +115,8 @@ def certify_chaos_envelope(
         coverage_target: per-run coverage bar (the indicator threshold).
         target: claimed per-run success probability.
         indifference: SPRT indifference band below `target`.
-        alpha: false-accept bound.
-        beta: false-reject bound.
+        alpha: nominal SPRT false-accept rate (see `BernoulliClaim`).
+        beta: nominal SPRT false-reject rate.
         batch_size: replicates per sweep batch (throughput only).
         max_replicates: per-cell replicate budget.
         options: the runner (workers, cache, results database) and the

@@ -640,29 +640,24 @@ class FastNocSimulator(NocSimulator):
         total = dst.size
         capacity = self.config.buffer_capacity
         p_overflow = self.fault_config.p_overflow
-        survivors = None
+        alive_e = self._alive[dst]
+        live = alive_e
         # Modelled buffers replace the overflow Bernoulli (object engine).
+        # Every arrival draws, but only a live receiver overflows: a copy
+        # into a dead tile is a dead-tile drop.
         if capacity is None and p_overflow > 0.0:
-            dropped = self.rng.random(total) < p_overflow
+            dropped = (self.rng.random(total) < p_overflow) & alive_e
             n_dropped = int(np.count_nonzero(dropped))
             if n_dropped:
                 stats.overflow_drops += n_dropped
                 if observer is not None:
                     for i in np.nonzero(dropped)[0].tolist():
                         observer.on_overflow_drop(round_index, int(dst[i]))
-                survivors = ~dropped
-        if survivors is None:
-            escaped = upset & intact
-            alive_e = self._alive[dst]
-            dead = ~alive_e
-            bad = alive_e & ~intact
-            eligible = alive_e & intact
-        else:
-            escaped = survivors & upset & intact
-            alive_e = self._alive[dst]
-            dead = survivors & ~alive_e
-            bad = survivors & alive_e & ~intact
-            eligible = survivors & alive_e & intact
+                live = alive_e & ~dropped
+        escaped = live & upset & intact
+        dead = ~alive_e
+        bad = live & ~intact
+        eligible = live & intact
         stats.upsets_escaped += int(np.count_nonzero(escaped))
         stats.dead_tile_drops += int(np.count_nonzero(dead))
         n_bad = int(np.count_nonzero(bad))
@@ -822,15 +817,15 @@ class FastNocSimulator(NocSimulator):
                     flips += 1
                 group_tile = tile_id
                 group_was_informed = bool(self._informed[tile_id])
-            if draw_overflow and injector.overflow_occurs():
+            alive = bool(self._alive[tile_id])
+            if draw_overflow and injector.overflow_occurs() and alive:
                 stats.overflow_drops += 1
                 if observer is not None:
                     observer.on_overflow_drop(round_index, tile_id)
                 continue
             packet_intact = intact_l[i]
-            if upset_l[i] and packet_intact:
+            if upset_l[i] and packet_intact and alive:
                 stats.upsets_escaped += 1
-            alive = bool(self._alive[tile_id])
             if observer is not None and alive and not packet_intact:
                 observer.on_crc_drop(
                     round_index,

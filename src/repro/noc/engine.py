@@ -565,13 +565,20 @@ class NocSimulator:
                 # With explicitly modelled buffers the probabilistic
                 # overflow draw is ignored in favour of actual occupancy
                 # (FaultConfig.p_overflow docs); the Bernoulli form
-                # supports the closed-form sweeps of Fig 4-10/4-11.
-                if tile.buffer_capacity is None and self.injector.overflow_occurs():
+                # supports the closed-form sweeps of Fig 4-10/4-11.  The
+                # draw is made for a dead receiver too (the stream does
+                # not depend on liveness), but a copy into a dead tile is
+                # a dead-tile drop, counted by `Tile.receive`.
+                if (
+                    tile.buffer_capacity is None
+                    and self.injector.overflow_occurs()
+                    and tile.alive
+                ):
                     self.stats.overflow_drops += 1
                     if observer is not None:
                         observer.on_overflow_drop(round_index, tile_id)
                     continue
-                if was_upset and packet.is_intact():
+                if was_upset and packet.is_intact() and tile.alive:
                     # The scramble happened to pass the CRC — an escape.
                     self.stats.upsets_escaped += 1
                 if (

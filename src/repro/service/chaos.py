@@ -516,8 +516,8 @@ def certify_service_envelope(
         max_attempts: replicate campaigns' retry/conviction budget.
         target: claimed per-replicate intact probability.
         indifference: SPRT indifference band below `target`.
-        alpha: false-accept bound.
-        beta: false-reject bound.
+        alpha: nominal SPRT false-accept rate (see `BernoulliClaim`).
+        beta: nominal SPRT false-reject rate.
         batch_size: replicates per certification batch.
         max_replicates: per-cell replicate budget.
         seed: envelope seed root; cell replicate seeds derive from it.

@@ -213,8 +213,10 @@ class BernoulliClaim(Claim):
             boundary).
         indifference: width of the indifference band; the H0 boundary
             is ``p0 = target - indifference``.
-        alpha: false-accept rate — P(accept | p <= p0) <= alpha.
-        beta: false-reject rate — P(reject | p >= target) <= beta.
+        alpha: nominal false-accept rate.  Wald's boundaries guarantee
+            P(accept | p <= p0) <= alpha / (1 - beta), not <= alpha.
+        beta: nominal false-reject rate; Wald's boundaries guarantee
+            P(reject | p >= target) <= beta / (1 - alpha).
     """
 
     kind = "bernoulli"
@@ -243,7 +245,8 @@ class BernoulliClaim(Claim):
 
     @property
     def confidence(self) -> float:
-        """An accept verdict is correct with probability >= 1 - alpha."""
+        """The nominal confidence ``1 - alpha`` of an accept verdict (a
+        false accept is bounded by ``alpha / (1 - beta)``, see `alpha`)."""
         return 1.0 - self.alpha
 
     @property

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -497,25 +498,25 @@ class TestPolicies:
 HELP_PINS = {
     (): "b3ae40ac4fa5c73e1a6a899f728094de6014248cfeb1fd68bf3b95bd2639ed46",
     ("spread",):
-        "cd01d251240d055730667141d3d504b8cbc11fa3f36678809903bea2315dd1b2",
+        "347e5a93c852acbe695056bec796e33bde44ad0acb87424683e6851a7b4a45e5",
     ("probe",):
-        "94c5ea410843ed26827ee8bfe4304977815f76ad2e7841fee881dc2ae2991af3",
+        "9eeea00bad526dcfb8f50f35797fc1221298aa72d11ab08ad08b8351a22e8046",
     ("mp3",):
-        "a65b6f7454a372178cc2787a9ecd8bf278870779856da489eecf118b7c2381af",
+        "92fedcd0528c3cdfa4c00ef6cad7195513e1c4075e0ba833821485a1f3355273",
     ("figure",):
-        "50baba4a3d828fc701f6f44ce3aa062bc98b146e8fea30469102e2c3430f0475",
+        "615129f4b4c282c11019f7608cd7bccbd3769057cefe95b9f2473cfeb9b06e8e",
     ("profile",):
-        "a01d7422240b2e76c6cccf19b59f077f583fa6e29a481beee212e92e687375c0",
+        "b2b859e8c302a79d2d2bc6b3936748c930e041f36acd8cb8bee016d455eb61c7",
     ("chaos",):
-        "036e9b6a5cb44189bed604c57959f82f4259aa58e3b879a6c8a1ca33135a2464",
+        "6048fed6a1ef0a4f5ebbc149ea4e660331f6559221fe35aa284878824b2ed975",
     ("certify",):
-        "f34e4286622f705482111bf53fa3e7b1772af9eb7f27ddf92f3ebf3ea04e6839",
+        "21d84d79a68f4937d466f5e4c2a6fe11c40d7812c0f13210daf100402d718c9a",
     ("chaos-service",):
-        "801306e2a839a583c71aa8fa14a07a8778ff37394504304119fd724ad95e5c69",
+        "944c1b24f092f865c57781259cc2561bbc0826424550b2f5c4070fb0d694e144",
     ("frontier",):
-        "ed2a8e99d43348586d14d4f600c59697db8771b1b5b79c2e90e5449c2464731f",
+        "5d4e319407efe294bb585121aff6dfcf2c5023dfefe87dcf824a2b9c3ee65ad2",
     ("policies", "compare"):
-        "338dbb2bd350e96352b37729df6ffcd0c1af776df1f116de0318f1d9cdfa6836",
+        "0f5a9b63d93d7935a2779c97e1da111e910a4da94e7e0fd5e62c7908a777b29f",
     ("policies", "list"):
         "816b8a0389ea90b6edb34279274ddd5f1d8afb2ea53f67fac2b954f32ff1c2dd",
     ("db", "query"):
@@ -604,12 +605,19 @@ BAD_FLAGS = [
     ["mp3", "--frames", "0"],
     ["mp3", "--granule", "0"],
     ["mp3", "--max-rounds", "0"],
+    # Execution flags a command would ignore are not accepted at all.
+    ["probe", "--workers", "2"],
+    ["mp3", "--db", "x.db"],
+    ["profile", "--max-attempts", "2"],
+    ["chaos-service", "--task-timeout", "1"],
+    ["chaos-service", "--cache-dir", "{tmp}"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_FLAGS, ids=" ".join)
-def test_bad_flag_is_a_prompt_usage_error(argv):
+def test_bad_flag_is_a_prompt_usage_error(argv, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [arg.format(tmp=tmp_path / "cache") for arg in argv]
     result = subprocess.run(
         [sys.executable, "-m", "repro", *argv],
         env=env,
@@ -640,13 +648,64 @@ def test_probe_runs_its_campaign_once(capsys, monkeypatch):
     assert "delivery probability: 0.900" in capsys.readouterr().out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect (docs/operations.md): chaos-service's "
-    "set_defaults(workers=4, max_attempts=5) mutates the shared execution "
-    "parent's actions, so every command parses to 4 / 5; fixed alone in "
-    "its own PR because it moves cli_suite's wall time",
-)
-def test_execution_defaults_match_the_help_text():
-    args = build_parser().parse_args(["spread"])
-    assert (args.workers, args.max_attempts) == (1, 1)
+def _leaf_parsers(parser, path=()):
+    """(path, parser) of every runnable subcommand under `parser`."""
+    groups = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+#: The commands that run sweeps on a `SweepRunner` built from the flags.
+SWEEP_COMMANDS = {
+    ("spread",), ("figure",), ("chaos",), ("certify",), ("frontier",),
+    ("policies", "compare"),
+}
+
+
+def _pin_cpus(monkeypatch, n):
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+    )
+
+
+def test_execution_defaults_match_the_help_text(monkeypatch):
+    _pin_cpus(monkeypatch, 3)
+    parser = build_parser()
+    with_workers = {
+        path: sub for path, sub in _leaf_parsers(parser)
+        if "--workers" in sub._option_string_actions
+    }
+    assert set(with_workers) == SWEEP_COMMANDS | {("chaos-service",)}
+    for path, sub in with_workers.items():
+        positional = ["fig4_4"] if path == ("figure",) else []
+        args = parser.parse_args([*path, *positional])
+        helps = {
+            flag: sub._option_string_actions[flag].help
+            for flag in ("--workers", "--max-attempts")
+        }
+        if path == ("chaos-service",):
+            assert (args.workers, args.max_attempts) == (4, 5)
+            assert "(default: 4)" in helps["--workers"]
+            assert "(default: 5;" in helps["--max-attempts"]
+        else:
+            assert (args.workers, args.max_attempts) == (3, 1), path
+            assert "CPUs this process may run on" in helps["--workers"]
+            assert "(default: 1, fail fast)" in helps["--max-attempts"]
+
+
+@pytest.mark.parametrize("path", sorted(HELP_PINS), ids=" ".join)
+def test_help_text_does_not_depend_on_the_cpu_count(path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = set()
+    for n in (1, 8):
+        _pin_cpus(monkeypatch, n)
+        with pytest.raises(SystemExit):
+            main([*path, "--help"])
+        texts.add(capsys.readouterr().out)
+    assert len(texts) == 1

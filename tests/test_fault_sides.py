@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
+
 from repro.core.packet import BROADCAST
 from repro.core.protocol import FloodingProtocol
 from repro.faults import CrashPlan, FaultConfig
@@ -98,6 +100,24 @@ def test_a_crashed_tile_stops_sending_but_is_still_sent_to(engine_backend) -> No
     assert not [e for e in sent if e.tile == 4]
     into = [e for e in sent if e.peer == 4 and e.round_index + 1 < ROUNDS]
     assert stats.dead_tile_drops == len(into) > 0
+
+
+@pytest.mark.parametrize("backend", ["object", "fast"])
+def test_a_copy_into_a_crashed_tile_is_a_dead_tile_drop(backend) -> None:
+    """Every arrival draws the overflow Bernoulli, but a copy sent into a
+    crashed tile is lost to the crash, never to the tile's buffer."""
+    _, stats, events = _broadcast(
+        backend,
+        FaultConfig(p_overflow=0.5),
+        crash_plan=CrashPlan(dead_tiles=frozenset({4})),
+    )
+    into = [
+        e for e in events(EventKind.TRANSMISSION)
+        if e.peer == 4 and e.round_index + 1 < ROUNDS
+    ]
+    assert stats.dead_tile_drops == len(into) == 14
+    assert not [e for e in events(EventKind.OVERFLOW_DROP) if e.tile == 4]
+    assert stats.overflow_drops > 0
 
 
 def test_a_dead_link_swallows_the_copy_at_the_sender(engine_backend) -> None:

@@ -139,6 +139,64 @@ class TestSPRT:
         assert fixed_sample_size(tighter) > fixed_sample_size(claim)
 
 
+def _sprt_decision_rates(claim, p, budget):
+    """Exact (P(accept), P(reject)) of `claim`'s SPRT stopped after
+    `budget` replicates that each succeed with probability `p`: a DP over
+    (replicates, successes) at the test's own boundaries."""
+    test = claim.test()
+    win = math.log(claim.target / claim.p0)
+    loss = math.log((1 - claim.target) / (1 - claim.p0))
+    undecided = {0: 1.0}
+    accept = reject = 0.0
+    for n in range(1, budget + 1):
+        reached = {}
+        for s, mass in undecided.items():
+            reached[s + 1] = reached.get(s + 1, 0.0) + mass * p
+            reached[s] = reached.get(s, 0.0) + mass * (1 - p)
+        undecided = {}
+        for s, mass in reached.items():
+            llr = s * win + (n - s) * loss
+            if llr >= test.upper:
+                accept += mass
+            elif llr <= test.lower:
+                reject += mass
+            else:
+                undecided[s] = mass
+    return accept, reject
+
+
+class TestSPRTErrorRates:
+    """Wald guarantees alpha/(1-beta) and beta/(1-alpha), not alpha and
+    beta: at the CLI defaults the false-accept rate stays under alpha,
+    with a loose beta it does not."""
+
+    @pytest.mark.parametrize(
+        "claim, budget, false_accept",
+        [
+            (BernoulliClaim(), 64, 0.0438),
+            (BernoulliClaim(target=0.99, indifference=0.05, beta=0.2),
+             400, 0.0534),
+        ],
+        ids=["cli-defaults", "loose-beta"],
+    )
+    def test_exact_rates_are_within_walds_bounds(
+        self, claim, budget, false_accept
+    ):
+        accept_at_p0, _ = _sprt_decision_rates(claim, claim.p0, budget)
+        _, reject_at_target = _sprt_decision_rates(
+            claim, claim.target, budget
+        )
+        assert accept_at_p0 == pytest.approx(false_accept, abs=5e-5)
+        assert accept_at_p0 <= claim.alpha / (1 - claim.beta)
+        assert reject_at_target <= claim.beta / (1 - claim.alpha)
+
+    def test_the_dp_stops_where_the_test_does(self):
+        claim = BernoulliClaim()  # see TestSPRT: accept at 12, reject at 3
+        assert _sprt_decision_rates(claim, 1.0, 11) == (0.0, 0.0)
+        assert _sprt_decision_rates(claim, 1.0, 12) == (1.0, 0.0)
+        assert _sprt_decision_rates(claim, 0.0, 3) == (0.0, 1.0)
+
+
 class TestConfidenceSequence:
     def test_constant_high_mean_accepts(self):
         claim = BoundedMeanClaim(threshold=0.9, method="hoeffding")
